@@ -1,5 +1,12 @@
 #include "bench/bench_common.h"
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+
+#include "common/threading.h"
+
 namespace tirm {
 namespace bench {
 
@@ -27,19 +34,53 @@ bool IsReleaseLikeBuild() {
 const char* const kAllAlgorithms[4] = {"myopic", "myopic+", "greedy-irie",
                                        "tirm"};
 
+namespace {
+
+// Strict flag readers: a malformed or out-of-range value aborts naming the
+// flag, instead of silently running the bench with a default (or, for
+// unsigned fields, with a negative value wrapped around).
+constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t IntFlag(const Flags& flags, const char* key, std::int64_t def,
+                     std::int64_t lo, std::int64_t hi = kNoMax) {
+  const Result<std::int64_t> v = flags.GetIntStrict(key, def);
+  TIRM_CHECK(v.ok()) << v.status().ToString();
+  const std::string range =
+      hi == kNoMax ? ">= " + std::to_string(lo)
+                   : "in [" + std::to_string(lo) + ", " + std::to_string(hi) +
+                         "]";
+  TIRM_CHECK(v.value() >= lo && v.value() <= hi)
+      << "flag --" << key << " must be " << range << ", got " << v.value();
+  return v.value();
+}
+
+// Open interval (lo, hi); also rejects NaN and infinities.
+double DoubleFlag(const Flags& flags, const char* key, double def, double lo,
+                  double hi) {
+  const Result<double> v = flags.GetDoubleStrict(key, def);
+  TIRM_CHECK(v.ok()) << v.status().ToString();
+  TIRM_CHECK(v.value() > lo && v.value() < hi && std::isfinite(v.value()))
+      << "flag --" << key << " must be in (" << lo << ", " << hi << "), got "
+      << v.value();
+  return v.value();
+}
+
+}  // namespace
+
 BenchConfig BenchConfig::FromFlags(const Flags& flags, double default_scale,
                                    double default_eps,
                                    const char* default_json_out) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   BenchConfig c;
-  c.scale = flags.GetDouble("scale", default_scale);
-  c.eval_sims =
-      static_cast<std::size_t>(flags.GetInt("eval_sims", 2000));
-  c.eps = flags.GetDouble("eps", default_eps);
+  c.scale = DoubleFlag(flags, "scale", default_scale, 0.0, kInf);
+  c.eval_sims = static_cast<std::size_t>(IntFlag(flags, "eval_sims", 2000, 1));
+  c.eps = DoubleFlag(flags, "eps", default_eps, 0.0, 1.0);
   c.theta_cap =
-      static_cast<std::uint64_t>(flags.GetInt("theta_cap", 1 << 18));
-  c.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 2015));
-  c.irie_alpha = flags.GetDouble("irie_alpha", 0.8);
-  c.threads = flags.GetThreads(1);
+      static_cast<std::uint64_t>(IntFlag(flags, "theta_cap", 1 << 18, 0));
+  c.seed = static_cast<std::uint64_t>(IntFlag(flags, "seed", 2015, 0));
+  c.irie_alpha = DoubleFlag(flags, "irie_alpha", 0.8, 0.0, 1.0);
+  c.threads = ResolveThreadCount(static_cast<int>(
+      IntFlag(flags, "threads", 1, 0, kMaxSamplingThreads)));
   c.bundle = flags.GetString("bundle", "");
   c.json_out = flags.GetString("json_out", default_json_out);
   return c;

@@ -12,8 +12,14 @@
 // stays flat in budget; GREEDY-IRIE grows super-linearly and is orders of
 // magnitude slower.
 
+#include <stdlib.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -21,6 +27,7 @@
 #include "graph/generators.h"
 #include "obs/trace.h"
 #include "rrset/parallel_rr_builder.h"
+#include "rrset/sample_store.h"
 #include "rrset/sharded_store.h"
 
 namespace {
@@ -31,10 +38,11 @@ using namespace tirm::bench;
 // ---- Parallel RR-set engine: generation throughput vs worker threads.
 //
 // Samples a fixed batch of RR sets on the DBLP-shaped instance with
-// ParallelRrBuilder at 1/2/4/8 workers and reports sets/s plus the speedup
-// over a single worker. Also runs full TIRM serially and with the largest
-// thread count to confirm the allocations remain statistically equivalent
-// (same #seeds ballpark and revenue within Monte-Carlo noise).
+// ParallelRrBuilder at 1/2/4/8 workers, adopting the parts into a pool as
+// a store top-up does, and reports sets/s plus the speedup over a single
+// worker. Also runs full TIRM serially and with the largest thread count
+// to confirm the allocations remain statistically equivalent (same #seeds
+// ballpark and revenue within Monte-Carlo noise).
 void RunThreadSweep(const BenchConfig& config,
                     const std::vector<int>& thread_counts, JsonValue* out) {
   Rng build_rng(config.seed + 101);
@@ -55,11 +63,17 @@ void RunThreadSweep(const BenchConfig& config,
                               {.num_threads = threads});
     Rng rng(config.seed + 202);  // same master stream per row
     WallTimer timer;
-    const ParallelRrBuilder::Batch sets = builder.SampleBatch(batch, rng);
+    RrSetPool pool(built.graph->num_nodes());
+    pool.ReserveSets(batch);
+    std::size_t nodes = 0;
+    for (ParallelRrBuilder::Batch& part : builder.SampleChunks(batch, rng)) {
+      nodes += part.nodes.size();
+      pool.AdoptChunk(std::move(part.nodes), part.offsets);
+    }
     const double seconds = timer.Seconds();
     if (threads == thread_counts.front()) base_seconds = seconds;
-    const double avg_size = static_cast<double>(sets.nodes.size()) /
-                            static_cast<double>(sets.size());
+    const double avg_size =
+        static_cast<double>(nodes) / static_cast<double>(pool.NumSets());
     t.AddRow({TablePrinter::Int(threads), TablePrinter::Num(seconds, 3),
               TablePrinter::Num(static_cast<double>(batch) / seconds, 0),
               TablePrinter::Num(base_seconds / seconds, 2),
@@ -110,8 +124,14 @@ void RunThreadSweep(const BenchConfig& config,
 //     allocation stays bit-identical to the single-store run (the bench
 //     aborts on any divergence).
 void RunShardSweep(const BenchConfig& config, JsonValue* out) {
-  // Generate a SNAP-style edge list and ingest it via the "file:" path.
-  const std::string edge_path = "/tmp/bench_fig6_snap.edges";
+  // Generate a SNAP-style edge list and ingest it via the "file:" path. The
+  // file lives in a private mkdtemp directory, so concurrent runs never
+  // share it; ingestion reads it whole, so the directory is removed as soon
+  // as the instance is built.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "bench_fig6_XXXXXX").string();
+  TIRM_CHECK(mkdtemp(dir.data()) != nullptr) << "mkdtemp failed for " << dir;
+  const std::string edge_path = dir + "/snap.edges";
   {
     Rng gen_rng(config.seed + 909);
     const Graph generated = RMatGraph(14, 150000, gen_rng);  // 16384 nodes
@@ -121,6 +141,8 @@ void RunShardSweep(const BenchConfig& config, JsonValue* out) {
   Rng build_rng(config.seed + 910);
   Result<BuiltInstance> built =
       BuildNamedDataset("file:" + edge_path, config.scale, build_rng);
+  std::error_code cleanup_error;  // a leftover temp dir is not fatal
+  std::filesystem::remove_all(dir, cleanup_error);
   TIRM_CHECK(built.ok()) << built.status().ToString();
   const ProblemInstance inst =
       built->MakeInstance(/*kappa=*/1, /*lambda=*/0.0);
@@ -200,7 +222,6 @@ void RunShardSweep(const BenchConfig& config, JsonValue* out) {
       "(sampling speedup = single-store time / slowest shard; shards are\n"
       " separate processes in the router topology, so the slowest shard is\n"
       " the phase latency)\n");
-  std::remove(edge_path.c_str());
 
   JsonValue section = JsonValue::Object();
   section.Set("graph", JsonValue::String("file: rmat 16384-node SNAP-style"));

@@ -122,14 +122,18 @@ const RrSetPool& SharedCoveragePool(int num_sets) {
   auto it = pools->find(num_sets);
   if (it == pools->end()) {
     const Fixture& f = Fixture::Get();
-    auto pool = std::make_unique<RrSetPool>(f.graph.num_nodes());
     RrSampler sampler(f.graph, f.probs);
     Rng rng(5);
+    std::vector<NodeId> nodes;
+    std::vector<std::size_t> offsets = {0};
     std::vector<NodeId> set;
     for (int i = 0; i < num_sets; ++i) {
       sampler.SampleInto(rng, set);
-      pool->AddSet(set);
+      nodes.insert(nodes.end(), set.begin(), set.end());
+      offsets.push_back(nodes.size());
     }
+    auto pool = std::make_unique<RrSetPool>(f.graph.num_nodes());
+    pool->AdoptChunk(std::move(nodes), offsets);
     it = pools->emplace(num_sets, std::move(pool)).first;
   }
   return *it->second;
@@ -374,10 +378,10 @@ void BM_SamplingKernelSpeedup(benchmark::State& state) {
 BENCHMARK(BM_SamplingKernelSpeedup)->Arg(20000)->Iterations(1);
 
 // --------------------------------------------------- pool-write data path
-// Legacy append (worker parts -> merged batch copy -> per-set AddSet copy)
-// vs arena-direct adoption (worker parts moved wholesale into the pool,
-// index built batched). Sampling itself is excluded: the parts are drawn
-// once and the write paths replayed from them.
+// Arena-direct adoption, the pool's one write path: worker parts moved
+// wholesale into the pool, per-set bookkeeping reserved once, index built
+// batched. Sampling itself is excluded: the parts are drawn once and the
+// adoption replayed from copies of them.
 
 const std::vector<ParallelRrBuilder::Batch>& SharedSampledParts(int num_sets) {
   static std::map<int, std::vector<ParallelRrBuilder::Batch>>* cache =
@@ -396,85 +400,24 @@ const std::vector<ParallelRrBuilder::Batch>& SharedSampledParts(int num_sets) {
   return it->second;
 }
 
-double LegacyWriteMs(const std::vector<ParallelRrBuilder::Batch>& parts,
-                     NodeId num_nodes) {
-  const auto start = std::chrono::steady_clock::now();
-  // The pre-arena merge: concatenate worker parts into one flat batch...
-  ParallelRrBuilder::Batch merged;
-  merged.offsets.push_back(0);
-  for (const auto& p : parts) {
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      const auto set = p.Set(k);
-      merged.nodes.insert(merged.nodes.end(), set.begin(), set.end());
-      merged.offsets.push_back(merged.nodes.size());
-    }
-  }
-  // ...then append set by set into the pool (the second copy).
-  RrSetPool pool(num_nodes);
-  for (std::size_t k = 0; k < merged.size(); ++k) pool.AddSet(merged.Set(k));
-  benchmark::DoNotOptimize(pool.NumSets());
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-double ArenaWriteMs(std::vector<ParallelRrBuilder::Batch> parts,
-                    NodeId num_nodes) {
-  // `parts` is a by-value clone (made outside the timed region by the
-  // caller); adoption consumes the buffers.
-  const auto start = std::chrono::steady_clock::now();
-  RrSetPool pool(num_nodes);
-  for (auto& p : parts) pool.AdoptChunk(std::move(p.nodes), p.offsets);
-  benchmark::DoNotOptimize(pool.NumSets());
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
 void BM_SamplingStoreWrite(benchmark::State& state) {
   const SamplingFixture& f = SamplingFixture::Get();
   const int num_sets = static_cast<int>(state.range(0));
   const auto& parts = SharedSampledParts(num_sets);
-  const bool arena = state.range(1) != 0;
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<ParallelRrBuilder::Batch> clone = parts;
     state.ResumeTiming();
-    if (arena) {
-      RrSetPool pool(f.graph.num_nodes());
-      for (auto& p : clone) pool.AdoptChunk(std::move(p.nodes), p.offsets);
-      benchmark::DoNotOptimize(pool.NumSets());
-    } else {
-      benchmark::DoNotOptimize(LegacyWriteMs(parts, f.graph.num_nodes()));
-    }
+    RrSetPool pool(f.graph.num_nodes());
+    pool.ReserveSets(static_cast<std::size_t>(num_sets));
+    for (auto& p : clone) pool.AdoptChunk(std::move(p.nodes), p.offsets);
+    benchmark::DoNotOptimize(pool.NumSets());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           num_sets);
-  state.SetLabel(arena ? "arena-direct adopt" : "legacy merge+append");
+  state.SetLabel("arena-direct adopt");
 }
-BENCHMARK(BM_SamplingStoreWrite)->Args({40000, 0})->Args({40000, 1});
-
-// Best-of-5 summary: the arena-direct acceptance gate reads "speedup".
-void BM_SamplingStoreWriteSpeedup(benchmark::State& state) {
-  const SamplingFixture& f = SamplingFixture::Get();
-  const int num_sets = static_cast<int>(state.range(0));
-  const auto& parts = SharedSampledParts(num_sets);
-  double legacy_ms = 0.0, arena_ms = 0.0;
-  for (auto _ : state) {
-    for (int rep = 0; rep < 5; ++rep) {
-      const double l = LegacyWriteMs(parts, f.graph.num_nodes());
-      if (rep == 0 || l < legacy_ms) legacy_ms = l;
-      std::vector<ParallelRrBuilder::Batch> clone = parts;
-      const double a = ArenaWriteMs(std::move(clone), f.graph.num_nodes());
-      if (rep == 0 || a < arena_ms) arena_ms = a;
-    }
-  }
-  const double sets = static_cast<double>(num_sets);
-  state.counters["legacy_ms"] = legacy_ms;
-  state.counters["arena_ms"] = arena_ms;
-  state.counters["speedup"] = arena_ms > 0.0 ? legacy_ms / arena_ms : 0.0;
-  state.counters["legacy_sets_per_sec"] = sets / (legacy_ms * 1e-3);
-  state.counters["arena_sets_per_sec"] = sets / (arena_ms * 1e-3);
-}
-BENCHMARK(BM_SamplingStoreWriteSpeedup)->Arg(40000)->Iterations(1);
+BENCHMARK(BM_SamplingStoreWrite)->Arg(40000);
 
 // ---------------------------------------------- flight-recorder section
 // Cost of an obs::TraceSpan on the disabled fast path (one relaxed atomic

@@ -55,29 +55,26 @@ RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
   return *slot;
 }
 
-ParallelRrBuilder::Batch ParallelRrBuilder::SampleBatch(std::uint64_t count,
-                                                        Rng& master) {
-  return SampleImpl(count, master, /*keep_sets=*/true, /*keep_stats=*/true);
+std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
+    std::uint64_t count, Rng& master) {
+  return SampleParts(count, master, /*keep_sets=*/true);
 }
 
 std::vector<std::uint64_t> ParallelRrBuilder::SampleWidths(std::uint64_t count,
                                                            Rng& master) {
-  return SampleImpl(count, master, /*keep_sets=*/false, /*keep_stats=*/true)
-      .widths;
-}
-
-ParallelRrBuilder::Batch ParallelRrBuilder::SampleSetsOnly(std::uint64_t count,
-                                                           Rng& master) {
-  return SampleImpl(count, master, /*keep_sets=*/true, /*keep_stats=*/false);
-}
-
-std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
-    std::uint64_t count, Rng& master) {
-  return SampleParts(count, master, /*keep_sets=*/true, /*keep_stats=*/false);
+  const std::vector<Batch> parts =
+      SampleParts(count, master, /*keep_sets=*/false);
+  std::vector<std::uint64_t> widths;
+  widths.reserve(count);
+  for (const Batch& p : parts) {
+    widths.insert(widths.end(), p.widths.begin(), p.widths.end());
+  }
+  TIRM_CHECK_EQ(widths.size(), count);
+  return widths;
 }
 
 std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
-    std::uint64_t count, Rng& master, bool keep_sets, bool keep_stats) {
+    std::uint64_t count, Rng& master, bool keep_sets) {
   // Fork the per-worker streams sequentially on the calling thread; the
   // result is a pure function of the master state, independent of scheduling.
   const int workers =
@@ -113,22 +110,18 @@ std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
     if (keep_sets) {
       part.offsets.reserve(quota + 1);
       part.offsets.push_back(0);
-    }
-    if (keep_stats) {
-      part.roots.reserve(quota);
+    } else {
       part.widths.reserve(quota);
     }
     std::vector<NodeId> scratch;
     for (std::uint64_t t = 0; t < quota; ++t) {
-      const NodeId root = sampler.SampleInto(rng, scratch);
+      sampler.SampleInto(rng, scratch);
       part.max_traversal = std::max(part.max_traversal,
                                     sampler.last_traversal());
       if (keep_sets) {
         part.nodes.insert(part.nodes.end(), scratch.begin(), scratch.end());
         part.offsets.push_back(part.nodes.size());
-      }
-      if (keep_stats) {
-        part.roots.push_back(root);
+      } else {
         part.widths.push_back(sampler.last_width());
       }
     }
@@ -150,53 +143,6 @@ std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
     for (auto& t : threads) t.join();
   }
   return parts;
-}
-
-ParallelRrBuilder::Batch ParallelRrBuilder::SampleImpl(std::uint64_t count,
-                                                       Rng& master,
-                                                       bool keep_sets,
-                                                       bool keep_stats) {
-  const std::vector<Batch> parts =
-      SampleParts(count, master, keep_sets, keep_stats);
-  // Concatenate in worker order — deterministic regardless of scheduling.
-  Batch out;
-  for (const Batch& p : parts) {
-    out.max_traversal = std::max(out.max_traversal, p.max_traversal);
-  }
-  if (!keep_sets) {
-    std::size_t total_sets = 0;
-    for (const Batch& p : parts) total_sets += p.widths.size();
-    out.widths.reserve(total_sets);
-    for (const Batch& p : parts) {
-      out.widths.insert(out.widths.end(), p.widths.begin(), p.widths.end());
-    }
-    TIRM_CHECK_EQ(out.widths.size(), count);
-    return out;
-  }
-  std::size_t total_nodes = 0;
-  std::size_t total_sets = 0;
-  for (const Batch& p : parts) {
-    total_nodes += p.nodes.size();
-    total_sets += p.size();
-  }
-  out.nodes.reserve(total_nodes);
-  out.offsets.reserve(total_sets + 1);
-  if (keep_stats) {
-    out.roots.reserve(total_sets);
-    out.widths.reserve(total_sets);
-  }
-  out.offsets.push_back(0);
-  for (const Batch& p : parts) {
-    const std::size_t shift = out.nodes.size();
-    out.nodes.insert(out.nodes.end(), p.nodes.begin(), p.nodes.end());
-    for (std::size_t k = 1; k < p.offsets.size(); ++k) {
-      out.offsets.push_back(shift + p.offsets[k]);
-    }
-    out.roots.insert(out.roots.end(), p.roots.begin(), p.roots.end());
-    out.widths.insert(out.widths.end(), p.widths.begin(), p.widths.end());
-  }
-  TIRM_CHECK_EQ(out.size(), count);
-  return out;
 }
 
 }  // namespace tirm

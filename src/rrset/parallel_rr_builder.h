@@ -9,21 +9,14 @@
 //    calling thread (Rng::Fork is deterministic in state and salt);
 //  * worker i samples a fixed contiguous chunk of the batch with its own
 //    sampler and its own stream, writing into worker-local storage;
-//  * chunks are concatenated (or adopted) in worker order, so the result is
+//  * the worker-local parts are returned in worker order, so the result is
 //    byte-identical no matter how the OS schedules the threads.
 //
-// The produced Batch carries the flattened sets, their roots, and the TIM
-// widths w(R) (sum of in-degrees over the traversal), so both KPT estimation
-// and θ-driven collection growth can consume the same output without
-// resampling.
-//
-// Arena-direct consumption: SampleChunks exposes the worker-local parts
-// *before* the concatenation copy, still in deterministic worker order.
-// RrSetPool::AdoptChunk moves each part's flattened node buffer into the
-// pool arena wholesale, which removes both copies of the legacy path
-// (worker part -> merged Batch -> pool arena). SampleSetsInto streams
-// per-set spans over the same parts for sinks that genuinely need per-set
-// granularity.
+// Two outputs, one per consumer: SampleChunks returns each worker's
+// flattened sets, which RrSampleStore top-up moves into the pool arena
+// wholesale (RrSetPool::AdoptChunk — no merge copy); SampleWidths returns
+// only the TIM widths w(R) (sum of in-degrees over the traversal) that KPT
+// estimation needs.
 //
 // The sampler kernel (Options::sampler_kernel, rrset/sampler_kernel.h)
 // switches every worker between the classic per-edge loop and the
@@ -61,16 +54,15 @@ class ParallelRrBuilder {
     SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   };
 
-  /// One sampled batch, chunks concatenated in worker order. Set k occupies
-  /// nodes[offsets[k] .. offsets[k+1]). roots/widths are empty for batches
-  /// from SampleSetsOnly (and nodes/offsets/roots for SampleWidths).
+  /// One worker's part of a sampled batch. SampleChunks fills the sets
+  /// (set k occupies nodes[offsets[k] .. offsets[k+1])); SampleWidths fills
+  /// only the per-set widths.
   struct Batch {
     std::vector<std::size_t> offsets;   // size() + 1 entries
     std::vector<NodeId> nodes;          // flattened members
-    std::vector<NodeId> roots;          // per set
     std::vector<std::uint64_t> widths;  // per set, TIM w(R)
-    /// Largest reverse-BFS traversal (visited nodes) over the batch's sets;
-    /// kept under every keep_* mode (it is a byproduct of sampling).
+    /// Largest reverse-BFS traversal (visited nodes) over the part's sets
+    /// (a byproduct of sampling, kept by both outputs).
     std::uint64_t max_traversal = 0;
 
     std::size_t size() const {
@@ -93,45 +85,20 @@ class ParallelRrBuilder {
   ParallelRrBuilder(const Graph& graph, std::span<const float> edge_probs,
                     std::span<const float> node_ctps, Options options);
 
-  /// Samples `count` sets. Consumes one fork of `master` per active worker —
-  /// min(count, num_threads()) forks, or a single fork when `count` is below
-  /// `min_parallel_batch` — so the master stream's advancement depends on the
-  /// batch size as well as the thread count. Chunk sizes differ by at most
-  /// one across workers.
-  Batch SampleBatch(std::uint64_t count, Rng& master);
-
-  /// Widths-only variant for KPT estimation: same sampling streams as
-  /// SampleBatch (identical widths for an identical master state) but skips
-  /// accumulating the flattened node lists.
-  std::vector<std::uint64_t> SampleWidths(std::uint64_t count, Rng& master);
-
-  /// Sets-only variant for coverage building: same streams as SampleBatch
-  /// but skips the per-set roots/widths arrays that coverage backends never
-  /// read.
-  Batch SampleSetsOnly(std::uint64_t count, Rng& master);
-
-  /// Sets-only sampling returned as the worker-local parts in deterministic
-  /// worker order, WITHOUT the concatenation copy. Identical streams and
-  /// set contents to SampleSetsOnly — concatenating the parts reproduces it
-  /// byte for byte. The arena-direct hot path: callers move each part's
-  /// `nodes` buffer straight into RrSetPool::AdoptChunk.
+  /// Samples `count` sets, returned as the worker-local parts in
+  /// deterministic worker order, without a concatenation copy: callers move
+  /// each part's `nodes` buffer straight into RrSetPool::AdoptChunk.
+  /// Consumes one fork of `master` per active worker — min(count,
+  /// num_threads()) forks, or a single fork when `count` is below
+  /// `min_parallel_batch` — so the master stream's advancement depends on
+  /// the batch size as well as the thread count. Part sizes differ by at
+  /// most one across workers.
   std::vector<Batch> SampleChunks(std::uint64_t count, Rng& master);
 
-  /// Streaming variant of SampleChunks: invokes `sink(std::span<const
-  /// NodeId>)` once per set, in the same deterministic worker order,
-  /// straight from the worker-local buffers. Statically dispatched — the
-  /// sink is a template parameter, not a std::function — so per-set calls
-  /// inline into the consumer loop.
-  template <typename Sink>
-  void SampleSetsInto(std::uint64_t count, Rng& master, Sink&& sink) {
-    const std::vector<Batch> parts = SampleChunks(count, master);
-    std::uint64_t emitted = 0;
-    for (const Batch& p : parts) {
-      for (std::size_t k = 0; k < p.size(); ++k) sink(p.Set(k));
-      emitted += p.size();
-    }
-    TIRM_CHECK_EQ(emitted, count);
-  }
+  /// Widths-only variant for KPT estimation: the same streams as
+  /// SampleChunks (an identical master state yields the widths of the same
+  /// sets), concatenated in worker order, without keeping the sets.
+  std::vector<std::uint64_t> SampleWidths(std::uint64_t count, Rng& master);
 
   /// Resolved worker count (>= 1, clamped to kMaxSamplingThreads —
   /// see common/threading.h).
@@ -144,11 +111,10 @@ class ParallelRrBuilder {
 
  private:
   RrSampler& SamplerFor(int worker);
-  /// Worker-local chunks in worker order (the deterministic pre-merge form).
+  /// Worker-local parts in worker order; each keeps its sets when
+  /// `keep_sets`, else its widths.
   std::vector<Batch> SampleParts(std::uint64_t count, Rng& master,
-                                 bool keep_sets, bool keep_stats);
-  Batch SampleImpl(std::uint64_t count, Rng& master, bool keep_sets,
-                   bool keep_stats);
+                                 bool keep_sets);
 
   const Graph& graph_;
   std::span<const float> edge_probs_;

@@ -5,28 +5,12 @@
 
 namespace tirm {
 
-RrCollection::RrCollection(NodeId num_nodes, CoverageKernel kernel)
-    : owned_(std::make_unique<RrSetPool>(num_nodes)),
-      pool_(owned_.get()),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(num_nodes) {
-  if (kernel_ == CoverageKernel::kScalar) coverage_.assign(num_nodes, 0);
-}
-
 RrCollection::RrCollection(const RrSetPool* pool, CoverageKernel kernel)
     : pool_(pool),
       kernel_(ResolveCoverageKernel(kernel)),
       num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
   if (kernel_ == CoverageKernel::kScalar) coverage_.assign(num_nodes_, 0);
-}
-
-std::uint32_t RrCollection::AddSet(std::span<const NodeId> nodes) {
-  TIRM_CHECK(owned_ != nullptr) << "AddSet requires an owning collection; "
-                                   "borrowed pools grow via the store";
-  const std::uint32_t id = owned_->AddSet(nodes);
-  AttachUpTo(id + 1);
-  return id;
 }
 
 void RrCollection::AttachUpTo(std::uint32_t count) {
@@ -144,11 +128,8 @@ void RrCollection::AccumulateCoverage(
 }
 
 std::size_t RrCollection::MemoryBytes() const {
-  std::size_t bytes = covered_.capacity() +
-                      coverage_.capacity() * sizeof(std::uint32_t) +
-                      covered_words_.capacity() * sizeof(std::uint64_t);
-  if (owned_ != nullptr) bytes += owned_->MemoryBytes();
-  return bytes;
+  return covered_.capacity() + coverage_.capacity() * sizeof(std::uint32_t) +
+         covered_words_.capacity() * sizeof(std::uint64_t);
 }
 
 void CoverageHeap::Rebuild() {

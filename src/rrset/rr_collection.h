@@ -27,17 +27,12 @@
 //
 // Both kernels produce the same exact integer coverages, so selections are
 // bit-identical; tests/coverage_kernel_test.cc enforces it end-to-end.
-//
-// For standalone use (tests, plain TIM) the owning constructor creates a
-// private pool, and AddSet() appends + attaches in one step — the
-// pre-split API.
 
 #ifndef TIRM_RRSET_RR_COLLECTION_H_
 #define TIRM_RRSET_RR_COLLECTION_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -48,21 +43,13 @@
 
 namespace tirm {
 
-/// Mutable coverage view over a (borrowed or private) RrSetPool.
+/// Mutable coverage view over a borrowed RrSetPool.
 class RrCollection {
  public:
-  /// Owning mode: creates a private pool; populate via AddSet().
-  explicit RrCollection(NodeId num_nodes,
-                        CoverageKernel kernel = CoverageKernel::kAuto);
-
-  /// View mode: borrows `pool` (not owned; must outlive the view). Starts
-  /// with zero attached sets — call AttachUpTo() to expose a pool prefix.
+  /// Borrows `pool` (not owned; must outlive the view). Starts with zero
+  /// attached sets — call AttachUpTo() to expose a pool prefix.
   explicit RrCollection(const RrSetPool* pool,
                         CoverageKernel kernel = CoverageKernel::kAuto);
-
-  /// Appends one set to the private pool and attaches it; returns its id.
-  /// Owning mode only.
-  std::uint32_t AddSet(std::span<const NodeId> nodes);
 
   /// Exposes pool sets [NumSets(), count) to this view, adding their
   /// members' coverage. `count` must not exceed pool()->NumSets() and
@@ -134,22 +121,20 @@ class RrCollection {
   void AccumulateCoverage(std::vector<std::uint32_t>& counts) const;
 
   /// Bytes held by this view's bookkeeping (scalar: coverage counters +
-  /// covered flags; bitmap: the covered bitmap words), plus the private
-  /// pool in owning mode. A borrowed pool (including its shared transpose)
-  /// is accounted once via pool()->MemoryBytes().
+  /// covered flags; bitmap: the covered bitmap words). The pool (including
+  /// its shared transpose) is accounted once via pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
 
   /// The kernel this view runs on (resolved; never kAuto).
   CoverageKernel kernel() const { return kernel_; }
 
-  /// The pool this view reads (private one in owning mode).
+  /// The pool this view reads.
   const RrSetPool* pool() const { return pool_; }
 
  private:
   std::uint32_t BitmapCoverageOf(NodeId v) const;
   std::uint32_t BitmapCommitRange(NodeId v, std::uint32_t first_set);
 
-  std::unique_ptr<RrSetPool> owned_;  // null in view mode
   const RrSetPool* pool_;
   CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
@@ -169,7 +154,7 @@ class RrCollection {
 };
 
 /// Lazy max-heap over node coverages (CELF-style). Valid while coverage
-/// values only decrease; call Rebuild() after an AttachUpTo/AddSet batch.
+/// values only decrease; call Rebuild() after an AttachUpTo batch.
 class CoverageHeap {
  public:
   explicit CoverageHeap(const RrCollection* collection)

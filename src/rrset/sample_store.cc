@@ -42,49 +42,16 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 
 // ------------------------------------------------------------------ RrSetPool
 
-namespace {
-// Open-chunk sizing for the per-set AddSet path: geometric growth bounds
-// the chunk count (spans stay stable — growth allocates a NEW chunk, it
-// never relocates an old one) while the cap keeps the worst-case reserved-
-// but-unused tail modest.
-constexpr std::size_t kMinChunkNodes = std::size_t{1} << 12;
-constexpr std::size_t kMaxChunkNodes = std::size_t{1} << 22;
-}  // namespace
-
-RrSetPool::RrSetPool(NodeId num_nodes)
-    : num_nodes_(num_nodes), next_chunk_nodes_(kMinChunkNodes) {
+RrSetPool::RrSetPool(NodeId num_nodes) : num_nodes_(num_nodes) {
   set_offsets_.push_back(0);
   index_.resize(num_nodes);
 }
 
 RrSetPool::~RrSetPool() = default;
 
-std::uint32_t RrSetPool::AddSet(std::span<const NodeId> nodes) {
-  const auto id = static_cast<std::uint32_t>(NumSets());
-  if (nodes.empty()) {
-    set_begin_.push_back(nullptr);
-    set_offsets_.push_back(set_offsets_.back());
-    return id;
-  }
-  if (nodes.size() > open_capacity_) {
-    const std::size_t cap = std::max(nodes.size(), next_chunk_nodes_);
-    next_chunk_nodes_ = std::min(cap * 2, kMaxChunkNodes);
-    chunks_.emplace_back().reserve(cap);
-    open_capacity_ = cap;
-  }
-  std::vector<NodeId>& chunk = chunks_.back();
-  // push_back stays within the reserved capacity, so data() cannot move and
-  // previously handed-out member spans stay valid.
-  const NodeId* const begin = chunk.data() + chunk.size();
-  for (const NodeId v : nodes) {
-    TIRM_DCHECK(v < num_nodes_);
-    chunk.push_back(v);
-    index_[v].push_back(id);
-  }
-  open_capacity_ -= nodes.size();
-  set_begin_.push_back(begin);
-  set_offsets_.push_back(set_offsets_.back() + nodes.size());
-  return id;
+void RrSetPool::ReserveSets(std::size_t num_sets) {
+  set_begin_.reserve(num_sets);
+  set_offsets_.reserve(num_sets + 1);
 }
 
 std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
@@ -98,21 +65,17 @@ std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
   obs::TraceSpan span("adopt_chunk");
   span.Counter("sets", static_cast<double>(num_sets));
   span.Counter("nodes", static_cast<double>(nodes.size()));
-  // Seal whatever AddSet capacity was open: sets never span chunks, and an
-  // adopted buffer is immutable wholesale.
-  open_capacity_ = 0;
   chunks_.push_back(std::move(nodes));
   const std::vector<NodeId>& chunk = chunks_.back();
   const std::size_t base = set_offsets_.back();
-  set_begin_.reserve(set_begin_.size() + num_sets);
-  set_offsets_.reserve(set_offsets_.size() + num_sets);
+  // No reserve here: an exact per-part reserve re-copies both arrays on
+  // every adopted part. Producers size them once (ReserveSets).
   for (std::size_t k = 0; k < num_sets; ++k) {
     set_begin_.push_back(chunk.data() + offsets[k]);
     set_offsets_.push_back(base + offsets[k + 1]);
   }
   // Batched inverted-index build over the adopted chunk. Ids are appended
-  // in increasing k, so each node's postings stay ascending — identical to
-  // per-set AddSet appends.
+  // in increasing k, so each node's postings stay ascending.
   for (std::size_t k = 0; k < num_sets; ++k) {
     const auto id = first + static_cast<std::uint32_t>(k);
     for (std::size_t i = offsets[k]; i < offsets[k + 1]; ++i) {
@@ -258,6 +221,9 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
           : 0;
   span.Counter("chunks",
                static_cast<double>(target_chunks - entry->chunks_sampled_));
+  // Every local chunk holds exactly `chunk` sets, so the call's final set
+  // count is known before sampling: size the per-set arrays once.
+  entry->pool_.ReserveSets(target_chunks * chunk);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
     // One independent substream per GLOBAL chunk index: chunk contents are
     // a pure function of (seed, signature, chunk_sets, thread count,
@@ -267,9 +233,7 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
     Rng master(MixHash(entry->base_seed_, 0x2000 + c));
     // Arena-direct top-up: adopt each worker's flattened buffer wholesale,
-    // in deterministic worker order (see the file comment) — set ids and
-    // contents match the legacy per-set AddSet loop bit for bit, without
-    // the merge-and-copy passes.
+    // in deterministic worker order (see the file comment).
     std::vector<ParallelRrBuilder::Batch> parts =
         entry->builder_->SampleChunks(chunk, master);
     std::uint64_t emitted = 0;

@@ -26,13 +26,13 @@
 // (member spans are stable — the arena is chunked, never relocated — but
 // the per-set bookkeeping and the inverted index still grow).
 //
-// Arena-direct top-up. EnsureSets consumes ParallelRrBuilder::SampleChunks:
-// each worker's flattened node buffer is *adopted* by the pool wholesale
-// (RrSetPool::AdoptChunk — a move, no per-set copy), in deterministic
-// worker order, with the inverted index built batched over the adopted
-// chunk. Set ids, member order, and postings are byte-identical to the
-// legacy per-set append path (AddSet), which remains for single-set
-// producers like RunTim.
+// Arena-direct top-up. Sets enter a pool one way only: EnsureSets consumes
+// ParallelRrBuilder::SampleChunks and each worker's flattened node buffer
+// is *adopted* by the pool wholesale (RrSetPool::AdoptChunk — a move, no
+// per-set copy), in deterministic worker order, with the inverted index
+// built batched over the adopted chunk. The per-set bookkeeping is
+// reserved once per top-up (RrSetPool::ReserveSets), so adopting a part
+// never re-copies it.
 //
 // Memory accounting is byte-accurate from container capacities (arena +
 // inverted index + bookkeeping), not process RSS — this is what the
@@ -92,17 +92,20 @@ class RrSetPool {
   explicit RrSetPool(NodeId num_nodes);
   ~RrSetPool();
 
-  /// Appends one set; returns its id (ids are dense, in append order).
-  std::uint32_t AddSet(std::span<const NodeId> nodes);
-
   /// Adopts a flattened multi-set buffer (ParallelRrBuilder chunk layout:
   /// set k occupies nodes[offsets[k] .. offsets[k+1]), offsets.front() == 0,
   /// offsets.back() == nodes.size()) as one arena chunk — a move, no per-set
-  /// copy — and indexes the new sets batched. Ids, member order, and
-  /// postings are exactly as if each set had been AddSet in order. Returns
-  /// the id of the first adopted set.
+  /// copy — and indexes the new sets batched. The sets get the next dense
+  /// ids in order, and each node's postings stay ascending. Returns the id
+  /// of the first adopted set. The only way sets enter a pool.
   std::uint32_t AdoptChunk(std::vector<NodeId>&& nodes,
                            std::span<const std::size_t> offsets);
+
+  /// Reserves the per-set bookkeeping for a pool of `num_sets` sets in
+  /// total. A producer that knows its final size calls this once before
+  /// adopting, so adoption never reallocates it and MemoryBytes() carries
+  /// no growth slack.
+  void ReserveSets(std::size_t num_sets);
 
   std::size_t NumSets() const { return set_offsets_.size() - 1; }
   NodeId num_nodes() const { return num_nodes_; }
@@ -145,13 +148,9 @@ class RrSetPool {
   // external contract the analysis cannot see from here.
   std::vector<std::size_t> set_offsets_;    // size #sets+1, global node count
   std::vector<const NodeId*> set_begin_;    // per set, into a chunk buffer
-  // The arena: adopted worker buffers plus reserved open chunks for AddSet.
-  // A chunk's data() never moves once sets point into it (AddSet only
-  // push_backs within reserved capacity; adopted chunks are immutable), so
-  // SetMembers spans are stable across growth.
+  // The arena: adopted buffers, immutable once adopted. Moving a buffer in
+  // keeps its data(), so SetMembers spans are stable across growth.
   std::vector<std::vector<NodeId>> chunks_;
-  std::size_t open_capacity_ = 0;     // spare reserved nodes in chunks_.back()
-  std::size_t next_chunk_nodes_ = 0;  // geometric open-chunk sizing
   std::vector<std::vector<std::uint32_t>> index_;  // node -> set ids
   // Lazy packed transpose for the bitmap coverage kernel — logically const
   // derived state, hence buildable through const accessors.

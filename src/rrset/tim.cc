@@ -1,6 +1,8 @@
 #include "rrset/tim.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -39,17 +41,25 @@ TimResult RunTim(const Graph& graph, std::span<const float> edge_probs,
   // Phase 2: sample θ RR sets into an immutable pool, then greedily Max
   // k-Cover them through a coverage view (the sampling/selection split of
   // rrset/sample_store.h — the pool could equally come from a shared
-  // RrSampleStore).
+  // RrSampleStore). The sets are drawn serially from `rng` and adopted as
+  // one chunk.
   RrSetPool pool(graph.num_nodes());
   {
     ScopedTimer timer(result.sampling_seconds);
     obs::TraceSpan span("tim_sampling");
     span.Counter("theta", static_cast<double>(result.theta));
+    std::vector<NodeId> nodes;
+    std::vector<std::size_t> offsets;
+    offsets.reserve(result.theta + 1);
+    offsets.push_back(0);
     std::vector<NodeId> scratch;
     for (std::uint64_t i = 0; i < result.theta; ++i) {
       sampler.SampleInto(rng, scratch);
-      pool.AddSet(scratch);
+      nodes.insert(nodes.end(), scratch.begin(), scratch.end());
+      offsets.push_back(nodes.size());
     }
+    pool.ReserveSets(result.theta);
+    pool.AdoptChunk(std::move(nodes), offsets);
   }
   std::uint64_t covered = 0;
   {

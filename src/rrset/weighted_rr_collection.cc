@@ -4,27 +4,12 @@
 
 namespace tirm {
 
-WeightedRrCollection::WeightedRrCollection(NodeId num_nodes,
-                                           CoverageKernel kernel)
-    : owned_(std::make_unique<RrSetPool>(num_nodes)),
-      pool_(owned_.get()),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(num_nodes) {}
-
 WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool,
                                            CoverageKernel kernel)
     : pool_(pool),
       kernel_(ResolveCoverageKernel(kernel)),
       num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
-}
-
-std::uint32_t WeightedRrCollection::AddSet(std::span<const NodeId> nodes) {
-  TIRM_CHECK(owned_ != nullptr) << "AddSet requires an owning collection; "
-                                   "borrowed pools grow via the store";
-  const std::uint32_t id = owned_->AddSet(nodes);
-  AttachUpTo(id + 1);
-  return id;
 }
 
 void WeightedRrCollection::AttachUpTo(std::uint32_t count) {
@@ -147,10 +132,8 @@ void WeightedRrCollection::AccumulateCoverage(std::vector<double>& cov) const {
 }
 
 std::size_t WeightedRrCollection::MemoryBytes() const {
-  std::size_t bytes = survival_.capacity() * sizeof(float) +
-                      dead_words_.capacity() * sizeof(std::uint64_t);
-  if (owned_ != nullptr) bytes += owned_->MemoryBytes();
-  return bytes;
+  return survival_.capacity() * sizeof(float) +
+         dead_words_.capacity() * sizeof(std::uint64_t);
 }
 
 void WeightedCoverageHeap::Rebuild() {

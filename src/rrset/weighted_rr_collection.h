@@ -28,16 +28,12 @@
 // no-op), so the two kernels return bit-identical doubles and make
 // bit-identical selections. Commits discount survival in place — no
 // per-node scatter — so commit cost is O(postings(v)).
-//
-// The owning constructor keeps the standalone AddSet API for tests.
 
 #ifndef TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
 #define TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -47,20 +43,13 @@
 
 namespace tirm {
 
-/// Survival-weighted coverage view over a (borrowed or private) RrSetPool.
+/// Survival-weighted coverage view over a borrowed RrSetPool.
 class WeightedRrCollection {
  public:
-  /// Owning mode: creates a private pool; populate via AddSet().
-  explicit WeightedRrCollection(NodeId num_nodes,
-                                CoverageKernel kernel = CoverageKernel::kAuto);
-
-  /// View mode: borrows `pool` (not owned; must outlive the view).
+  /// Borrows `pool` (not owned; must outlive the view). Starts with zero
+  /// attached sets — call AttachUpTo() to expose a pool prefix.
   explicit WeightedRrCollection(const RrSetPool* pool,
                                 CoverageKernel kernel = CoverageKernel::kAuto);
-
-  /// Appends one set (survival 1) to the private pool and attaches it;
-  /// returns its id. Owning mode only.
-  std::uint32_t AddSet(std::span<const NodeId> nodes);
 
   /// Exposes pool sets [NumSets(), count) with survival 1.
   void AttachUpTo(std::uint32_t count);
@@ -119,9 +108,8 @@ class WeightedRrCollection {
   void AccumulateCoverage(std::vector<double>& cov) const;
 
   /// Bytes held by this view's bookkeeping — survival weights plus, under
-  /// the bitmap kernel, the dead-lane words — plus the private pool in
-  /// owning mode. A borrowed pool (including its shared transpose) is
-  /// accounted once via pool()->MemoryBytes().
+  /// the bitmap kernel, the dead-lane words. The pool (including its shared
+  /// transpose) is accounted once via pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
 
   /// The kernel this view runs on (resolved; never kAuto).
@@ -134,7 +122,6 @@ class WeightedRrCollection {
   double BitmapCommitRange(NodeId v, double accept_prob,
                            std::uint32_t first_set);
 
-  std::unique_ptr<RrSetPool> owned_;  // null in view mode
   const RrSetPool* pool_;
   CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
@@ -152,7 +139,7 @@ class WeightedRrCollection {
 
 /// CELF-style lazy max-heap over weighted coverages, mirroring
 /// CoverageHeap: valid while coverages only decrease (commits discount,
-/// never raise); call Rebuild() after an AttachUpTo/AddSet batch. Replaces
+/// never raise); call Rebuild() after an AttachUpTo batch. Replaces
 /// the per-seed linear scan the weighted TIRM path used to pay.
 class WeightedCoverageHeap {
  public:

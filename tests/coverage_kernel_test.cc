@@ -27,6 +27,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
 #include "rrset/weighted_rr_collection.h"
+#include "tirm_test_util.h"
 
 namespace tirm {
 namespace {
@@ -109,23 +110,20 @@ TEST(CoverageKernelTest, ForceSimdTierValidatesNames) {
 // Random pool: `sets` sets over `nodes` nodes, ~`avg` members each.
 std::unique_ptr<RrSetPool> RandomPool(NodeId nodes, std::uint32_t sets,
                                       int avg, Rng& rng) {
-  auto pool = std::make_unique<RrSetPool>(nodes);
-  std::vector<NodeId> members;
+  std::vector<std::vector<NodeId>> members(sets);
   std::vector<std::uint8_t> taken(nodes, 0);
-  for (std::uint32_t s = 0; s < sets; ++s) {
-    members.clear();
+  for (std::vector<NodeId>& set : members) {
     const int size = 1 + static_cast<int>(rng.NextUInt64() %
                                           static_cast<std::uint64_t>(2 * avg));
     for (int k = 0; k < size; ++k) {
       const NodeId v = static_cast<NodeId>(rng.NextUInt64() % nodes);
       if (taken[v]) continue;  // sets hold distinct members
       taken[v] = 1;
-      members.push_back(v);
+      set.push_back(v);
     }
-    for (const NodeId v : members) taken[v] = 0;
-    pool->AddSet(members);
+    for (const NodeId v : set) taken[v] = 0;
   }
-  return pool;
+  return MakePool(nodes, members);
 }
 
 TEST(CoverageKernelTest, RandomizedUnweightedParityWithStagedAttaches) {
@@ -209,12 +207,9 @@ TEST(CoverageHeapTest, EqualCoveragesPopLowestNodeId) {
   // Nodes 9, 4, and 7 each cover exactly two (disjoint) sets. The heap must
   // pop them in id order — matching ArgMaxCoverage's first-maximum scan —
   // not in whatever order make_heap left equal keys.
-  RrCollection c(12, CoverageKernel::kScalar);
-  for (const NodeId v : {NodeId{9}, NodeId{4}, NodeId{7}}) {
-    const NodeId single[] = {v};
-    c.AddSet(single);
-    c.AddSet(single);
-  }
+  PooledView<RrCollection> p(12, {{9}, {9}, {4}, {4}, {7}, {7}},
+                              CoverageKernel::kScalar);
+  RrCollection& c = p.view;
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), 4u);
 
   CoverageHeap heap(&c);

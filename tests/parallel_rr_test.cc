@@ -1,5 +1,5 @@
 // Regression tests for the parallel RR-set engine: determinism for a fixed
-// (seed, thread count), structural integrity of merged batches, and
+// (seed, thread count), structural integrity of the sampled parts, and
 // statistical agreement between parallel and serial sampling — both at the
 // raw spread-estimate level (Proposition 1) and end-to-end through TIRM.
 
@@ -24,11 +24,6 @@ namespace {
 
 using Batch = ParallelRrBuilder::Batch;
 
-bool BatchesEqual(const Batch& a, const Batch& b) {
-  return a.offsets == b.offsets && a.nodes == b.nodes && a.roots == b.roots &&
-         a.widths == b.widths;
-}
-
 TEST(ParallelRrBuilderTest, DeterministicForFixedSeedAndThreads) {
   Rng graph_rng(11);
   Graph g = ErdosRenyiGraph(60, 300, graph_rng);
@@ -39,68 +34,43 @@ TEST(ParallelRrBuilderTest, DeterministicForFixedSeedAndThreads) {
     ParallelRrBuilder b2(g, probs, {.num_threads = threads,
                                     .min_parallel_batch = 1});
     Rng r1(99), r2(99);
-    const Batch x = b1.SampleBatch(500, r1);
-    const Batch y = b2.SampleBatch(500, r2);
-    EXPECT_TRUE(BatchesEqual(x, y)) << "threads=" << threads;
-    // A second batch continues both master streams identically.
-    EXPECT_TRUE(BatchesEqual(b1.SampleBatch(123, r1), b2.SampleBatch(123, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(500, r1)),
+              SetsOf(b2.SampleChunks(500, r2)))
+        << "threads=" << threads;
+    // Later batches continue both master streams identically.
+    EXPECT_EQ(b1.SampleWidths(123, r1), b2.SampleWidths(123, r2))
+        << "threads=" << threads;
+    EXPECT_EQ(SetsOf(b1.SampleChunks(123, r1)),
+              SetsOf(b2.SampleChunks(123, r2)))
         << "threads=" << threads;
   }
 }
 
-TEST(ParallelRrBuilderTest, BatchStructureIsConsistent) {
+TEST(ParallelRrBuilderTest, PartStructureIsConsistent) {
   Rng graph_rng(12);
   Graph g = ErdosRenyiGraph(40, 200, graph_rng);
   std::vector<float> probs(g.num_edges(), 0.3f);
   ParallelRrBuilder builder(g, probs,
                             {.num_threads = 3, .min_parallel_batch = 1});
   Rng rng(5);
-  const Batch batch = builder.SampleBatch(1000, rng);
-  ASSERT_EQ(batch.size(), 1000u);
-  ASSERT_EQ(batch.offsets.size(), 1001u);
-  ASSERT_EQ(batch.roots.size(), 1000u);
-  ASSERT_EQ(batch.widths.size(), 1000u);
-  EXPECT_EQ(batch.offsets.back(), batch.nodes.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
-    const auto set = batch.Set(k);
-    ASSERT_FALSE(set.empty());
-    EXPECT_EQ(set[0], batch.roots[k]);  // plain mode: root always a member
+  const std::vector<Batch> parts = builder.SampleChunks(1000, rng);
+  ASSERT_EQ(parts.size(), 3u);  // one part per worker, sizes within one
+  for (const Batch& part : parts) {
+    EXPECT_TRUE(part.size() == 333u || part.size() == 334u);
+    ASSERT_EQ(part.offsets.size(), part.size() + 1);
+    EXPECT_EQ(part.offsets.back(), part.nodes.size());
+    EXPECT_TRUE(part.widths.empty());
+  }
+  const std::vector<std::vector<NodeId>> sets = SetsOf(parts);
+  ASSERT_EQ(sets.size(), 1000u);
+  for (const std::vector<NodeId>& set : sets) {
+    ASSERT_FALSE(set.empty());  // plain mode: the root is always a member
     const std::set<NodeId> uniq(set.begin(), set.end());
     EXPECT_EQ(uniq.size(), set.size());  // no duplicates within a set
     for (const NodeId v : set) ASSERT_LT(v, g.num_nodes());
   }
-}
-
-TEST(ParallelRrBuilderTest, ReducedModesMatchSampleBatch) {
-  Rng graph_rng(14);
-  Graph g = ErdosRenyiGraph(50, 250, graph_rng);
-  std::vector<float> probs(g.num_edges(), 0.25f);
-  ParallelRrBuilder b1(g, probs, {.num_threads = 3, .min_parallel_batch = 1});
-  ParallelRrBuilder b2(g, probs, {.num_threads = 3, .min_parallel_batch = 1});
-  ParallelRrBuilder b3(g, probs, {.num_threads = 3, .min_parallel_batch = 1});
-  Rng r1(77), r2(77), r3(77);
-  const Batch full = b1.SampleBatch(400, r1);
-  // Widths-only: identical streams, identical widths.
-  const std::vector<std::uint64_t> widths = b2.SampleWidths(400, r2);
-  EXPECT_EQ(full.widths, widths);
-  // Sets-only: identical sets, stats arrays skipped.
-  const Batch sets = b3.SampleSetsOnly(400, r3);
-  EXPECT_EQ(sets.size(), full.size());
-  EXPECT_EQ(sets.offsets, full.offsets);
-  EXPECT_EQ(sets.nodes, full.nodes);
-  EXPECT_TRUE(sets.roots.empty());
-  EXPECT_TRUE(sets.widths.empty());
-  // Streaming: same sets in the same order, no merge copy.
-  ParallelRrBuilder b4(g, probs, {.num_threads = 3, .min_parallel_batch = 1});
-  Rng r4(77);
-  std::vector<NodeId> streamed;
-  std::vector<std::size_t> streamed_offsets = {0};
-  b4.SampleSetsInto(400, r4, [&](std::span<const NodeId> set) {
-    streamed.insert(streamed.end(), set.begin(), set.end());
-    streamed_offsets.push_back(streamed.size());
-  });
-  EXPECT_EQ(streamed, full.nodes);
-  EXPECT_EQ(streamed_offsets, full.offsets);
+  Rng widths_rng(5);
+  EXPECT_EQ(builder.SampleWidths(1000, widths_rng).size(), 1000u);
 }
 
 TEST(ParallelRrBuilderTest, ThreadCountCappedByBatchSize) {
@@ -109,8 +79,10 @@ TEST(ParallelRrBuilderTest, ThreadCountCappedByBatchSize) {
   ParallelRrBuilder builder(g, probs,
                             {.num_threads = 8, .min_parallel_batch = 1});
   Rng rng(1);
-  EXPECT_EQ(builder.SampleBatch(3, rng).size(), 3u);
-  EXPECT_EQ(builder.SampleBatch(0, rng).size(), 0u);
+  const std::vector<Batch> parts = builder.SampleChunks(3, rng);
+  EXPECT_EQ(parts.size(), 3u);
+  EXPECT_EQ(SetsOf(parts).size(), 3u);
+  EXPECT_TRUE(SetsOf(builder.SampleChunks(0, rng)).empty());
 }
 
 // Proposition 1 (singleton form): n * P[u in R] = sigma({u}). The parallel
@@ -123,19 +95,19 @@ TEST(ParallelRrBuilderTest, ParallelSpreadEstimateMatchesSerialAndExact) {
   const double sigma0 = ExactSpread(g, probs, seed0);  // 1.75
 
   const int trials = 60000;
-  auto estimate_from = [&](const Batch& batch) {
+  auto estimate_from = [&](const std::vector<std::vector<NodeId>>& sets) {
     int hits = 0;
-    for (std::size_t k = 0; k < batch.size(); ++k) {
-      for (const NodeId v : batch.Set(k)) hits += (v == 0);
+    for (const std::vector<NodeId>& set : sets) {
+      for (const NodeId v : set) hits += (v == 0);
     }
-    return n * static_cast<double>(hits) / static_cast<double>(batch.size());
+    return n * static_cast<double>(hits) / static_cast<double>(sets.size());
   };
 
   ParallelRrBuilder parallel(g, probs,
                              {.num_threads = 4, .min_parallel_batch = 1});
   Rng prng(7);
   const double parallel_estimate =
-      estimate_from(parallel.SampleBatch(trials, prng));
+      estimate_from(SetsOf(parallel.SampleChunks(trials, prng)));
   EXPECT_NEAR(parallel_estimate, sigma0, 0.05);
 
   RrSampler serial(g, probs);
@@ -159,9 +131,13 @@ TEST(ParallelRrBuilderTest, RrcModeAppliesCtpCoins) {
   ParallelRrBuilder builder(g, probs, ctps,
                             {.num_threads = 2, .min_parallel_batch = 1});
   Rng rng(3);
-  const Batch batch = builder.SampleBatch(200, rng);
-  EXPECT_EQ(batch.size(), 200u);
-  EXPECT_TRUE(batch.nodes.empty());  // delta = 0 blocks every membership coin
+  const std::vector<Batch> parts = builder.SampleChunks(200, rng);
+  std::size_t sets = 0;
+  for (const Batch& part : parts) {
+    sets += part.size();
+    EXPECT_TRUE(part.nodes.empty());  // delta = 0 blocks every membership coin
+  }
+  EXPECT_EQ(sets, 200u);
 }
 
 // ----------------------------------------------------- TIRM end-to-end

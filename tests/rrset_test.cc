@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/theta.h"
+#include "tirm_test_util.h"
 #include "topic/ctp_model.h"
 
 namespace tirm {
@@ -268,10 +271,8 @@ TEST(RrcSamplerTest, Lemma2UnbiasedCtpSpread) {
 // --------------------------------------------------------------- collection
 
 TEST(RrCollectionTest, CoverageCounts) {
-  RrCollection c(5);
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{1, 2});
-  c.AddSet(std::vector<NodeId>{1});
+  PooledView<RrCollection> p(5, {{0, 1}, {1, 2}, {1}});
+  const RrCollection& c = p.view;
   EXPECT_EQ(c.NumSets(), 3u);
   EXPECT_EQ(c.CoverageOf(0), 1u);
   EXPECT_EQ(c.CoverageOf(1), 3u);
@@ -280,10 +281,8 @@ TEST(RrCollectionTest, CoverageCounts) {
 }
 
 TEST(RrCollectionTest, CommitSeedRemovesCoveredSets) {
-  RrCollection c(5);
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{1, 2});
-  c.AddSet(std::vector<NodeId>{3});
+  PooledView<RrCollection> p(5, {{0, 1}, {1, 2}, {3}});
+  RrCollection& c = p.view;
   EXPECT_EQ(c.CommitSeed(1), 2u);
   EXPECT_EQ(c.NumCovered(), 2u);
   EXPECT_EQ(c.CoverageOf(0), 0u);  // its only set is covered
@@ -294,12 +293,13 @@ TEST(RrCollectionTest, CommitSeedRemovesCoveredSets) {
 }
 
 TEST(RrCollectionTest, CommitSeedOnRangeOnlyTouchesNewSets) {
-  RrCollection c(4);
-  c.AddSet(std::vector<NodeId>{0});          // set 0
-  c.AddSet(std::vector<NodeId>{0, 1});       // set 1
+  // Sets 2 and 3 form a second attach batch.
+  const std::unique_ptr<RrSetPool> pool =
+      MakePool(4, {{0}, {0, 1}, {0, 2}, {1}});
+  RrCollection c(pool.get());
+  c.AttachUpTo(2);
   const auto first_new = static_cast<std::uint32_t>(c.NumSets());
-  c.AddSet(std::vector<NodeId>{0, 2});       // set 2 (new batch)
-  c.AddSet(std::vector<NodeId>{1});          // set 3 (new batch)
+  c.AttachUpTo(4);
   EXPECT_EQ(c.CommitSeedOnRange(0, first_new), 1u);  // only set 2
   EXPECT_FALSE(c.IsCovered(0));
   EXPECT_FALSE(c.IsCovered(1));
@@ -308,33 +308,26 @@ TEST(RrCollectionTest, CommitSeedOnRangeOnlyTouchesNewSets) {
 }
 
 TEST(RrCollectionTest, ArgMaxCoverageRespectsEligibility) {
-  RrCollection c(4);
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{1});
+  PooledView<RrCollection> p(4, {{0}, {0}, {1}});
+  const RrCollection& c = p.view;
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), 0u);
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId v) { return v != 0; }), 1u);
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return false; }), kInvalidNode);
 }
 
 TEST(RrCollectionTest, MemoryBytesGrows) {
-  RrCollection c(100);
+  std::vector<std::vector<NodeId>> sets;
+  for (NodeId i = 0; i < 100; ++i) sets.push_back({i, (i + 1) % 100});
+  const std::unique_ptr<RrSetPool> pool = MakePool(100, sets);
+  RrCollection c(pool.get());
   const std::size_t before = c.MemoryBytes();
-  for (int i = 0; i < 100; ++i) {
-    c.AddSet(std::vector<NodeId>{static_cast<NodeId>(i % 100),
-                                 static_cast<NodeId>((i + 1) % 100)});
-  }
+  c.AttachUpTo(100);
   EXPECT_GT(c.MemoryBytes(), before);
 }
 
 TEST(CoverageHeapTest, PopsInCoverageOrder) {
-  RrCollection c(4);
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{1});
-  c.AddSet(std::vector<NodeId>{1});
-  c.AddSet(std::vector<NodeId>{2});
+  PooledView<RrCollection> p(4, {{0}, {0}, {0}, {1}, {1}, {2}});
+  RrCollection& c = p.view;
   CoverageHeap heap(&c);
   auto all = [](NodeId) { return true; };
   EXPECT_EQ(heap.PopBest(all), 0u);
@@ -347,10 +340,8 @@ TEST(CoverageHeapTest, PopsInCoverageOrder) {
 }
 
 TEST(CoverageHeapTest, LazyRefreshAfterCoverageDrop) {
-  RrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{0});
+  PooledView<RrCollection> p(3, {{0, 1}, {0, 1}, {0}});
+  RrCollection& c = p.view;
   CoverageHeap heap(&c);
   auto all = [](NodeId) { return true; };
   // Committing 0 drives 1's coverage to zero; heap must notice staleness.
@@ -359,23 +350,20 @@ TEST(CoverageHeapTest, LazyRefreshAfterCoverageDrop) {
 }
 
 TEST(CoverageHeapTest, EligibilityFilter) {
-  RrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{1});
-  CoverageHeap heap(&c);
+  PooledView<RrCollection> p(3, {{0}, {0}, {1}});
+  CoverageHeap heap(&p.view);
   EXPECT_EQ(heap.PopBest([](NodeId v) { return v != 0; }), 1u);
 }
 
-TEST(CoverageHeapTest, RebuildAfterBatchAdd) {
-  RrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0});
+TEST(CoverageHeapTest, RebuildAfterBatchAttach) {
+  const std::unique_ptr<RrSetPool> pool = MakePool(3, {{0}, {2}, {2}});
+  RrCollection c(pool.get());
+  c.AttachUpTo(1);
   CoverageHeap heap(&c);
   auto all = [](NodeId) { return true; };
   EXPECT_EQ(heap.PopBest(all), 0u);
   heap.Push(0, c.CoverageOf(0));
-  c.AddSet(std::vector<NodeId>{2});
-  c.AddSet(std::vector<NodeId>{2});
+  c.AttachUpTo(3);
   heap.Rebuild();
   EXPECT_EQ(heap.PopBest(all), 2u);
 }

@@ -2,27 +2,34 @@
 // (RrSetPool + borrowing RrCollection/WeightedRrCollection), chunked
 // top-up determinism (θ grown in one step vs several), concurrency of
 // EnsureSets/Acquire (run under TSan in CI), golden equivalence of
-// pooled-store vs fresh-sampling runs for all five allocators, and
-// engine-level sweep reuse (samples drawn at most once per (ad, max-θ)).
+// pooled-store vs fresh-sampling runs for all five allocators,
+// engine-level sweep reuse (samples drawn at most once per (ad, max-θ)),
+// and pool contents, RunTim and TIRM seeds pinned to recorded constants.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "alloc/tirm.h"
 #include "api/ad_alloc_engine.h"
 #include "api/allocator_registry.h"
+#include "common/hashing.h"
 #include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
+#include "rrset/tim.h"
 #include "rrset/weighted_rr_collection.h"
+#include "tirm_test_util.h"
 #include "topic/instance.h"
 
 namespace tirm {
@@ -34,39 +41,38 @@ std::vector<float> ConstantProbs(const Graph& g, float p) {
   return std::vector<float>(g.num_edges(), p);
 }
 
-std::vector<std::vector<NodeId>> Materialize(const RrSetPool& pool,
-                                             std::size_t count) {
-  std::vector<std::vector<NodeId>> sets;
-  sets.reserve(count);
-  for (std::uint32_t id = 0; id < count; ++id) {
-    const auto members = pool.SetMembers(id);
-    sets.emplace_back(members.begin(), members.end());
-  }
-  return sets;
-}
-
 // ------------------------------------------------------------------ pool
 
-TEST(RrSetPoolTest, MembersAndPostings) {
-  RrSetPool pool(4);
-  EXPECT_EQ(pool.AddSet(std::vector<NodeId>{0, 1}), 0u);
-  EXPECT_EQ(pool.AddSet(std::vector<NodeId>{1, 2}), 1u);
-  EXPECT_EQ(pool.NumSets(), 2u);
-  EXPECT_EQ(pool.SetMembers(0).size(), 2u);
-  ASSERT_EQ(pool.Postings(1).size(), 2u);
-  EXPECT_EQ(pool.Postings(1)[0], 0u);  // ascending ids
-  EXPECT_EQ(pool.Postings(1)[1], 1u);
-  EXPECT_TRUE(pool.Postings(3).empty());
+// Adopted chunks get dense ids in order (empty sets included), postings
+// stay ascending across chunks, and spans handed out before a later
+// adoption stay valid.
+TEST(RrSetPoolTest, AdoptedChunksKeepIdsPostingsAndSpans) {
+  RrSetPool pool(5);
+  const std::vector<std::size_t> first_offsets = {0, 2, 2, 4};
+  EXPECT_EQ(pool.AdoptChunk({0, 1, 1, 2}, first_offsets), 0u);
+  const std::span<const NodeId> first = pool.SetMembers(0);
+  EXPECT_EQ(pool.AdoptChunk({3, 1, 4}, std::vector<std::size_t>{0, 2, 3}), 3u);
+  ASSERT_EQ(pool.NumSets(), 5u);
+  EXPECT_EQ(SetsOf(pool), (std::vector<std::vector<NodeId>>{
+                              {0, 1}, {}, {1, 2}, {3, 1}, {4}}));
+  ASSERT_EQ(first.size(), 2u);  // still points at live storage
+  EXPECT_EQ(first[0], 0u);
+  EXPECT_EQ(first[1], 1u);
+  const auto postings = [&pool](NodeId v) {
+    const std::span<const std::uint32_t> ids = pool.Postings(v);
+    return std::vector<std::uint32_t>(ids.begin(), ids.end());
+  };
+  EXPECT_EQ(postings(1), (std::vector<std::uint32_t>{0, 2, 3}));
+  EXPECT_EQ(postings(4), (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(postings(3), (std::vector<std::uint32_t>{3}));
   EXPECT_GT(pool.MemoryBytes(), 0u);
 }
 
 // Two views over one pool: independent coverage, one physical copy.
 TEST(RrSetPoolTest, ViewsShareSetsButNotCoverage) {
-  RrSetPool pool(3);
-  pool.AddSet(std::vector<NodeId>{0, 1});
-  pool.AddSet(std::vector<NodeId>{0, 2});
-  RrCollection a(&pool);
-  RrCollection b(&pool);
+  const std::unique_ptr<RrSetPool> pool = MakePool(3, {{0, 1}, {0, 2}});
+  RrCollection a(pool.get());
+  RrCollection b(pool.get());
   a.AttachUpTo(2);
   b.AttachUpTo(2);
   EXPECT_EQ(a.CommitSeed(0), 2u);
@@ -78,11 +84,8 @@ TEST(RrSetPoolTest, ViewsShareSetsButNotCoverage) {
 
 // A view only sees its attached prefix, even when the pool is larger.
 TEST(RrSetPoolTest, AttachWatermarkLimitsView) {
-  RrSetPool pool(2);
-  pool.AddSet(std::vector<NodeId>{0});
-  pool.AddSet(std::vector<NodeId>{0});
-  pool.AddSet(std::vector<NodeId>{1});
-  RrCollection view(&pool);
+  const std::unique_ptr<RrSetPool> pool = MakePool(2, {{0}, {0}, {1}});
+  RrCollection view(pool.get());
   view.AttachUpTo(2);
   EXPECT_EQ(view.NumSets(), 2u);
   EXPECT_EQ(view.CoverageOf(0), 2u);
@@ -91,7 +94,7 @@ TEST(RrSetPoolTest, AttachWatermarkLimitsView) {
   view.AttachUpTo(3);
   EXPECT_EQ(view.CoverageOf(1), 1u);
   // Weighted view over the same pool.
-  WeightedRrCollection weighted(&pool);
+  WeightedRrCollection weighted(pool.get());
   weighted.AttachUpTo(3);
   EXPECT_DOUBLE_EQ(weighted.CoverageOf(0), 2.0);
 }
@@ -143,8 +146,7 @@ TEST_F(SampleStoreTest, TopUpDeterminismOneStepVsSeveral) {
   many.EnsureSets(b, 130);  // no-op
   many.EnsureSets(b, 1000);
   ASSERT_EQ(a->sets().NumSets(), b->sets().NumSets());
-  EXPECT_EQ(Materialize(a->sets(), a->sets().NumSets()),
-            Materialize(b->sets(), b->sets().NumSets()));
+  EXPECT_EQ(SetsOf(a->sets()), SetsOf(b->sets()));
 }
 
 TEST_F(SampleStoreTest, DifferentSignaturesGetIndependentPools) {
@@ -155,7 +157,7 @@ TEST_F(SampleStoreTest, DifferentSignaturesGetIndependentPools) {
   EXPECT_EQ(store.Acquire(1, probs_), a);  // same key -> same entry
   store.EnsureSets(a, 128);
   store.EnsureSets(b, 128);
-  EXPECT_NE(Materialize(a->sets(), 128), Materialize(b->sets(), 128));
+  EXPECT_NE(SetsOf(a->sets()), SetsOf(b->sets()));
 }
 
 // Signature keying: ads are independent by default (paper per-ad R_j);
@@ -230,8 +232,7 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
   RrSampleStore reference(&graph_, {.seed = 99, .chunk_sets = 64});
   RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
   reference.EnsureSets(ref, 64 * 8);
-  EXPECT_EQ(Materialize(shared->sets(), shared->sets().NumSets()),
-            Materialize(ref->sets(), ref->sets().NumSets()));
+  EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
 }
 
 // --------------------------------------------- golden: pooled == fresh
@@ -346,20 +347,133 @@ TEST(AdAllocEngineReuseTest, LambdaSweepSamplesAtMostOncePerAdTheta) {
             sampled_after_sweep);
 }
 
+// ------------------------------------------------ pinned across commits
+
+// The goldens above compare two paths inside one binary. These pin what
+// the one write path (ParallelRrBuilder::SampleChunks -> AdoptChunk) puts
+// into a pool, and what RunTim and TIRM compute from it, to constants
+// recorded from an earlier implementation — so a change that alters pool
+// contents fails here even when every in-binary comparison still agrees.
+
+std::uint64_t HashPool(const RrSetPool& pool) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+    const std::span<const NodeId> members = pool.SetMembers(id);
+    const auto size = static_cast<std::uint64_t>(members.size());
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, members.data(), members.size() * sizeof(NodeId));
+  }
+  for (NodeId v = 0; v < pool.num_nodes(); ++v) {
+    const std::span<const std::uint32_t> ids = pool.Postings(v);
+    h = HashBytes(h, ids.data(), ids.size() * sizeof(std::uint32_t));
+  }
+  return FinalizeHash(h);
+}
+
+std::uint64_t HashSeeds(const std::vector<std::vector<NodeId>>& seeds) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const std::vector<NodeId>& ad : seeds) {
+    const auto size = static_cast<std::uint64_t>(ad.size());
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, ad.data(), ad.size() * sizeof(NodeId));
+  }
+  return FinalizeHash(h);
+}
+
+std::string Hex(std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+// Ad 0's pool of a K=1 store: θ = 3500 spans four 1024-set chunks and is
+// reached in two top-ups; at 4 threads every chunk is adopted in 4 parts.
+std::uint64_t PinnedPoolHash(const DatasetSpec& spec, int threads) {
+  Rng build_rng(kSeed);
+  const BuiltInstance built = BuildDataset(spec, build_rng);
+  const ProblemInstance inst = built.MakeInstance(1, 0.0);
+  RrSampleStore store(&inst.graph(), {.seed = kSeed,
+                                      .num_threads = threads,
+                                      .chunk_sets = 1024});
+  RrSampleStore::AdPool* entry =
+      store.Acquire(store.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
+  EXPECT_EQ(store.EnsureSets(entry, 1500).sampled, 2048u);
+  EXPECT_EQ(store.EnsureSets(entry, 3500).sampled, 2048u);
+  EXPECT_EQ(entry->sets().NumSets(), 4096u);
+  return HashPool(entry->sets());
+}
+
+TEST(PinnedGoldenTest, PoolContents) {
+  struct Case {
+    const char* name;
+    DatasetSpec spec;
+    int threads;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"flixster", FlixsterLike(0.003), 1, 0x36ae5e480a82550eULL},
+      {"flixster", FlixsterLike(0.003), 4, 0xd52bd1fa418459e5ULL},
+      {"dblp_wc", DblpLike(0.001), 1, 0x0d906ddefc78d639ULL},
+      {"dblp_wc", DblpLike(0.001), 4, 0xf14bda640f1aa594ULL},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t hash = PinnedPoolHash(c.spec, c.threads);
+    EXPECT_EQ(hash, c.hash) << c.name << " threads=" << c.threads
+                            << " got " << Hex(hash);
+  }
+}
+
+TEST(PinnedGoldenTest, RunTimSeedsAndTheta) {
+  Rng build_rng(kSeed);
+  const BuiltInstance built = BuildDataset(DblpLike(0.001), build_rng);
+  const ProblemInstance inst = built.MakeInstance(1, 0.0);
+  TimOptions options;
+  options.theta.epsilon = 0.3;
+  options.kpt_max_samples = 1 << 14;
+  Rng rng(kSeed);
+  const TimResult tim =
+      RunTim(inst.graph(), inst.EdgeProbsForAd(0), 5, options, rng);
+  EXPECT_EQ(tim.theta, 75295u);
+  EXPECT_EQ(tim.seeds, (std::vector<NodeId>{0, 4, 1, 32, 2}));
+}
+
+TEST(PinnedGoldenTest, TirmAllocationSeeds) {
+  Rng build_rng(kSeed);
+  const BuiltInstance built = BuildDataset(FlixsterLike(0.003), build_rng);
+  const ProblemInstance inst = built.MakeInstance(2, 0.0);
+  for (const auto& [threads, expected] :
+       {std::pair<int, std::uint64_t>{1, 0x58c39dd4690ca86dULL},
+        {4, 0xb738b5d4c393e556ULL}}) {
+    TirmOptions options;
+    options.theta.epsilon = 0.25;
+    options.theta.theta_cap = 1 << 15;
+    options.num_threads = threads;
+    options.sample_store_seed = kSeed;
+    Rng rng(kSeed);
+    const TirmResult result = RunTirm(inst, options, rng);
+    const std::uint64_t hash = HashSeeds(result.allocation.seeds);
+    EXPECT_EQ(hash, expected) << "threads=" << threads << " got "
+                              << Hex(hash) << ", "
+                              << result.allocation.TotalSeeds() << " seeds";
+  }
+}
+
 // -------------------------------------------- weighted CELF heap (satellite)
 
 TEST(WeightedCoverageHeapTest, MatchesLinearArgMaxUnderCommits) {
   Rng rng(3);
-  WeightedRrCollection c(40);
-  for (int i = 0; i < 400; ++i) {
-    std::vector<NodeId> set;
+  std::vector<std::vector<NodeId>> sets(400);
+  for (std::vector<NodeId>& set : sets) {
     const int size = 1 + static_cast<int>(rng.UniformBelow(4));
     for (int k = 0; k < size; ++k) {
       const NodeId v = static_cast<NodeId>(rng.UniformBelow(40));
       if (std::find(set.begin(), set.end(), v) == set.end()) set.push_back(v);
     }
-    c.AddSet(set);
   }
+  const std::unique_ptr<RrSetPool> pool = MakePool(40, sets);
+  WeightedRrCollection c(pool.get());
+  c.AttachUpTo(400);
   WeightedCoverageHeap heap(&c);
   auto all = [](NodeId) { return true; };
   for (int step = 0; step < 25; ++step) {
@@ -373,15 +487,13 @@ TEST(WeightedCoverageHeapTest, MatchesLinearArgMaxUnderCommits) {
 }
 
 TEST(WeightedCoverageHeapTest, EligibilityAndRebuild) {
-  WeightedRrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{1});
+  const std::unique_ptr<RrSetPool> pool =
+      MakePool(3, {{0}, {0}, {1}, {2}, {2}, {2}});
+  WeightedRrCollection c(pool.get());
+  c.AttachUpTo(3);
   WeightedCoverageHeap heap(&c);
   EXPECT_EQ(heap.PopBest([](NodeId v) { return v != 0; }), 1u);
-  c.AddSet(std::vector<NodeId>{2});
-  c.AddSet(std::vector<NodeId>{2});
-  c.AddSet(std::vector<NodeId>{2});
+  c.AttachUpTo(6);
   heap.Rebuild();
   EXPECT_EQ(heap.PopBest([](NodeId) { return true; }), 2u);
 }

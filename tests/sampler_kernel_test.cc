@@ -5,7 +5,7 @@
 // skip kernels (mean set size, KPT, TIRM end-to-end, and the five-allocator
 // engine head-to-head — skip is opt-in and gated by exactly these tests),
 // skip self-determinism across thread counts, the arena-direct pool path
-// (AdoptChunk == per-set AddSet, store top-up == legacy replay, byte for
+// (a store top-up holds exactly the sets of its sampled parts, byte for
 // byte), and concurrent skip top-ups (run under TSan in CI).
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,21 +52,6 @@ std::vector<float> WeightedCascadeProbs(const Graph& g) {
     for (const EdgeId e : g.InEdgeIds(v)) probs[e] = p;
   }
   return probs;
-}
-
-std::vector<std::vector<NodeId>> Materialize(const RrSetPool& pool) {
-  std::vector<std::vector<NodeId>> sets;
-  sets.reserve(pool.NumSets());
-  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
-    const auto members = pool.SetMembers(id);
-    sets.emplace_back(members.begin(), members.end());
-  }
-  return sets;
-}
-
-bool BatchesEqual(const Batch& a, const Batch& b) {
-  return a.offsets == b.offsets && a.nodes == b.nodes && a.roots == b.roots &&
-         a.widths == b.widths;
 }
 
 // ----------------------------------------------------------- flag parsing
@@ -375,66 +361,25 @@ TEST(SkipKernelTest, DeterministicForFixedSeedAndThreads) {
                           .sampler_kernel = SamplerKernel::kSkip});
     EXPECT_EQ(b1.sampler_kernel(), SamplerKernel::kSkip);
     Rng r1(99), r2(99);
-    EXPECT_TRUE(BatchesEqual(b1.SampleBatch(500, r1), b2.SampleBatch(500, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(500, r1)),
+              SetsOf(b2.SampleChunks(500, r2)))
         << "threads=" << threads;
     // Second batch: the coin-buffer state must not leak across batches —
     // each batch is a pure function of its own master stream.
-    EXPECT_TRUE(BatchesEqual(b1.SampleBatch(123, r1), b2.SampleBatch(123, r2)))
+    EXPECT_EQ(b1.SampleWidths(123, r1), b2.SampleWidths(123, r2))
+        << "threads=" << threads;
+    EXPECT_EQ(SetsOf(b1.SampleChunks(123, r1)),
+              SetsOf(b2.SampleChunks(123, r2)))
         << "threads=" << threads;
   }
 }
 
 // --------------------------------------------------- arena-direct pool path
 
-TEST(RrSetPoolAdoptTest, AdoptChunkMatchesPerSetAddSet) {
-  const std::vector<std::vector<NodeId>> sets = {
-      {0, 1, 2}, {3}, {}, {1, 4, 2, 0}, {4}};
-  RrSetPool appended(5);
-  for (const auto& s : sets) appended.AddSet(s);
-
-  std::vector<NodeId> flat;
-  std::vector<std::size_t> offsets = {0};
-  for (const auto& s : sets) {
-    flat.insert(flat.end(), s.begin(), s.end());
-    offsets.push_back(flat.size());
-  }
-  RrSetPool adopted(5);
-  EXPECT_EQ(adopted.AdoptChunk(std::move(flat), offsets), 0u);
-
-  ASSERT_EQ(adopted.NumSets(), appended.NumSets());
-  EXPECT_EQ(Materialize(adopted), Materialize(appended));
-  for (NodeId v = 0; v < 5; ++v) {
-    const auto a = appended.Postings(v);
-    const auto b = adopted.Postings(v);
-    ASSERT_EQ(a.size(), b.size()) << "node " << v;
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  }
-}
-
-// Interleaving AddSet and AdoptChunk keeps ids dense and spans stable.
-TEST(RrSetPoolAdoptTest, MixedAppendAndAdoptKeepsIdsAndSpansStable) {
-  RrSetPool pool(4);
-  EXPECT_EQ(pool.AddSet(std::vector<NodeId>{0, 1}), 0u);
-  const std::span<const NodeId> first = pool.SetMembers(0);
-  EXPECT_EQ(pool.AdoptChunk({2, 3, 1}, std::vector<std::size_t>{0, 2, 3}), 1u);
-  EXPECT_EQ(pool.AddSet(std::vector<NodeId>{3}), 3u);
-  ASSERT_EQ(pool.NumSets(), 4u);
-  // The pre-adopt span still points at live storage with the same content.
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(first[0], 0u);
-  EXPECT_EQ(first[1], 1u);
-  EXPECT_EQ(pool.SetMembers(1).size(), 2u);
-  EXPECT_EQ(pool.SetMembers(2).size(), 1u);
-  ASSERT_EQ(pool.Postings(3).size(), 2u);  // sets 1 and 3, ascending
-  EXPECT_EQ(pool.Postings(3)[0], 1u);
-  EXPECT_EQ(pool.Postings(3)[1], 3u);
-  EXPECT_GT(pool.MemoryBytes(), 0u);
-}
-
-// Golden gate for the arena-direct top-up: a store pool must be
-// byte-identical to the legacy path replayed by hand — the same per-chunk
-// substreams streamed set by set into AddSet.
-TEST(ArenaDirectGoldenTest, StoreTopUpMatchesLegacyPerSetAppend) {
+// Golden gate for the arena-direct top-up: a store pool must hold exactly
+// the sets of the parts its builder samples, replayed by hand from the
+// same per-chunk substreams — ids, members, and ascending postings.
+TEST(ArenaDirectGoldenTest, StoreTopUpMatchesSampledParts) {
   Rng grng(7);
   const Graph g = ErdosRenyiGraph(60, 300, grng);
   const std::vector<float> probs(g.num_edges(), 0.2f);
@@ -449,26 +394,30 @@ TEST(ArenaDirectGoldenTest, StoreTopUpMatchesLegacyPerSetAppend) {
   EXPECT_EQ(ensured.sampled, 3 * kChunk);
   EXPECT_GT(ensured.max_traversal, 0u);
 
-  // Legacy replay: same builder configuration and substreams, but each set
-  // individually appended (the pre-arena-direct consumption pattern).
-  RrSetPool reference(g.num_nodes());
+  // Replay: same builder configuration and substreams, parts kept as sets.
   ParallelRrBuilder builder(g, probs, {.num_threads = 3});
   const std::uint64_t base_seed = MixHash(kStoreSeed, kSignature);
+  std::vector<std::vector<NodeId>> sampled;
   for (std::uint64_t c = 0; c < 3; ++c) {
     Rng master(MixHash(base_seed, 0x2000 + c));
-    builder.SampleSetsInto(kChunk, master, [&](std::span<const NodeId> set) {
-      reference.AddSet(set);
-    });
+    const std::vector<Batch> parts = builder.SampleChunks(kChunk, master);
+    EXPECT_EQ(parts.size(), 3u);  // one part per worker
+    for (std::vector<NodeId>& set : SetsOf(parts)) {
+      sampled.push_back(std::move(set));
+    }
   }
 
   const RrSetPool& pool = entry->sets();
-  ASSERT_EQ(pool.NumSets(), reference.NumSets());
-  EXPECT_EQ(Materialize(pool), Materialize(reference));
+  ASSERT_EQ(pool.NumSets(), sampled.size());
+  EXPECT_EQ(SetsOf(pool), sampled);
+  std::vector<std::vector<std::uint32_t>> postings(g.num_nodes());
+  for (std::uint32_t id = 0; id < sampled.size(); ++id) {
+    for (const NodeId v : sampled[id]) postings[v].push_back(id);
+  }
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto a = pool.Postings(v);
-    const auto b = reference.Postings(v);
-    ASSERT_EQ(a.size(), b.size()) << "node " << v;
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+    const std::span<const std::uint32_t> ids = pool.Postings(v);
+    EXPECT_EQ(std::vector<std::uint32_t>(ids.begin(), ids.end()), postings[v])
+        << "node " << v;
   }
 }
 
@@ -502,7 +451,7 @@ TEST(SkipKernelTest, ConcurrentSkipTopUpIsSafeAndDeterministic) {
   RrSampleStore reference(&g, options);
   RrSampleStore::AdPool* ref = reference.Acquire(77, probs);
   reference.EnsureSets(ref, 64 * 4);
-  EXPECT_EQ(Materialize(shared->sets()), Materialize(ref->sets()));
+  EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
 }
 
 // ------------------------------------------------------ traversal telemetry
@@ -515,9 +464,10 @@ TEST(MaxTraversalStatTest, SurfacesThroughBatchStoreAndLifetimeStats) {
   ParallelRrBuilder builder(g, probs, {.num_threads = 2,
                                        .min_parallel_batch = 1});
   Rng rng(5);
-  const Batch batch = builder.SampleBatch(200, rng);
-  EXPECT_GT(batch.max_traversal, 0u);  // every traversal visits >= the root
-  EXPECT_LE(batch.max_traversal, static_cast<std::uint64_t>(g.num_nodes()));
+  for (const Batch& part : builder.SampleChunks(200, rng)) {
+    EXPECT_GT(part.max_traversal, 0u);  // every traversal visits >= the root
+    EXPECT_LE(part.max_traversal, static_cast<std::uint64_t>(g.num_nodes()));
+  }
 
   RrSampleStore store(&g, {.seed = 11, .chunk_sets = 128});
   RrSampleStore::AdPool* entry = store.Acquire(1, probs);

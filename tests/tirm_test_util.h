@@ -7,19 +7,84 @@
 // evaluator-based tolerance discipline: evaluate both allocations under an
 // IDENTICAL Monte-Carlo stream and compare ground-truth revenue / regret,
 // never the (legitimately different) seed picks themselves.
+//
+// Also the one way tests build an RR-set pool from explicit sets (MakePool:
+// a single RrSetPool::AdoptChunk, the pool's only write path; PooledView:
+// a coverage view over such a pool) and read pools and sampled parts back
+// as explicit sets (SetsOf).
 
 #ifndef TIRM_TESTS_TIRM_TEST_UTIL_H_
 #define TIRM_TESTS_TIRM_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "alloc/tirm.h"
 #include "common/rng.h"
 #include "graph/generators.h"
+#include "rrset/coverage_bitmap.h"
+#include "rrset/parallel_rr_builder.h"
+#include "rrset/sample_store.h"
 #include "topic/instance.h"
 
 namespace tirm {
+
+/// A pool over `num_nodes` nodes holding `sets` in order (ids 0..n-1),
+/// adopted as one chunk.
+inline std::unique_ptr<RrSetPool> MakePool(
+    NodeId num_nodes, const std::vector<std::vector<NodeId>>& sets) {
+  std::vector<NodeId> nodes;
+  std::vector<std::size_t> offsets = {0};
+  for (const std::vector<NodeId>& set : sets) {
+    nodes.insert(nodes.end(), set.begin(), set.end());
+    offsets.push_back(nodes.size());
+  }
+  auto pool = std::make_unique<RrSetPool>(num_nodes);
+  pool->AdoptChunk(std::move(nodes), offsets);
+  return pool;
+}
+
+/// A coverage view (RrCollection or WeightedRrCollection) attached to
+/// every set of its own pool, built from `sets` by MakePool. The pool is
+/// declared first so it outlives the view.
+template <typename View>
+struct PooledView {
+  PooledView(NodeId num_nodes, const std::vector<std::vector<NodeId>>& sets,
+             CoverageKernel kernel = CoverageKernel::kAuto)
+      : pool(MakePool(num_nodes, sets)), view(pool.get(), kernel) {
+    view.AttachUpTo(static_cast<std::uint32_t>(sets.size()));
+  }
+  std::unique_ptr<RrSetPool> pool;
+  View view;
+};
+
+/// Every set of `pool`, in id order.
+inline std::vector<std::vector<NodeId>> SetsOf(const RrSetPool& pool) {
+  std::vector<std::vector<NodeId>> sets;
+  sets.reserve(pool.NumSets());
+  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+    const std::span<const NodeId> set = pool.SetMembers(id);
+    sets.emplace_back(set.begin(), set.end());
+  }
+  return sets;
+}
+
+/// The sets of sampled parts, concatenated in part order — exactly the
+/// sets (and ids) a pool adopting the parts in order holds.
+inline std::vector<std::vector<NodeId>> SetsOf(
+    const std::vector<ParallelRrBuilder::Batch>& parts) {
+  std::vector<std::vector<NodeId>> sets;
+  for (const ParallelRrBuilder::Batch& part : parts) {
+    for (std::size_t k = 0; k < part.size(); ++k) {
+      const std::span<const NodeId> set = part.Set(k);
+      sets.emplace_back(set.begin(), set.end());
+    }
+  }
+  return sets;
+}
 
 struct TestInstance {
   Graph graph;

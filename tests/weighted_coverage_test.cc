@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,14 +14,16 @@
 #include "graph/generators.h"
 #include "rrset/rr_collection.h"
 #include "rrset/weighted_rr_collection.h"
+#include "tirm_test_util.h"
 
 namespace tirm {
 namespace {
 
+using WeightedView = PooledView<WeightedRrCollection>;
+
 TEST(WeightedRrCollectionTest, InitialCoverageCountsSets) {
-  WeightedRrCollection c(4);
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{1, 2});
+  WeightedView p(4, {{0, 1}, {1, 2}});
+  const WeightedRrCollection& c = p.view;
   EXPECT_DOUBLE_EQ(c.CoverageOf(0), 1.0);
   EXPECT_DOUBLE_EQ(c.CoverageOf(1), 2.0);
   EXPECT_DOUBLE_EQ(c.CoverageOf(3), 0.0);
@@ -28,9 +31,8 @@ TEST(WeightedRrCollectionTest, InitialCoverageCountsSets) {
 }
 
 TEST(WeightedRrCollectionTest, CommitDiscountsBySurvival) {
-  WeightedRrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0, 1});
-  c.AddSet(std::vector<NodeId>{0, 2});
+  WeightedView p(3, {{0, 1}, {0, 2}});
+  WeightedRrCollection& c = p.view;
   // Commit node 0 with delta = 0.25: both sets keep survival 0.75.
   const double covered = c.CommitSeed(0, 0.25);
   EXPECT_DOUBLE_EQ(covered, 2.0);  // coverage mass before the discount
@@ -42,8 +44,8 @@ TEST(WeightedRrCollectionTest, CommitDiscountsBySurvival) {
 }
 
 TEST(WeightedRrCollectionTest, RepeatCommitsCompoundSurvival) {
-  WeightedRrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0, 1, 2});
+  WeightedView p(3, {{0, 1, 2}});
+  WeightedRrCollection& c = p.view;
   c.CommitSeed(0, 0.5);
   c.CommitSeed(1, 0.5);
   // survival = (1-0.5)^2 = 0.25.
@@ -52,14 +54,12 @@ TEST(WeightedRrCollectionTest, RepeatCommitsCompoundSurvival) {
 }
 
 TEST(WeightedRrCollectionTest, DeltaOneReproducesRemovalSemantics) {
-  WeightedRrCollection weighted(4);
-  RrCollection removal(4);
-  const std::vector<std::vector<NodeId>> sets = {
-      {0, 1}, {1, 2}, {1}, {3}, {0, 3}};
-  for (const auto& s : sets) {
-    weighted.AddSet(s);
-    removal.AddSet(s);
-  }
+  const std::unique_ptr<RrSetPool> pool =
+      MakePool(4, {{0, 1}, {1, 2}, {1}, {3}, {0, 3}});
+  WeightedRrCollection weighted(pool.get());
+  RrCollection removal(pool.get());
+  weighted.AttachUpTo(5);
+  removal.AttachUpTo(5);
   const double wc = weighted.CommitSeed(1, 1.0);
   const std::uint32_t rc = removal.CommitSeed(1);
   EXPECT_DOUBLE_EQ(wc, static_cast<double>(rc));
@@ -76,17 +76,18 @@ TEST(WeightedRrCollectionTest, MarginalRevenueOfSecondSeedBarelyDiscounted) {
   // Two seeds sharing every set: with delta = 0.02 the second seed keeps
   // ~98% of its coverage mass — the core fix over removal semantics, which
   // would leave it 0.
-  WeightedRrCollection c(2);
-  for (int i = 0; i < 100; ++i) c.AddSet(std::vector<NodeId>{0, 1});
+  WeightedView p(2, std::vector<std::vector<NodeId>>(100, {0, 1}));
+  WeightedRrCollection& c = p.view;
   c.CommitSeed(0, 0.02);
   EXPECT_NEAR(c.CoverageOf(1), 98.0, 1e-3);
 }
 
 TEST(WeightedRrCollectionTest, CommitOnRangeOnlyNewSets) {
-  WeightedRrCollection c(2);
-  c.AddSet(std::vector<NodeId>{0});  // set 0
+  const std::unique_ptr<RrSetPool> pool = MakePool(2, {{0}, {0}});
+  WeightedRrCollection c(pool.get());
+  c.AttachUpTo(1);  // set 0
   const auto first_new = static_cast<std::uint32_t>(c.NumSets());
-  c.AddSet(std::vector<NodeId>{0});  // set 1
+  c.AttachUpTo(2);  // set 1
   const double covered = c.CommitSeedOnRange(0, 0.5, first_new);
   EXPECT_DOUBLE_EQ(covered, 1.0);          // only set 1 counted
   EXPECT_NEAR(c.Survival(0), 1.0, 1e-9);   // untouched
@@ -94,19 +95,19 @@ TEST(WeightedRrCollectionTest, CommitOnRangeOnlyNewSets) {
 }
 
 TEST(WeightedRrCollectionTest, ArgMaxCoverageEligibility) {
-  WeightedRrCollection c(3);
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{0});
-  c.AddSet(std::vector<NodeId>{1});
+  WeightedView p(3, {{0}, {0}, {1}});
+  const WeightedRrCollection& c = p.view;
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), 0u);
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId v) { return v != 0; }), 1u);
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return false; }), kInvalidNode);
 }
 
 TEST(WeightedRrCollectionTest, MemoryBytesGrow) {
-  WeightedRrCollection c(10);
+  const std::unique_ptr<RrSetPool> pool =
+      MakePool(10, std::vector<std::vector<NodeId>>(64, {0, 1, 2}));
+  WeightedRrCollection c(pool.get());
   const auto before = c.MemoryBytes();
-  for (int i = 0; i < 64; ++i) c.AddSet(std::vector<NodeId>{0, 1, 2});
+  c.AttachUpTo(64);
   EXPECT_GT(c.MemoryBytes(), before);
 }
 
