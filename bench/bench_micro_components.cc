@@ -110,9 +110,8 @@ void BM_PossibleWorldSampling(benchmark::State& state) {
 BENCHMARK(BM_PossibleWorldSampling);
 
 // ------------------------------------------------- coverage-kernel section
-// Compares the two coverage data paths of rrset/coverage_bitmap.h on the
-// greedy primitives. Both kernels make bit-identical selections (enforced
-// by tests/coverage_kernel_test.cc), so these measure pure data-path cost.
+// The packed bitmap coverage kernel of rrset/coverage_bitmap.h on the
+// greedy primitives, on the active SIMD tier.
 
 // One sampled pool per θ, shared by every coverage benchmark below (the
 // sampling itself is BM_RrSetSampling's subject, not these benchmarks').
@@ -139,19 +138,14 @@ const RrSetPool& SharedCoveragePool(int num_sets) {
   return *it->second;
 }
 
-CoverageKernel KernelArg(const benchmark::State& state) {
-  return state.range(1) == 0 ? CoverageKernel::kScalar
-                             : CoverageKernel::kBitmap;
-}
-
-// The 50 greedy seeds of a pool, kernel-invariant by the golden gate.
+// The 50 greedy seeds of a pool.
 const std::vector<NodeId>& GreedySeeds(int num_sets) {
   static std::map<int, std::vector<NodeId>>* cache =
       new std::map<int, std::vector<NodeId>>();
   auto it = cache->find(num_sets);
   if (it == cache->end()) {
     const RrSetPool& pool = SharedCoveragePool(num_sets);
-    RrCollection collection(&pool, CoverageKernel::kScalar);
+    RrCollection collection(&pool);
     collection.AttachUpTo(static_cast<std::uint32_t>(pool.NumSets()));
     CoverageHeap heap(&collection);
     std::vector<NodeId> seeds;
@@ -167,19 +161,15 @@ const std::vector<NodeId>& GreedySeeds(int num_sets) {
 }
 
 // Full greedy path: lazy-heap argmax (initial build + stale refreshes) plus
-// seed commits, per kernel. Note the kernels trade opposite ends of this
-// path: scalar pays O(postings + members) per commit but answers each CELF
-// staleness probe with one counter load, while bitmap commits in O(words)
-// and pays an O(words) recount per probe. This instance (uniform random
-// sets, heavy coverage ties) maximizes probe count, so it bounds the
-// bitmap kernel's worst case; BM_CoverageCommitRecount below isolates the
-// commit+recount data path the bitmap kernel is built for.
+// seed commits. Each commit costs O(words), and so does each recount of a
+// stale CELF probe. This instance (uniform random sets, heavy coverage
+// ties) maximizes probe count, so it bounds the kernel's worst case;
+// BM_CoverageCommitRecount below isolates the commit+recount data path.
 void BM_CoverageGreedy(benchmark::State& state) {
   const RrSetPool& pool = SharedCoveragePool(static_cast<int>(state.range(0)));
-  const CoverageKernel kernel = KernelArg(state);
   for (auto _ : state) {
     state.PauseTiming();
-    RrCollection collection(&pool, kernel);
+    RrCollection collection(&pool);
     collection.AttachUpTo(static_cast<std::uint32_t>(pool.NumSets()));
     state.ResumeTiming();
     CoverageHeap heap(&collection);
@@ -189,43 +179,21 @@ void BM_CoverageGreedy(benchmark::State& state) {
       collection.CommitSeed(best);
     }
   }
-  state.SetLabel(std::string(CoverageKernelName(kernel)) +
+  state.SetLabel(std::string(ActiveCoverageOps().name) +
                  ", argmax+commit 50 seeds");
 }
-BENCHMARK(BM_CoverageGreedy)
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({80000, 0})
-    ->Args({80000, 1});
+BENCHMARK(BM_CoverageGreedy)->Arg(20000)->Arg(80000);
 
 // The commit+recount primitive pair alone, on the precomputed greedy seed
-// sequence: recount(v) then commit(v) per seed. The scalar kernel pays the
-// postings scan + per-member scatter on commit; the bitmap kernel pays
-// word-parallel AND-NOT popcount + OR. This is the data path the tentpole
-// speedup gate measures.
-double CommitRecountMs(const RrSetPool& pool, const std::vector<NodeId>& seeds,
-                       CoverageKernel kernel) {
-  RrCollection collection(&pool, kernel);
-  collection.AttachUpTo(static_cast<std::uint32_t>(pool.NumSets()));
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t checksum = 0;
-  for (const NodeId v : seeds) {
-    checksum += collection.CoverageOf(v);
-    checksum += collection.CommitSeed(v);
-  }
-  benchmark::DoNotOptimize(checksum);
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
+// sequence: recount(v) then commit(v) per seed — word-parallel AND-NOT
+// popcount + OR.
 void BM_CoverageCommitRecount(benchmark::State& state) {
   const int num_sets = static_cast<int>(state.range(0));
   const RrSetPool& pool = SharedCoveragePool(num_sets);
   const std::vector<NodeId>& seeds = GreedySeeds(num_sets);
-  const CoverageKernel kernel = KernelArg(state);
   for (auto _ : state) {
     state.PauseTiming();
-    RrCollection collection(&pool, kernel);
+    RrCollection collection(&pool);
     collection.AttachUpTo(static_cast<std::uint32_t>(pool.NumSets()));
     state.ResumeTiming();
     std::uint64_t checksum = 0;
@@ -235,40 +203,10 @@ void BM_CoverageCommitRecount(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(checksum);
   }
-  state.SetLabel(std::string(CoverageKernelName(kernel)) +
+  state.SetLabel(std::string(ActiveCoverageOps().name) +
                  ", recount+commit 50 seeds");
 }
-BENCHMARK(BM_CoverageCommitRecount)
-    ->Args({20000, 0})
-    ->Args({20000, 1})
-    ->Args({80000, 0})
-    ->Args({80000, 1});
-
-// Headline summary for BENCH_micro.json: best-of-5 commit+recount time per
-// kernel at bench scale and the resulting speedup (the tentpole's >= 3x
-// acceptance gate reads the "speedup" counter).
-void BM_CoverageKernelSpeedup(benchmark::State& state) {
-  const int num_sets = static_cast<int>(state.range(0));
-  const RrSetPool& pool = SharedCoveragePool(num_sets);
-  const std::vector<NodeId>& seeds = GreedySeeds(num_sets);
-  double scalar_ms = 0.0;
-  double bitmap_ms = 0.0;
-  for (auto _ : state) {
-    scalar_ms = 0.0;
-    bitmap_ms = 0.0;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double s = CommitRecountMs(pool, seeds, CoverageKernel::kScalar);
-      const double b = CommitRecountMs(pool, seeds, CoverageKernel::kBitmap);
-      if (rep == 0 || s < scalar_ms) scalar_ms = s;
-      if (rep == 0 || b < bitmap_ms) bitmap_ms = b;
-    }
-  }
-  state.counters["scalar_ms"] = scalar_ms;
-  state.counters["bitmap_ms"] = bitmap_ms;
-  state.counters["speedup"] = bitmap_ms > 0.0 ? scalar_ms / bitmap_ms : 0.0;
-  state.SetLabel(std::string("simd tier: ") + ActiveCoverageOps().name);
-}
-BENCHMARK(BM_CoverageKernelSpeedup)->Arg(80000)->Iterations(1);
+BENCHMARK(BM_CoverageCommitRecount)->Arg(20000)->Arg(80000);
 
 // ------------------------------------------------- sampling-kernel section
 // Compares the two reverse-BFS inner loops of rrset/sampler_kernel.h and

@@ -74,8 +74,8 @@ bool IsKnownFlag(const std::string& key) {
       // AllocatorConfig
       "max_total_seeds", "min_drop", "eps", "ell", "theta_cap", "theta_min",
       "kpt_max_samples", "threads", "weight_by_ctp",
-      "exact_selection_fallback", "ctp_aware_coverage", "coverage_kernel",
-      "sampler_kernel", "irie_alpha", "irie_rank_iterations",
+      "exact_selection_fallback", "ctp_aware_coverage", "sampler_kernel",
+      "irie_alpha", "irie_rank_iterations",
       "irie_ap_truncation", "irie_max_push_hops", "mc_sims"};
   return kKnown.count(key) > 0;
 }

@@ -59,8 +59,7 @@ class CoverageBackend {
 
 class RemovalBackend : public CoverageBackend {
  public:
-  RemovalBackend(const RrSetPool* pool, CoverageKernel kernel)
-      : collection_(pool, kernel) {}
+  explicit RemovalBackend(const RrSetPool* pool) : collection_(pool) {}
 
   void AttachUpTo(std::uint32_t count) override {
     collection_.AttachUpTo(count);
@@ -102,8 +101,7 @@ class RemovalBackend : public CoverageBackend {
 
 class WeightedBackend : public CoverageBackend {
  public:
-  WeightedBackend(const RrSetPool* pool, CoverageKernel kernel)
-      : collection_(pool, kernel) {}
+  explicit WeightedBackend(const RrSetPool* pool) : collection_(pool) {}
 
   void AttachUpTo(std::uint32_t count) override {
     collection_.AttachUpTo(count);
@@ -374,7 +372,6 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   ShardRunConfig run_config;
   if (sharded) {
     run_config.num_ads = h;
-    run_config.coverage_kernel = options.coverage_kernel;
     run_config.kpt_ell = options.theta.ell;
     run_config.kpt_max_samples = options.kpt_max_samples;
     if (clients.empty()) {
@@ -542,11 +539,9 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       st->backend = std::make_unique<ShardedBackend>(clients, j, n,
                                                      run_config.chunk_sets);
     } else if (options.ctp_aware_coverage) {
-      st->backend = std::make_unique<WeightedBackend>(&st->entry->sets(),
-                                                      options.coverage_kernel);
+      st->backend = std::make_unique<WeightedBackend>(&st->entry->sets());
     } else {
-      st->backend = std::make_unique<RemovalBackend>(&st->entry->sets(),
-                                                     options.coverage_kernel);
+      st->backend = std::make_unique<RemovalBackend>(&st->entry->sets());
     }
     st->backend->AttachUpTo(static_cast<std::uint32_t>(st->theta));
     ads.push_back(std::move(st));

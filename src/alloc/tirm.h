@@ -33,7 +33,6 @@
 #include "alloc/allocation.h"
 #include "alloc/regret.h"
 #include "common/rng.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 #include "rrset/theta.h"
 #include "topic/instance.h"
@@ -118,11 +117,6 @@ struct TirmOptions {
   /// revenue estimates unbiased for the true TIC-CTP spread. Default off
   /// (paper-faithful); benchmarked in bench_ablation_ctp_coverage.
   bool ctp_aware_coverage = false;
-  /// Coverage data path for the greedy loop (rrset/coverage_bitmap.h):
-  /// kAuto resolves to the packed bitmap kernel; kScalar selects the
-  /// postings-scan reference implementation. Selections are bit-identical
-  /// across kernels (golden-gated), so this is a pure performance switch.
-  CoverageKernel coverage_kernel = CoverageKernel::kAuto;
   /// RR-sampling kernel (rrset/sampler_kernel.h): kAuto resolves to the
   /// classic per-edge reference; kSkip replaces per-edge coins with
   /// geometric jumps on uniform-probability rows — deterministic per seed

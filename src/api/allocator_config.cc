@@ -101,7 +101,6 @@ Result<AllocatorConfig> AllocatorConfig::FromFlags(const Flags& flags,
   c.exact_selection_fallback =
       boolean("exact_selection_fallback", c.exact_selection_fallback);
   c.ctp_aware_coverage = boolean("ctp_aware_coverage", c.ctp_aware_coverage);
-  c.coverage_kernel = flags.GetString("coverage_kernel", c.coverage_kernel);
   c.sampler_kernel = flags.GetString("sampler_kernel", c.sampler_kernel);
   c.num_shards = static_cast<int>(bounded("num_shards", c.num_shards, 1, 64));
   c.irie_alpha = num("irie_alpha", c.irie_alpha);
@@ -163,7 +162,6 @@ Status AllocatorConfig::Validate() const {
         "num_shards > 1 requires the paper-faithful unweighted path "
         "(weight_by_ctp and ctp_aware_coverage must be off)");
   }
-  TIRM_RETURN_NOT_OK(ParseCoverageKernel(coverage_kernel).status());
   TIRM_RETURN_NOT_OK(ParseSamplerKernel(sampler_kernel).status());
   return Status::OK();
 }
@@ -183,8 +181,6 @@ TirmOptions AllocatorConfig::MakeTirmOptions() const {
   o.ctp_aware_coverage = ctp_aware_coverage;
   // Validate() already rejected unknown names; a stale string here (field
   // mutated after validation) falls back to kAuto.
-  Result<CoverageKernel> kernel = ParseCoverageKernel(coverage_kernel);
-  o.coverage_kernel = kernel.ok() ? kernel.value() : CoverageKernel::kAuto;
   Result<SamplerKernel> sampling = ParseSamplerKernel(sampler_kernel);
   o.sampler_kernel = sampling.ok() ? sampling.value() : SamplerKernel::kAuto;
   o.sample_store = sample_store;

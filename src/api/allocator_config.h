@@ -46,10 +46,6 @@ struct AllocatorConfig {
   bool weight_by_ctp = false;       ///< ablation: delta-weighted selection
   bool exact_selection_fallback = true;
   bool ctp_aware_coverage = false;  ///< extension: survival-weighted coverage
-  /// Coverage data path for the greedy loop: "auto" (packed bitmap kernel),
-  /// "bitmap", or "scalar" (postings-scan reference). Pure performance
-  /// switch — selections are bit-identical across kernels.
-  std::string coverage_kernel = "auto";
   /// RR-sampling kernel: "auto" (classic per-edge coins, the bit-stable
   /// golden reference), "classic", or "skip" (geometric jumps on uniform-
   /// probability rows — statistically equivalent, different random stream;

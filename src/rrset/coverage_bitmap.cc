@@ -1,38 +1,11 @@
 #include "rrset/coverage_bitmap.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
 
-#include "common/threading.h"
 #include "rrset/sample_store.h"
 
 namespace tirm {
-
-// ---------------------------------------------------------------- kernel
-// choice
-
-Result<CoverageKernel> ParseCoverageKernel(std::string_view name) {
-  if (name == "auto") return CoverageKernel::kAuto;
-  if (name == "scalar") return CoverageKernel::kScalar;
-  if (name == "bitmap") return CoverageKernel::kBitmap;
-  return Status::InvalidArgument(
-      "coverage_kernel must be \"auto\", \"scalar\", or \"bitmap\", got \"" +
-      std::string(name) + "\"");
-}
-
-const char* CoverageKernelName(CoverageKernel kernel) {
-  switch (kernel) {
-    case CoverageKernel::kAuto:
-      return "auto";
-    case CoverageKernel::kScalar:
-      return "scalar";
-    case CoverageKernel::kBitmap:
-      return "bitmap";
-  }
-  return "unknown";
-}
 
 // ------------------------------------------------------------- SIMD tiers
 
@@ -76,11 +49,6 @@ constexpr CoverageKernelOps kPortableOps = {
 const CoverageKernelOps* g_active_ops = nullptr;
 
 const CoverageKernelOps* ResolveDefaultOps() {
-  if (const char* env = std::getenv("TIRM_COVERAGE_SIMD")) {
-    if (std::string_view(env) == "portable") return &kPortableOps;
-    // "avx2"/"auto"/anything else falls through to hardware detection —
-    // a typo must not silently disable the fast tier's safety check.
-  }
 #if defined(TIRM_HAVE_AVX2_KERNELS)
   if (CoverageAvx2Available()) return &Avx2CoverageOpsForDispatch();
 #endif
@@ -210,34 +178,6 @@ ReducedGainSummary TreeReduceGainSummaries(
 
 // -------------------------------------------------------------- transpose
 
-namespace {
-
-// Node-range worker for the parallel transpose fill: gathers each owned
-// node's new membership bits from the pool's ascending postings. Workers
-// write disjoint rows, and OR-ing the same bits the serial set-scatter
-// loop writes yields the identical buffer for any thread count.
-void FillRowsFromPostings(const RrSetPool& pool, std::uint64_t* words,
-                          std::size_t stride, std::uint32_t from,
-                          std::uint32_t up_to, NodeId begin, NodeId end) {
-  for (NodeId v = begin; v < end; ++v) {
-    const std::span<const std::uint32_t> postings = pool.Postings(v);
-    auto it = std::lower_bound(postings.begin(), postings.end(), from);
-    std::uint64_t* const row = words + static_cast<std::size_t>(v) * stride;
-    for (; it != postings.end() && *it < up_to; ++it) {
-      row[*it / kCoverageWordBits] |= std::uint64_t{1}
-                                      << (*it % kCoverageWordBits);
-    }
-  }
-}
-
-// Below these sizes thread spawn/join overhead dominates; the serial
-// scatter loop additionally beats the gather on tiny deltas because it
-// never pays the per-node lower_bound.
-constexpr std::uint32_t kMinParallelSets = 2048;
-constexpr NodeId kMinParallelNodes = 4096;
-
-}  // namespace
-
 CoverageTranspose::CoverageTranspose(NodeId num_nodes)
     : num_nodes_(num_nodes) {}
 
@@ -267,35 +207,11 @@ void CoverageTranspose::ExtendFromPool(const RrSetPool& pool,
     stride_ = new_stride;
   }
 
-  const int threads =
-      (up_to - built_sets_ >= kMinParallelSets &&
-       num_nodes_ >= kMinParallelNodes)
-          ? ResolveThreadCount(0)
-          : 1;
-  if (threads > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(threads) - 1);
-    const NodeId per =
-        (num_nodes_ + static_cast<NodeId>(threads) - 1) /
-        static_cast<NodeId>(threads);
-    for (int w = 1; w < threads; ++w) {
-      const NodeId begin = std::min(num_nodes_, static_cast<NodeId>(w) * per);
-      const NodeId end = std::min(num_nodes_, begin + per);
-      if (begin >= end) break;
-      workers.emplace_back(FillRowsFromPostings, std::cref(pool),
-                           words_.data(), stride_, built_sets_, up_to, begin,
-                           end);
-    }
-    FillRowsFromPostings(pool, words_.data(), stride_, built_sets_, up_to, 0,
-                         std::min(num_nodes_, per));
-    for (std::thread& t : workers) t.join();
-  } else {
-    for (std::uint32_t id = built_sets_; id < up_to; ++id) {
-      const std::size_t word = id / kCoverageWordBits;
-      const std::uint64_t bit = std::uint64_t{1} << (id % kCoverageWordBits);
-      for (const NodeId v : pool.SetMembers(id)) {
-        words_[static_cast<std::size_t>(v) * stride_ + word] |= bit;
-      }
+  for (std::uint32_t id = built_sets_; id < up_to; ++id) {
+    const std::size_t word = id / kCoverageWordBits;
+    const std::uint64_t bit = std::uint64_t{1} << (id % kCoverageWordBits);
+    for (const NodeId v : pool.SetMembers(id)) {
+      words_[static_cast<std::size_t>(v) * stride_ + word] |= bit;
     }
   }
   built_sets_ = up_to;

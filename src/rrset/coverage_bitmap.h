@@ -3,34 +3,26 @@
 //
 // Every allocator in the paper bottoms out in weighted Max-Cover over RR
 // sets: recompute a node's marginal coverage, commit a seed, mark its sets
-// covered. The packed kernel represents "which sets contain node v" as one
-// bit per RR set (the node -> set-bitmap *transpose*, built lazily by
-// RrSetPool next to its inverted index) and "which sets are already
-// covered" as a second bitmap. The two hot operations then become
+// covered. The kernel represents "which sets contain node v" as one bit per
+// RR set (the node -> set-bitmap *transpose*, built lazily by RrSetPool from
+// its set members — the pool's only node -> set index) and "which sets are
+// already covered" as a second bitmap. The two hot operations are then
 // word-parallel:
 //
 //   recount(v) = popcount(bits[v] & ~covered)          (AND-NOT + POPCNT)
 //   commit(v)  = covered |= bits[v]                    (OR)
 //
-// instead of per-set postings scans and scatter-decrements. The weighted
-// (survival) policy gathers survival weights over the *surviving lanes* of
-// bits[v] & ~dead in ascending set order, which keeps its sums bit-identical
-// to the scalar postings gather (adding a dead set's 0.0 survival is an
-// exact no-op, so skipping dead lanes cannot change the result).
+// The weighted (survival) policy gathers survival weights over the
+// *surviving lanes* of bits[v] & ~dead in ascending set order (adding a
+// dead set's 0.0 survival is an exact no-op, so skipping dead lanes cannot
+// change the sum).
 //
 // Dispatch tiers. The word loops run through a function table resolved once
 // at startup: an AVX2 specialization (compiled only when TIRM_ENABLE_AVX2 is
 // on, used only when the CPU reports AVX2) and a portable std::popcount
-// fallback. The TIRM_COVERAGE_SIMD environment variable ("portable" /
-// "avx2" / "auto") overrides the choice, and tests force the portable tier
-// explicitly to assert tier equivalence. Tier choice can never change
-// results — both tiers compute the same exact integers.
-//
-// Kernel choice (CoverageKernel) is the *algorithmic* switch between this
-// packed path and the scalar postings-scan reference implementation kept in
-// RrCollection / WeightedRrCollection; it is plumbed through TimOptions,
-// TirmOptions, and AllocatorConfig (--coverage_kernel). Selections are
-// golden-gated bit-identical between the two kernels.
+// fallback. Tests force the portable tier explicitly (ForceCoverageSimdTier)
+// to assert tier equivalence. Tier choice can never change results — both
+// tiers compute the same exact integers.
 
 #ifndef TIRM_RRSET_COVERAGE_BITMAP_H_
 #define TIRM_RRSET_COVERAGE_BITMAP_H_
@@ -51,27 +43,6 @@ namespace tirm {
 
 class RrSetPool;  // rrset/sample_store.h
 
-// ---------------------------------------------------------------- kernel
-// choice (algorithmic switch, parsed from --coverage_kernel)
-
-/// Which coverage data path a view / allocator run uses.
-enum class CoverageKernel : std::uint8_t {
-  kAuto = 0,    ///< resolve to the packed bitmap kernel
-  kScalar = 1,  ///< postings-scan reference implementation
-  kBitmap = 2,  ///< packed word-parallel kernel (this file)
-};
-
-/// "auto" / "scalar" / "bitmap" -> enum; anything else is InvalidArgument.
-Result<CoverageKernel> ParseCoverageKernel(std::string_view name);
-
-/// Canonical flag spelling of `kernel`.
-const char* CoverageKernelName(CoverageKernel kernel);
-
-/// Resolves kAuto to the concrete default (the bitmap kernel).
-inline CoverageKernel ResolveCoverageKernel(CoverageKernel kernel) {
-  return kernel == CoverageKernel::kAuto ? CoverageKernel::kBitmap : kernel;
-}
-
 // ------------------------------------------------------------ word helpers
 
 inline constexpr std::size_t kCoverageWordBits = 64;
@@ -87,6 +58,20 @@ inline constexpr std::size_t CoverageWordsFor(std::uint64_t sets) {
 inline constexpr std::uint64_t CoverageTailMask(std::uint64_t count) {
   const std::uint64_t rem = count % kCoverageWordBits;
   return rem == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << rem) - 1;
+}
+
+/// Lanes of word `w` that hold sets in [first_set, end), end > first_set:
+/// the word holding first_set drops the lanes below it, and the word
+/// holding end - 1 drops the lanes past it.
+inline constexpr std::uint64_t CoverageLaneMask(std::size_t w,
+                                                std::uint64_t first_set,
+                                                std::uint64_t end) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  if (w == first_set / kCoverageWordBits) {
+    mask &= ~((std::uint64_t{1} << (first_set % kCoverageWordBits)) - 1);
+  }
+  if (w == (end - 1) / kCoverageWordBits) mask &= CoverageTailMask(end);
+  return mask;
 }
 
 /// Minimal cache-line-aligned allocator so bitmap rows and covered words
@@ -134,8 +119,8 @@ struct CoverageKernelOps {
 /// tests).
 const CoverageKernelOps& PortableCoverageOps();
 
-/// The active tier: AVX2 when compiled in, supported by the CPU, and not
-/// overridden by TIRM_COVERAGE_SIMD; portable otherwise.
+/// The active tier: AVX2 when compiled in and supported by the CPU (unless
+/// a test forced another tier); portable otherwise.
 const CoverageKernelOps& ActiveCoverageOps();
 
 /// True when the AVX2 tier is compiled in AND this CPU supports it.
@@ -232,9 +217,6 @@ class CoverageTranspose {
 
   /// Adds membership bits for pool sets [built_sets(), up_to); no-op when
   /// already built that far. `up_to` must not exceed pool.NumSets().
-  /// Large extensions fill rows in parallel across worker threads (each
-  /// worker gathers a disjoint node range from the pool's postings, so
-  /// the bits are identical to the serial build for any thread count).
   void ExtendFromPool(const RrSetPool& pool, std::uint32_t up_to);
 
   /// Membership words of node `v` (words_per_row() words; lanes beyond

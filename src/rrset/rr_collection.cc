@@ -5,30 +5,17 @@
 
 namespace tirm {
 
-RrCollection::RrCollection(const RrSetPool* pool, CoverageKernel kernel)
-    : pool_(pool),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
+RrCollection::RrCollection(const RrSetPool* pool)
+    : pool_(pool), num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
-  if (kernel_ == CoverageKernel::kScalar) coverage_.assign(num_nodes_, 0);
 }
 
 void RrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_LE(count, pool_->NumSets());
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
-  if (kernel_ == CoverageKernel::kScalar) {
-    for (std::uint32_t id = attached_; id < count; ++id) {
-      for (const NodeId v : pool_->SetMembers(id)) {
-        TIRM_DCHECK(v < coverage_.size());
-        ++coverage_[v];
-      }
-    }
-    covered_.resize(count, 0);
-  } else {
-    transpose_ = &pool_->EnsureTranspose(count);
-    covered_words_.resize(CoverageWordsFor(count), 0);
-  }
+  transpose_ = &pool_->EnsureTranspose(count);
+  covered_words_.resize(CoverageWordsFor(count), 0);
   attached_ = count;
 }
 
@@ -36,26 +23,8 @@ std::uint32_t RrCollection::CommitSeed(NodeId v) {
   return CommitSeedOnRange(v, 0);
 }
 
-std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
-                                              std::uint32_t first_set) {
-  if (kernel_ != CoverageKernel::kScalar) return BitmapCommitRange(v, first_set);
-  TIRM_CHECK_LT(v, coverage_.size());
-  std::uint32_t newly_covered = 0;
-  for (const std::uint32_t id : pool_->Postings(v)) {
-    if (id >= attached_) break;  // postings ascend; rest not attached yet
-    if (id < first_set || covered_[id]) continue;
-    covered_[id] = 1;
-    ++newly_covered;
-    ++num_covered_;
-    for (const NodeId member : pool_->SetMembers(id)) {
-      TIRM_DCHECK(coverage_[member] > 0);
-      --coverage_[member];
-    }
-  }
-  return newly_covered;
-}
-
-std::uint32_t RrCollection::BitmapCoverageOf(NodeId v) const {
+std::uint32_t RrCollection::CoverageOf(NodeId v) const {
+  TIRM_DCHECK(v < num_nodes_);
   if (attached_ == 0) return 0;
   const std::uint64_t* row = transpose_->Row(v);
   const std::uint64_t* cov = covered_words_.data();
@@ -73,9 +42,9 @@ std::uint32_t RrCollection::BitmapCoverageOf(NodeId v) const {
   return static_cast<std::uint32_t>(count);
 }
 
-std::uint32_t RrCollection::BitmapCommitRange(NodeId v,
+std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
                                               std::uint32_t first_set) {
-  TIRM_DCHECK(v < num_nodes_);
+  TIRM_CHECK_LT(v, num_nodes_);
   if (first_set >= attached_) return 0;
   const std::uint64_t* row = transpose_->Row(v);
   std::uint64_t* cov = covered_words_.data();
@@ -94,11 +63,8 @@ std::uint32_t RrCollection::BitmapCommitRange(NodeId v,
   std::size_t bulk_begin = 0;
   if (first_set > 0) {
     const std::size_t head_word = first_set / kCoverageWordBits;
-    const std::uint64_t rem = first_set % kCoverageWordBits;
-    std::uint64_t head_mask =
-        rem == 0 ? ~std::uint64_t{0} : ~((std::uint64_t{1} << rem) - 1);
-    if (head_word == words - 1) head_mask &= tail_mask;
-    commit_masked(head_word, head_mask);
+    commit_masked(head_word,
+                  CoverageLaneMask(head_word, first_set, attached_));
     bulk_begin = head_word + 1;
   }
   const std::size_t bulk_end =
@@ -114,12 +80,25 @@ std::uint32_t RrCollection::BitmapCommitRange(NodeId v,
   return static_cast<std::uint32_t>(newly);
 }
 
+CoveredWordDelta RrCollection::UncoveredWords(NodeId v,
+                                              std::uint32_t first_set) const {
+  TIRM_CHECK_LT(v, num_nodes_);
+  CoveredWordDelta delta;
+  if (first_set >= attached_) return delta;
+  const std::uint64_t* row = transpose_->Row(v);
+  const std::size_t words = CoverageWordsFor(attached_);
+  for (std::size_t w = first_set / kCoverageWordBits; w < words; ++w) {
+    const std::uint64_t fresh = row[w] & ~covered_words_[w] &
+                                CoverageLaneMask(w, first_set, attached_);
+    if (fresh == 0) continue;
+    delta.words.emplace_back(static_cast<std::uint32_t>(w), fresh);
+    delta.newly_covered += static_cast<std::uint64_t>(std::popcount(fresh));
+  }
+  return delta;
+}
+
 void RrCollection::AccumulateCoverage(
     std::vector<std::uint32_t>& counts) const {
-  if (kernel_ == CoverageKernel::kScalar) {
-    counts.assign(coverage_.begin(), coverage_.end());
-    return;
-  }
   counts.assign(num_nodes_, 0);
   for (std::uint32_t id = 0; id < attached_; ++id) {
     if (IsCovered(id)) continue;
@@ -128,8 +107,7 @@ void RrCollection::AccumulateCoverage(
 }
 
 std::size_t RrCollection::MemoryBytes() const {
-  return covered_.capacity() + coverage_.capacity() * sizeof(std::uint32_t) +
-         covered_words_.capacity() * sizeof(std::uint64_t);
+  return covered_words_.capacity() * sizeof(std::uint64_t);
 }
 
 void CoverageHeap::Rebuild() {

@@ -4,29 +4,20 @@
 //   argmax_v |{R in collection : v in R, R not yet covered}|
 // and, after committing a seed v, must mark every set containing v as
 // covered. RrCollection is the *mutable* half of that split: per-view
-// covered state over an immutable set arena + inverted index living in an
-// RrSetPool (rrset/sample_store.h) that the view only borrows, so any
-// number of greedy runs, allocators, and sweep points share one physical
-// copy of the samples. A view exposes a prefix of its pool: AttachUpTo()
-// advances the watermark as TIRM's θ grows (Algorithm 2 lines 14-18), and
+// covered state over an immutable set arena living in an RrSetPool
+// (rrset/sample_store.h) that the view only borrows, so any number of
+// greedy runs, allocators, and sweep points share one physical copy of the
+// samples. A view exposes a prefix of its pool: AttachUpTo() advances the
+// watermark as TIRM's θ grows (Algorithm 2 lines 14-18), and
 // CommitSeedOnRange() lets existing seeds absorb freshly attached sets in
 // selection order (UpdateEstimates, Algorithm 4).
 //
-// Two interchangeable coverage kernels (rrset/coverage_bitmap.h) back the
-// view, selected at construction and golden-gated bit-identical:
-//
-//  * CoverageKernel::kBitmap (default via kAuto) — the packed word-parallel
-//    path: membership is one bit per attached set in the pool's lazily
-//    built node -> set-bitmap transpose, covered state is a second bitmap,
-//    and the two hot operations are word-wise AND-NOT + popcount (recount)
-//    and OR (commit), with an AVX2 tier dispatched at runtime.
-//  * CoverageKernel::kScalar — the postings-scan reference implementation:
-//    per-node marginal counters maintained incrementally by walking the
-//    inverted index and set members on commit. Selectable via
-//    --coverage_kernel=scalar for audits and A/B gating.
-//
-// Both kernels produce the same exact integer coverages, so selections are
-// bit-identical; tests/coverage_kernel_test.cc enforces it end-to-end.
+// The view runs on the packed bitmap kernel (rrset/coverage_bitmap.h):
+// membership is one bit per attached set in the pool's lazily built
+// node -> set-bitmap transpose, covered state is a second bitmap, and the
+// two hot operations are word-wise AND-NOT + popcount (recount) and OR
+// (commit), with an AVX2 tier dispatched at runtime. tests/coverage_oracle.h
+// keeps a scalar postings-scan reference that the tests check it against.
 
 #ifndef TIRM_RRSET_RR_COLLECTION_H_
 #define TIRM_RRSET_RR_COLLECTION_H_
@@ -48,8 +39,7 @@ class RrCollection {
  public:
   /// Borrows `pool` (not owned; must outlive the view). Starts with zero
   /// attached sets — call AttachUpTo() to expose a pool prefix.
-  explicit RrCollection(const RrSetPool* pool,
-                        CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit RrCollection(const RrSetPool* pool);
 
   /// Exposes pool sets [NumSets(), count) to this view, adding their
   /// members' coverage. `count` must not exceed pool()->NumSets() and
@@ -66,13 +56,9 @@ class RrCollection {
   std::size_t NumCovered() const { return num_covered_; }
 
   /// Current (marginal) coverage of `v`: #uncovered attached sets
-  /// containing v. Scalar kernel: one counter load. Bitmap kernel: a
-  /// word-parallel AND-NOT + popcount recount over the packed row.
-  std::uint32_t CoverageOf(NodeId v) const {
-    TIRM_DCHECK(v < num_nodes_);
-    if (kernel_ == CoverageKernel::kScalar) return coverage_[v];
-    return BitmapCoverageOf(v);
-  }
+  /// containing v — a word-parallel AND-NOT + popcount recount over the
+  /// packed row.
+  std::uint32_t CoverageOf(NodeId v) const;
 
   /// Marks every uncovered attached set containing `v` as covered; returns
   /// how many sets were newly covered (v's marginal coverage before).
@@ -83,6 +69,11 @@ class RrCollection {
   /// attached sets to already-committed seeds in selection order.
   std::uint32_t CommitSeedOnRange(NodeId v, std::uint32_t first_set);
 
+  /// The covered-bitmap words CommitSeedOnRange(v, first_set) would change,
+  /// without changing them: Row(v) & ~covered over the attached sets with
+  /// id >= `first_set`, in ascending word order, zero words skipped.
+  CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const;
+
   /// Members of attached set `id` (borrowed from the pool).
   std::span<const NodeId> SetMembers(std::uint32_t id) const {
     TIRM_DCHECK(id < attached_);
@@ -91,7 +82,6 @@ class RrCollection {
 
   bool IsCovered(std::uint32_t id) const {
     TIRM_DCHECK(id < attached_);
-    if (kernel_ == CoverageKernel::kScalar) return covered_[id] != 0;
     return (covered_words_[id / kCoverageWordBits] >>
             (id % kCoverageWordBits)) &
            1u;
@@ -115,40 +105,29 @@ class RrCollection {
   }
 
   /// Fills `counts[v]` with CoverageOf(v) for every node in one O(arena)
-  /// pass (scalar: copies the counters; bitmap: accumulates members of
-  /// uncovered sets instead of popcount-recounting each node). Exact same
-  /// integers as per-node CoverageOf — used by CoverageHeap::Rebuild.
+  /// pass that accumulates the members of uncovered sets instead of
+  /// popcount-recounting each node. Exact same integers as per-node
+  /// CoverageOf — used by CoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<std::uint32_t>& counts) const;
 
-  /// Bytes held by this view's bookkeeping (scalar: coverage counters +
-  /// covered flags; bitmap: the covered bitmap words). The pool (including
-  /// its shared transpose) is accounted once via pool()->MemoryBytes().
+  /// Bytes held by this view's bookkeeping (the covered bitmap words). The
+  /// pool (including its shared transpose) is accounted once via
+  /// pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
-
-  /// The kernel this view runs on (resolved; never kAuto).
-  CoverageKernel kernel() const { return kernel_; }
 
   /// The pool this view reads.
   const RrSetPool* pool() const { return pool_; }
 
  private:
-  std::uint32_t BitmapCoverageOf(NodeId v) const;
-  std::uint32_t BitmapCommitRange(NodeId v, std::uint32_t first_set);
-
   const RrSetPool* pool_;
-  CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
   std::uint32_t attached_ = 0;
   std::size_t num_covered_ = 0;
 
-  // Scalar kernel state.
-  std::vector<std::uint8_t> covered_;    // per attached set
-  std::vector<std::uint32_t> coverage_;  // per node, marginal
-
-  // Bitmap kernel state. The transpose pointer is refreshed on every
-  // attach (the pool's transpose object is stable; its rows may re-stride
-  // when *some* view attaches further, which is why Row() is re-read per
-  // operation rather than cached).
+  // The transpose pointer is refreshed on every attach (the pool's
+  // transpose object is stable; its rows may re-stride when *some* view
+  // attaches further, which is why Row() is re-read per operation rather
+  // than cached).
   const CoverageTranspose* transpose_ = nullptr;
   CoverageWordBuffer covered_words_;  // one bit per attached set
 };

@@ -44,7 +44,6 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 
 RrSetPool::RrSetPool(NodeId num_nodes) : num_nodes_(num_nodes) {
   set_offsets_.push_back(0);
-  index_.resize(num_nodes);
 }
 
 RrSetPool::~RrSetPool() = default;
@@ -74,16 +73,6 @@ std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
     set_begin_.push_back(chunk.data() + offsets[k]);
     set_offsets_.push_back(base + offsets[k + 1]);
   }
-  // Batched inverted-index build over the adopted chunk. Ids are appended
-  // in increasing k, so each node's postings stay ascending.
-  for (std::size_t k = 0; k < num_sets; ++k) {
-    const auto id = first + static_cast<std::uint32_t>(k);
-    for (std::size_t i = offsets[k]; i < offsets[k + 1]; ++i) {
-      const NodeId v = chunk[i];
-      TIRM_DCHECK(v < num_nodes_);
-      index_[v].push_back(id);
-    }
-  }
   return first;
 }
 
@@ -106,13 +95,9 @@ std::size_t RrSetPool::TransposeBytes() const {
 std::size_t RrSetPool::MemoryBytes() const {
   std::size_t bytes = set_offsets_.capacity() * sizeof(std::size_t) +
                       set_begin_.capacity() * sizeof(const NodeId*) +
-                      chunks_.capacity() * sizeof(std::vector<NodeId>) +
-                      index_.capacity() * sizeof(std::vector<std::uint32_t>);
+                      chunks_.capacity() * sizeof(std::vector<NodeId>);
   for (const auto& chunk : chunks_) {
     bytes += chunk.capacity() * sizeof(NodeId);
-  }
-  for (const auto& postings : index_) {
-    bytes += postings.capacity() * sizeof(std::uint32_t);
   }
   return bytes + TransposeBytes();
 }

@@ -24,19 +24,20 @@
 // the same thread, or from a thread synchronized with it, is safe; do not
 // read a pool *while* another thread may be topping up the same entry
 // (member spans are stable — the arena is chunked, never relocated — but
-// the per-set bookkeeping and the inverted index still grow).
+// the per-set bookkeeping still grows).
 //
 // Arena-direct top-up. Sets enter a pool one way only: EnsureSets consumes
 // ParallelRrBuilder::SampleChunks and each worker's flattened node buffer
 // is *adopted* by the pool wholesale (RrSetPool::AdoptChunk — a move, no
-// per-set copy), in deterministic worker order, with the inverted index
-// built batched over the adopted chunk. The per-set bookkeeping is
+// per-set copy), in deterministic worker order. The per-set bookkeeping is
 // reserved once per top-up (RrSetPool::ReserveSets), so adopting a part
-// never re-copies it.
+// never re-copies it. The pool's one node -> set index is the packed
+// transpose (rrset/coverage_bitmap.h), built lazily from the members on
+// first coverage use.
 //
 // Memory accounting is byte-accurate from container capacities (arena +
-// inverted index + bookkeeping), not process RSS — this is what the
-// Table 4 experiment reports.
+// bookkeeping + transpose), not process RSS — this is what the Table 4
+// experiment reports.
 
 #ifndef TIRM_RRSET_SAMPLE_STORE_H_
 #define TIRM_RRSET_SAMPLE_STORE_H_
@@ -81,12 +82,11 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
                                       std::uint64_t chunk_sets,
                                       int num_shards, int shard);
 
-/// Append-only flattened storage of RR sets plus the node -> set-id
-/// inverted index. Sets already appended are immutable; coverage views
-/// (RrCollection / WeightedRrCollection) borrow member spans and postings
-/// from here instead of copying nodes. Bitmap-kernel views additionally
-/// borrow the packed node -> set-bitmap transpose, built lazily on first
-/// use (EnsureTranspose) so scalar-only consumers never pay for it.
+/// Append-only flattened storage of RR sets. Sets already appended are
+/// immutable; coverage views (RrCollection / WeightedRrCollection) borrow
+/// member spans and the packed node -> set-bitmap transpose from here
+/// instead of copying nodes. The transpose is the pool's only node -> set
+/// index, built lazily on first use (EnsureTranspose).
 class RrSetPool {
  public:
   explicit RrSetPool(NodeId num_nodes);
@@ -95,9 +95,8 @@ class RrSetPool {
   /// Adopts a flattened multi-set buffer (ParallelRrBuilder chunk layout:
   /// set k occupies nodes[offsets[k] .. offsets[k+1]), offsets.front() == 0,
   /// offsets.back() == nodes.size()) as one arena chunk — a move, no per-set
-  /// copy — and indexes the new sets batched. The sets get the next dense
-  /// ids in order, and each node's postings stay ascending. Returns the id
-  /// of the first adopted set. The only way sets enter a pool.
+  /// copy. The sets get the next dense ids in order. Returns the id of the
+  /// first adopted set. The only way sets enter a pool.
   std::uint32_t AdoptChunk(std::vector<NodeId>&& nodes,
                            std::span<const std::size_t> offsets);
 
@@ -117,12 +116,6 @@ class RrSetPool {
     return {set_begin_[id], set_offsets_[id + 1] - set_offsets_[id]};
   }
 
-  /// Ids of the sets containing `v`, ascending.
-  std::span<const std::uint32_t> Postings(NodeId v) const {
-    TIRM_DCHECK(v < num_nodes_);
-    return index_[v];
-  }
-
   /// Packed node -> set-bitmap transpose covering at least the first
   /// `up_to` sets, built/extended lazily on first call (concurrent calls
   /// serialize on an internal mutex). Reading the returned transpose while
@@ -135,8 +128,8 @@ class RrSetPool {
   /// included in MemoryBytes().
   std::size_t TransposeBytes() const TIRM_EXCLUDES(transpose_mutex_);
 
-  /// Exact bytes held (arena + inverted index + transpose + bookkeeping),
-  /// from container capacities.
+  /// Exact bytes held (arena + transpose + bookkeeping), from container
+  /// capacities.
   std::size_t MemoryBytes() const TIRM_EXCLUDES(transpose_mutex_);
 
  private:
@@ -151,9 +144,8 @@ class RrSetPool {
   // The arena: adopted buffers, immutable once adopted. Moving a buffer in
   // keeps its data(), so SetMembers spans are stable across growth.
   std::vector<std::vector<NodeId>> chunks_;
-  std::vector<std::vector<std::uint32_t>> index_;  // node -> set ids
-  // Lazy packed transpose for the bitmap coverage kernel — logically const
-  // derived state, hence buildable through const accessors.
+  // Lazy packed transpose, the node -> set index of every coverage view —
+  // logically const derived state, hence buildable through const accessors.
   mutable Mutex transpose_mutex_;
   mutable std::unique_ptr<CoverageTranspose> transpose_
       TIRM_GUARDED_BY(transpose_mutex_);

@@ -63,8 +63,7 @@ Status LocalShardClient::EnsureAd(AdId ad) {
   if (slot.entry == nullptr) {
     slot.entry = store_->Acquire(store_->SignatureForAd(*instance_, ad),
                                  instance_->EdgeProbsForAd(ad));
-    slot.view = std::make_unique<RrCollection>(&slot.entry->sets(),
-                                               run_.coverage_kernel);
+    slot.view = std::make_unique<RrCollection>(&slot.entry->sets());
     slot.in_seed_set.assign(store_->graph()->num_nodes(), 0);
   }
   return Status::OK();
@@ -180,36 +179,13 @@ Result<std::vector<std::uint32_t>> LocalShardClient::DenseCoverage(AdId ad) {
   return counts;
 }
 
-CoveredWordDelta LocalShardClient::DeltaFor(const AdSlot& slot, NodeId v,
-                                            std::uint32_t local_first) const {
-  CoveredWordDelta delta;
-  const auto attached = static_cast<std::uint32_t>(slot.view->NumSets());
-  std::uint32_t cur_word = 0;
-  std::uint64_t cur_bits = 0;
-  for (const std::uint32_t id : slot.entry->sets().Postings(v)) {
-    if (id < local_first) continue;
-    if (id >= attached) break;  // postings are ascending
-    if (slot.view->IsCovered(id)) continue;
-    const auto word = static_cast<std::uint32_t>(id / kCoverageWordBits);
-    if (word != cur_word && cur_bits != 0) {
-      delta.words.emplace_back(cur_word, cur_bits);
-      cur_bits = 0;
-    }
-    cur_word = word;
-    cur_bits |= std::uint64_t{1} << (id % kCoverageWordBits);
-    ++delta.newly_covered;
-  }
-  if (cur_bits != 0) delta.words.emplace_back(cur_word, cur_bits);
-  return delta;
-}
-
 Result<CoveredWordDelta> LocalShardClient::Commit(AdId ad, NodeId v) {
   TIRM_RETURN_NOT_OK(EnsureAd(ad));
   AdSlot& slot = slots_[static_cast<std::size_t>(ad)];
   if (v >= slot.view->num_nodes()) {
     return Status::InvalidArgument("commit for unknown node");
   }
-  CoveredWordDelta delta = DeltaFor(slot, v, 0);
+  CoveredWordDelta delta = slot.view->UncoveredWords(v, 0);
   const std::uint32_t newly = slot.view->CommitSeed(v);
   TIRM_CHECK_EQ(static_cast<std::uint64_t>(newly), delta.newly_covered);
   slot.in_seed_set[v] = 1;
@@ -225,8 +201,8 @@ Result<CoveredWordDelta> LocalShardClient::CommitOnRange(
   }
   const std::uint64_t local_first = ShardPrefixCount(
       global_first_set, run_.chunk_sets, num_shards(), shard_index());
-  CoveredWordDelta delta =
-      DeltaFor(slot, v, static_cast<std::uint32_t>(local_first));
+  CoveredWordDelta delta = slot.view->UncoveredWords(
+      v, static_cast<std::uint32_t>(local_first));
   const std::uint32_t newly = slot.view->CommitSeedOnRange(
       v, static_cast<std::uint32_t>(local_first));
   TIRM_CHECK_EQ(static_cast<std::uint64_t>(newly), delta.newly_covered);

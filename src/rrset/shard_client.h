@@ -5,7 +5,7 @@
 // coordinator never touches shard pools directly; it drives K of these
 // clients:
 //
-//   BeginRun      — per-run handshake (store parameters + coverage kernel)
+//   BeginRun      — per-run handshake (store parameters + KPT knobs)
 //   EnsureSets    — grow the shard's owned chunks toward a GLOBAL θ
 //   Attach        — expose a global pool prefix to the shard's view
 //   KptEstimate   — KPT*(s) from shard 0's width cache (every shard derives
@@ -57,7 +57,7 @@ class ProblemInstance;  // topic/instance.h
 /// Per-run handshake. Everything a shard needs that is not derivable from
 /// its bundle/graph: the store identity (seed, threads, chunking, sampler
 /// kernel — all of which the pool contents are a pure function of) and the
-/// run's coverage/KPT knobs. A local client validates these against its
+/// run's KPT knobs. A local client validates these against its
 /// store; a remote client ships them to the worker, which creates or
 /// reuses a matching shard store.
 struct ShardRunConfig {
@@ -66,7 +66,6 @@ struct ShardRunConfig {
   int num_threads = 1;  ///< resolved sampling workers (never 0)
   std::uint64_t chunk_sets = 4096;
   SamplerKernel sampler_kernel = SamplerKernel::kAuto;
-  CoverageKernel coverage_kernel = CoverageKernel::kAuto;
   double kpt_ell = 1.0;
   std::uint64_t kpt_max_samples = 1 << 17;
 };
@@ -182,10 +181,6 @@ class LocalShardClient final : public RrShardClient {
 
   /// Lazily acquires the ad's pool entry + coverage view.
   Status EnsureAd(AdId ad);
-  /// Builds the commit word delta for v over postings in
-  /// [local_first, attached), BEFORE committing.
-  CoveredWordDelta DeltaFor(const AdSlot& slot, NodeId v,
-                            std::uint32_t local_first) const;
 
   RrSampleStore* store_;
   const ProblemInstance* instance_;

@@ -66,7 +66,7 @@ TimResult RunTim(const Graph& graph, std::span<const float> edge_probs,
     ScopedTimer timer(result.selection_seconds);
     obs::TraceSpan span("tim_selection");
     span.Counter("k", static_cast<double>(k));
-    RrCollection collection(&pool, options.coverage_kernel);
+    RrCollection collection(&pool);
     collection.AttachUpTo(static_cast<std::uint32_t>(pool.NumSets()));
 
     CoverageHeap heap(&collection);

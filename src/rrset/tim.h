@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sampler_kernel.h"
 #include "rrset/theta.h"
 
@@ -43,9 +42,6 @@ struct TimResult {
 struct TimOptions {
   ThetaParams theta;            ///< ε, ℓ, caps
   std::uint64_t kpt_max_samples = 1 << 20;
-  /// Coverage data path for the greedy Max k-Cover phase (kAuto resolves
-  /// to the packed bitmap kernel; selections are kernel-invariant).
-  CoverageKernel coverage_kernel = CoverageKernel::kAuto;
   /// RR-sampling kernel for phases 1 and 2 (kAuto resolves to the classic
   /// per-edge reference; skip is statistically equivalent but consumes the
   /// random stream differently — see rrset/sampler_kernel.h).

@@ -4,11 +4,8 @@
 
 namespace tirm {
 
-WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool,
-                                           CoverageKernel kernel)
-    : pool_(pool),
-      kernel_(ResolveCoverageKernel(kernel)),
-      num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
+WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool)
+    : pool_(pool), num_nodes_(pool != nullptr ? pool->num_nodes() : 0) {
   TIRM_CHECK(pool_ != nullptr);
 }
 
@@ -17,27 +14,13 @@ void WeightedRrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
   survival_.resize(count, 1.0f);
-  if (kernel_ != CoverageKernel::kScalar) {
-    transpose_ = &pool_->EnsureTranspose(count);
-    dead_words_.resize(CoverageWordsFor(count), 0);
-  }
+  transpose_ = &pool_->EnsureTranspose(count);
+  dead_words_.resize(CoverageWordsFor(count), 0);
   attached_ = count;
 }
 
 double WeightedRrCollection::CoverageOf(NodeId v) const {
   TIRM_DCHECK(v < num_nodes_);
-  if (kernel_ != CoverageKernel::kScalar) return BitmapCoverageOf(v);
-  double cov = 0.0;
-  for (const std::uint32_t id : pool_->Postings(v)) {
-    if (id >= attached_) break;  // postings ascend; rest not attached yet
-    // Dead sets hold exactly 0.0f, an exact no-op to add — which is what
-    // keeps this sum bit-identical to the bitmap gather that skips them.
-    cov += static_cast<double>(survival_[id]);
-  }
-  return cov;
-}
-
-double WeightedRrCollection::BitmapCoverageOf(NodeId v) const {
   if (attached_ == 0) return 0.0;
   const std::uint64_t* row = transpose_->Row(v);
   const std::uint64_t* dead = dead_words_.data();
@@ -65,41 +48,14 @@ double WeightedRrCollection::CommitSeedOnRange(NodeId v, double accept_prob,
                                                std::uint32_t first_set) {
   TIRM_CHECK_LT(v, num_nodes_);
   TIRM_CHECK(accept_prob >= 0.0 && accept_prob <= 1.0);
-  if (kernel_ != CoverageKernel::kScalar) {
-    return BitmapCommitRange(v, accept_prob, first_set);
-  }
-  double covered_before = 0.0;
-  for (const std::uint32_t id : pool_->Postings(v)) {
-    if (id >= attached_) break;  // postings ascend; rest not attached yet
-    if (id < first_set) continue;
-    const double s_old = survival_[id];
-    if (s_old <= 0.0) continue;
-    covered_before += s_old;
-    const double s_new = s_old * (1.0 - accept_prob);
-    const double delta = s_old - s_new;
-    if (delta <= 0.0) continue;
-    survival_[id] = static_cast<float>(s_new);
-    covered_mass_ += delta;
-  }
-  return covered_before;
-}
-
-double WeightedRrCollection::BitmapCommitRange(NodeId v, double accept_prob,
-                                               std::uint32_t first_set) {
   if (first_set >= attached_) return 0.0;
   const std::uint64_t* row = transpose_->Row(v);
   std::uint64_t* dead = dead_words_.data();
   const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
-  const std::size_t first_word = first_set / kCoverageWordBits;
-  const std::uint64_t first_rem = first_set % kCoverageWordBits;
   double covered_before = 0.0;
-  for (std::size_t w = first_word; w < words; ++w) {
-    std::uint64_t lanes = row[w] & ~dead[w];
-    if (w == first_word && first_rem != 0) {
-      lanes &= ~((std::uint64_t{1} << first_rem) - 1);
-    }
-    if (w == words - 1) lanes &= tail_mask;
+  for (std::size_t w = first_set / kCoverageWordBits; w < words; ++w) {
+    std::uint64_t lanes =
+        row[w] & ~dead[w] & CoverageLaneMask(w, first_set, attached_);
     while (lanes != 0) {
       const int bit = std::countr_zero(lanes);
       lanes &= lanes - 1;

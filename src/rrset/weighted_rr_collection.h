@@ -18,16 +18,15 @@
 // Committing with δ = 1 reproduces the paper's removal semantics exactly.
 //
 // Like RrCollection, this is a mutable coverage *view*: the flattened sets
-// and inverted index are borrowed from an RrSetPool (rrset/sample_store.h)
-// — shared with every other consumer of the same samples — while survival
-// weights are per-view state. Marginal coverage is a deterministic *gather*
-// in ascending set order under both kernels (rrset/coverage_bitmap.h):
-// the scalar kernel walks the inverted-index postings, the bitmap kernel
-// walks the surviving lanes of Row(v) & ~dead — identical addition order
-// over identical values (a dead set contributes exactly 0.0, an exact
-// no-op), so the two kernels return bit-identical doubles and make
-// bit-identical selections. Commits discount survival in place — no
-// per-node scatter — so commit cost is O(postings(v)).
+// and their packed transpose are borrowed from an RrSetPool
+// (rrset/sample_store.h) — shared with every other consumer of the same
+// samples — while survival weights are per-view state. Marginal coverage is
+// a deterministic *gather* in ascending set order over the surviving lanes
+// of Row(v) & ~dead (rrset/coverage_bitmap.h). A dead set contributes
+// exactly 0.0, an exact no-op, so the sum equals a gather over every set
+// containing v — the scalar reference in tests/coverage_oracle.h — bit for
+// bit. Commits discount survival in place — no per-node scatter — so
+// commit cost is O(words + sets containing v).
 
 #ifndef TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
 #define TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
@@ -48,8 +47,7 @@ class WeightedRrCollection {
  public:
   /// Borrows `pool` (not owned; must outlive the view). Starts with zero
   /// attached sets — call AttachUpTo() to expose a pool prefix.
-  explicit WeightedRrCollection(const RrSetPool* pool,
-                                CoverageKernel kernel = CoverageKernel::kAuto);
+  explicit WeightedRrCollection(const RrSetPool* pool);
 
   /// Exposes pool sets [NumSets(), count) with survival 1.
   void AttachUpTo(std::uint32_t count);
@@ -58,8 +56,8 @@ class WeightedRrCollection {
   NodeId num_nodes() const { return num_nodes_; }
 
   /// Weighted (marginal) coverage of `v`: Σ survival over attached sets
-  /// containing v, gathered fresh in ascending set order (bit-identical
-  /// across kernels; see file comment).
+  /// containing v, gathered fresh in ascending set order (see file
+  /// comment).
   double CoverageOf(NodeId v) const;
 
   /// Survival weight of attached set `id`.
@@ -103,36 +101,27 @@ class WeightedRrCollection {
   /// Fills `cov[v]` with CoverageOf(v) for every node in one O(arena) pass
   /// over the attached sets. Because sets are visited in ascending id order,
   /// each node's sum accumulates in exactly the gather order of CoverageOf,
-  /// so the doubles are bit-identical (and kernel-independent). Used by
-  /// WeightedCoverageHeap::Rebuild.
+  /// so the doubles are bit-identical. Used by WeightedCoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<double>& cov) const;
 
-  /// Bytes held by this view's bookkeeping — survival weights plus, under
-  /// the bitmap kernel, the dead-lane words. The pool (including its shared
-  /// transpose) is accounted once via pool()->MemoryBytes().
+  /// Bytes held by this view's bookkeeping — survival weights plus the
+  /// dead-lane words. The pool (including its shared transpose) is
+  /// accounted once via pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
-
-  /// The kernel this view runs on (resolved; never kAuto).
-  CoverageKernel kernel() const { return kernel_; }
 
   const RrSetPool* pool() const { return pool_; }
 
  private:
-  double BitmapCoverageOf(NodeId v) const;
-  double BitmapCommitRange(NodeId v, double accept_prob,
-                           std::uint32_t first_set);
-
   const RrSetPool* pool_;
-  CoverageKernel kernel_;
   NodeId num_nodes_ = 0;
   std::uint32_t attached_ = 0;
   double covered_mass_ = 0.0;
   std::vector<float> survival_;  // per attached set
 
-  // Bitmap kernel state: lanes whose survival has hit exactly 0 (δ = 1
-  // commits — the paper's removal semantics) are marked dead so gathers
-  // skip them word-parallel; see rr_collection.h on why the transpose
-  // pointer is refreshed per attach.
+  // Lanes whose survival has hit exactly 0 (δ = 1 commits — the paper's
+  // removal semantics) are marked dead so gathers skip them word-parallel;
+  // see rr_collection.h on why the transpose pointer is refreshed per
+  // attach.
   const CoverageTranspose* transpose_ = nullptr;
   CoverageWordBuffer dead_words_;
 };

@@ -7,6 +7,7 @@
 
 #include "common/json.h"
 #include "obs/metrics_registry.h"
+#include "serve/json_fields.h"
 
 namespace tirm {
 namespace serve {
@@ -26,10 +27,7 @@ Result<bool> MemberBool(const JsonValue& obj, const std::string& key,
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return def;
   Result<bool> b = v->AsBool();
-  if (!b.ok()) {
-    return Status(b.status().code(),
-                  std::string("field \"") + key + "\": " + b.status().message());
-  }
+  if (!b.ok()) return FieldError(key, b.status());
   return b;
 }
 
@@ -45,24 +43,13 @@ const std::set<std::string>& RequestConfigKeys() {
   static const std::set<std::string> kKeys = {
       "max_total_seeds", "min_drop", "eps", "ell", "theta_cap", "theta_min",
       "kpt_max_samples", "threads", "weight_by_ctp",
-      "exact_selection_fallback", "ctp_aware_coverage", "coverage_kernel",
-      "sampler_kernel", "num_shards", "irie_alpha", "irie_rank_iterations",
+      "exact_selection_fallback", "ctp_aware_coverage", "sampler_kernel",
+      "num_shards", "irie_alpha", "irie_rank_iterations",
       "irie_ap_truncation", "irie_max_push_hops", "mc_sims"};
   return kKeys;
 }
 
 namespace {
-
-Status CheckKnownKeys(const JsonValue& object, const std::set<std::string>& known,
-                      const char* where) {
-  for (const JsonValue::Member& m : object.members()) {
-    if (known.count(m.first) == 0) {
-      return Status::InvalidArgument(std::string("unknown key \"") + m.first +
-                                     "\" in " + where);
-    }
-  }
-  return Status::OK();
-}
 
 /// Bridges a flat JSON object to Flags pairs so the request reuses the
 /// exact strict parsers of the command line. Numbers contribute their raw
@@ -89,11 +76,6 @@ Result<std::vector<std::pair<std::string, std::string>>> ToFlagPairs(
   return pairs;
 }
 
-Status FieldError(const char* field, const Status& status) {
-  return Status(status.code(),
-                std::string("field \"") + field + "\": " + status.message());
-}
-
 void WriteQuery(JsonWriter& w, const EngineQuery& query) {
   w.BeginObject();
   w.Field("kappa", query.kappa);
@@ -116,7 +98,6 @@ void WriteConfig(JsonWriter& w, const AllocatorConfig& c) {
   w.Field("weight_by_ctp", c.weight_by_ctp);
   w.Field("exact_selection_fallback", c.exact_selection_fallback);
   w.Field("ctp_aware_coverage", c.ctp_aware_coverage);
-  w.Field("coverage_kernel", c.coverage_kernel);
   w.Field("sampler_kernel", c.sampler_kernel);
   w.Field("num_shards", c.num_shards);
   w.Field("irie_alpha", c.irie_alpha);
@@ -134,7 +115,7 @@ Result<double> MemberDouble(const JsonValue& obj, const std::string& key,
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return def;
   Result<double> d = v->AsDouble();
-  if (!d.ok()) return FieldError(key.c_str(), d.status());
+  if (!d.ok()) return FieldError(key, d.status());
   return d;
 }
 
@@ -143,7 +124,7 @@ Result<std::int64_t> MemberInt(const JsonValue& obj, const std::string& key,
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return def;
   Result<std::int64_t> i = v->AsInt();
-  if (!i.ok()) return FieldError(key.c_str(), i.status());
+  if (!i.ok()) return FieldError(key, i.status());
   return i;
 }
 
@@ -152,7 +133,7 @@ Result<std::string> MemberString(const JsonValue& obj, const std::string& key,
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return def;
   Result<std::string> s = v->AsString();
-  if (!s.ok()) return FieldError(key.c_str(), s.status());
+  if (!s.ok()) return FieldError(key, s.status());
   return s;
 }
 

@@ -6,28 +6,11 @@
 
 #include "common/json.h"
 #include "rrset/sampler_kernel.h"
+#include "serve/json_fields.h"
 
 namespace tirm {
 namespace serve {
 namespace {
-
-Status FieldError(const char* field, const Status& status) {
-  return Status(status.code(),
-                std::string("field \"") + field + "\": " + status.message());
-}
-
-Status CheckKeys(const JsonValue& root, const std::set<std::string>& known,
-                 const std::string& op) {
-  // Closed key sets, like serve/protocol.h: an unknown key is router/worker
-  // version skew the sender must hear about, not something to ignore.
-  for (const JsonValue::Member& m : root.members()) {
-    if (known.count(m.first) == 0) {
-      return Status::InvalidArgument("unknown key \"" + m.first +
-                                     "\" in shard op \"" + op + "\"");
-    }
-  }
-  return Status::OK();
-}
 
 Result<std::int64_t> RequireInt(const JsonValue& root, const char* key,
                                 std::int64_t lo, std::int64_t hi) {
@@ -151,7 +134,6 @@ std::string FormatBeginRequest(const ShardRunConfig& run, int shard_index,
   w.Field("num_threads", run.num_threads);
   w.Field("chunk_sets", run.chunk_sets);
   w.Field("sampler_kernel", SamplerKernelName(run.sampler_kernel));
-  w.Field("coverage_kernel", CoverageKernelName(run.coverage_kernel));
   w.Field("kpt_ell", run.kpt_ell);
   w.Field("kpt_max_samples", run.kpt_max_samples);
   w.Field("shard_index", shard_index);
@@ -274,6 +256,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   ShardOpRequest request;
   request.op = *op;
+  const std::string where = "shard op \"" + request.op + "\"";
 
   const auto require_ad = [&root, &request]() -> Status {
     Result<std::int64_t> ad =
@@ -292,10 +275,10 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   if (request.op == "begin") {
     static const std::set<std::string> kKeys = {
-        "op",          "num_ads",        "store_seed",      "num_threads",
-        "chunk_sets",  "sampler_kernel", "coverage_kernel", "kpt_ell",
-        "kpt_max_samples", "shard_index", "num_shards"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+        "op",          "num_ads",        "store_seed",  "num_threads",
+        "chunk_sets",  "sampler_kernel", "kpt_ell",     "kpt_max_samples",
+        "shard_index", "num_shards"};
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     Result<std::int64_t> num_ads = RequireInt(root, "num_ads", 0, 1 << 20);
     if (!num_ads.ok()) return num_ads.status();
     request.run.num_ads = static_cast<int>(*num_ads);
@@ -321,20 +304,6 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
       return FieldError("sampler_kernel", sampler_kernel.status());
     }
     request.run.sampler_kernel = *sampler_kernel;
-    const JsonValue* coverage = root.Find("coverage_kernel");
-    if (coverage == nullptr) {
-      return Status::InvalidArgument("missing field \"coverage_kernel\"");
-    }
-    Result<std::string> coverage_name = coverage->AsString();
-    if (!coverage_name.ok()) {
-      return FieldError("coverage_kernel", coverage_name.status());
-    }
-    Result<CoverageKernel> coverage_kernel =
-        ParseCoverageKernel(*coverage_name);
-    if (!coverage_kernel.ok()) {
-      return FieldError("coverage_kernel", coverage_kernel.status());
-    }
-    request.run.coverage_kernel = *coverage_kernel;
     const JsonValue* ell = root.Find("kpt_ell");
     if (ell == nullptr) {
       return Status::InvalidArgument("missing field \"kpt_ell\"");
@@ -360,7 +329,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   if (request.op == "ensure") {
     static const std::set<std::string> kKeys = {"op", "ad", "min_sets",
                                                 "attached"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     Result<std::int64_t> min_sets = RequireInt(root, "min_sets", 0, kMaxCount);
     if (!min_sets.ok()) return min_sets.status();
@@ -372,7 +341,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "kpt") {
     static const std::set<std::string> kKeys = {"op", "ad", "s"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     Result<std::int64_t> s = RequireInt(root, "s", 1, kMaxCount);
     if (!s.ok()) return s.status();
@@ -381,7 +350,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "attach") {
     static const std::set<std::string> kKeys = {"op", "ad", "count"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     Result<std::int64_t> count = RequireInt(root, "count", 0, kMaxCount);
     if (!count.ok()) return count.status();
@@ -390,7 +359,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "summary") {
     static const std::set<std::string> kKeys = {"op", "ad", "top_l"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     Result<std::int64_t> top_l = RequireInt(root, "top_l", 0, 0xFFFFFFFFll);
     if (!top_l.ok()) return top_l.status();
@@ -399,7 +368,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "counts") {
     static const std::set<std::string> kKeys = {"op", "ad", "nodes"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     const JsonValue* nodes = root.Find("nodes");
     if (nodes == nullptr || !nodes->is_array()) {
@@ -418,13 +387,13 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "dense" || request.op == "covered") {
     static const std::set<std::string> kKeys = {"op", "ad"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     return request;
   }
   if (request.op == "commit") {
     static const std::set<std::string> kKeys = {"op", "ad", "node"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     TIRM_RETURN_NOT_OK(require_node());
     return request;
@@ -432,7 +401,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   if (request.op == "commit_range") {
     static const std::set<std::string> kKeys = {"op", "ad", "node",
                                                 "first_set"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     TIRM_RETURN_NOT_OK(require_node());
     Result<std::int64_t> first = RequireInt(root, "first_set", 0, kMaxCount);
@@ -442,13 +411,13 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
   }
   if (request.op == "retire") {
     static const std::set<std::string> kKeys = {"op", "node"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_node());
     return request;
   }
   if (request.op == "memory") {
     static const std::set<std::string> kKeys = {"op"};
-    TIRM_RETURN_NOT_OK(CheckKeys(root, kKeys, request.op));
+    TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     return request;
   }
   return Status::InvalidArgument("unknown shard op \"" + request.op + "\"");

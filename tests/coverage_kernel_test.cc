@@ -1,27 +1,33 @@
 // Tests for the packed bitmap coverage kernel (src/rrset/coverage_bitmap.h)
-// and the kernel-parameterized coverage views:
-//  * golden end-to-end gate — every registered allocator makes bit-identical
-//    selections under --coverage_kernel=scalar and =bitmap;
-//  * randomized commit/recount parity between the two kernels (unweighted
-//    exact integers, weighted bit-identical doubles), including staged
-//    attaches and CommitSeedOnRange attribution;
+// and the coverage views built on it:
+//  * golden end-to-end selections — every registered allocator's seeds and
+//    iteration count, and TIRM's revenue estimates, pinned to recorded
+//    constants;
+//  * randomized commit/recount parity against the scalar oracle of
+//    tests/coverage_oracle.h (unweighted exact integers, weighted
+//    bit-identical doubles), including staged attaches and
+//    CommitSeedOnRange attribution;
 //  * SIMD tier equivalence (portable vs AVX2 word loops, same integers);
 //  * CoverageHeap tie-break regression (equal coverages pop lowest id,
-//    matching ArgMaxCoverage);
-//  * transpose laziness + byte accounting, and concurrent EnsureTranspose
-//    (exercised under TSan in CI).
+//    matching ArgMaxCoverage and the oracle);
+//  * transpose laziness + byte accounting, transpose extensions against a
+//    member scatter, and concurrent EnsureTranspose (exercised under TSan
+//    in CI).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "api/allocator_config.h"
 #include "api/allocator_registry.h"
+#include "common/hashing.h"
 #include "common/rng.h"
+#include "coverage_oracle.h"
 #include "datasets/dataset.h"
 #include "rrset/coverage_bitmap.h"
 #include "rrset/rr_collection.h"
@@ -31,31 +37,6 @@
 
 namespace tirm {
 namespace {
-
-// ------------------------------------------------------------ kernel parsing
-
-TEST(CoverageKernelTest, ParseAndNameRoundTrip) {
-  for (const char* name : {"auto", "scalar", "bitmap"}) {
-    Result<CoverageKernel> parsed = ParseCoverageKernel(name);
-    ASSERT_TRUE(parsed.ok()) << name;
-    EXPECT_STREQ(CoverageKernelName(parsed.value()), name);
-  }
-  EXPECT_FALSE(ParseCoverageKernel("avx2").ok());
-  EXPECT_FALSE(ParseCoverageKernel("").ok());
-  EXPECT_EQ(ResolveCoverageKernel(CoverageKernel::kAuto),
-            CoverageKernel::kBitmap);
-  EXPECT_EQ(ResolveCoverageKernel(CoverageKernel::kScalar),
-            CoverageKernel::kScalar);
-}
-
-TEST(CoverageKernelTest, AllocatorConfigRejectsUnknownKernel) {
-  AllocatorConfig config;
-  config.coverage_kernel = "simd";
-  EXPECT_FALSE(config.Validate().ok());
-  config.coverage_kernel = "scalar";
-  EXPECT_TRUE(config.Validate().ok());
-  EXPECT_EQ(config.MakeTirmOptions().coverage_kernel, CoverageKernel::kScalar);
-}
 
 // --------------------------------------------------------- word-loop helpers
 
@@ -132,33 +113,31 @@ TEST(CoverageKernelTest, RandomizedUnweightedParityWithStagedAttaches) {
   // 300 sets: several words plus a partial tail; attach in uneven stages so
   // partial-word boundaries move through commits.
   std::unique_ptr<RrSetPool> pool = RandomPool(n, 300, 4, rng);
-  RrCollection scalar(pool.get(), CoverageKernel::kScalar);
-  RrCollection bitmap(pool.get(), CoverageKernel::kBitmap);
-  ASSERT_EQ(scalar.kernel(), CoverageKernel::kScalar);
-  ASSERT_EQ(bitmap.kernel(), CoverageKernel::kBitmap);
+  CoverageOracle oracle(pool.get());
+  RrCollection bitmap(pool.get());
 
   std::uint32_t attached = 0;
   for (const std::uint32_t stage : {63u, 64u, 130u, 257u, 300u}) {
-    scalar.AttachUpTo(stage);
+    oracle.AttachUpTo(stage);
     bitmap.AttachUpTo(stage);
     // Attribute the new sets to two fixed "existing seeds" (Algorithm 4
     // path), then commit a few random fresh seeds.
     for (const NodeId seed : {NodeId{3}, NodeId{77}}) {
-      EXPECT_EQ(scalar.CommitSeedOnRange(seed, attached),
+      EXPECT_EQ(oracle.CommitSeedOnRange(seed, attached),
                 bitmap.CommitSeedOnRange(seed, attached));
     }
     for (int k = 0; k < 5; ++k) {
       const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
-      EXPECT_EQ(scalar.CommitSeed(v), bitmap.CommitSeed(v));
+      EXPECT_EQ(oracle.CommitSeed(v), bitmap.CommitSeed(v));
     }
-    EXPECT_EQ(scalar.NumCovered(), bitmap.NumCovered());
+    EXPECT_EQ(oracle.NumCovered(), bitmap.NumCovered());
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(scalar.CoverageOf(v), bitmap.CoverageOf(v)) << "node " << v;
+      ASSERT_EQ(oracle.CoverageOf(v), bitmap.CoverageOf(v)) << "node " << v;
     }
     for (std::uint32_t id = 0; id < stage; ++id) {
-      ASSERT_EQ(scalar.IsCovered(id), bitmap.IsCovered(id)) << "set " << id;
+      ASSERT_EQ(oracle.IsCovered(id), bitmap.IsCovered(id)) << "set " << id;
     }
-    EXPECT_EQ(scalar.ArgMaxCoverage([](NodeId) { return true; }),
+    EXPECT_EQ(oracle.ArgMaxCoverage(),
               bitmap.ArgMaxCoverage([](NodeId) { return true; }));
     attached = stage;
   }
@@ -168,34 +147,34 @@ TEST(CoverageKernelTest, RandomizedWeightedParityIsBitIdentical) {
   Rng rng(77);
   const NodeId n = 90;
   std::unique_ptr<RrSetPool> pool = RandomPool(n, 200, 4, rng);
-  WeightedRrCollection scalar(pool.get(), CoverageKernel::kScalar);
-  WeightedRrCollection bitmap(pool.get(), CoverageKernel::kBitmap);
+  WeightedCoverageOracle oracle(pool.get());
+  WeightedRrCollection bitmap(pool.get());
 
   std::uint32_t attached = 0;
   for (const std::uint32_t stage : {65u, 128u, 200u}) {
-    scalar.AttachUpTo(stage);
+    oracle.AttachUpTo(stage);
     bitmap.AttachUpTo(stage);
     for (const NodeId seed : {NodeId{1}, NodeId{42}}) {
       const double delta = 0.25;
-      EXPECT_EQ(scalar.CommitSeedOnRange(seed, delta, attached),
+      EXPECT_EQ(oracle.CommitSeedOnRange(seed, delta, attached),
                 bitmap.CommitSeedOnRange(seed, delta, attached));
     }
     for (int k = 0; k < 6; ++k) {
       const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
       // Mix of fractional discounts and removal-style δ = 1 (dead lanes).
       const double delta = (k % 3 == 0) ? 1.0 : rng.NextDouble();
-      // Bit-identical, not approximately equal: both kernels gather in
-      // ascending set order over identical values.
-      EXPECT_EQ(scalar.CommitSeed(v, delta), bitmap.CommitSeed(v, delta));
+      // Bit-identical, not approximately equal: both gather in ascending
+      // set order over identical values.
+      EXPECT_EQ(oracle.CommitSeed(v, delta), bitmap.CommitSeed(v, delta));
     }
-    EXPECT_EQ(scalar.CoveredMass(), bitmap.CoveredMass());
+    EXPECT_EQ(oracle.CoveredMass(), bitmap.CoveredMass());
     for (NodeId v = 0; v < n; ++v) {
-      ASSERT_EQ(scalar.CoverageOf(v), bitmap.CoverageOf(v)) << "node " << v;
+      ASSERT_EQ(oracle.CoverageOf(v), bitmap.CoverageOf(v)) << "node " << v;
     }
     for (std::uint32_t id = 0; id < stage; ++id) {
-      ASSERT_EQ(scalar.Survival(id), bitmap.Survival(id)) << "set " << id;
+      ASSERT_EQ(oracle.Survival(id), bitmap.Survival(id)) << "set " << id;
     }
-    EXPECT_EQ(scalar.ArgMaxCoverage([](NodeId) { return true; }),
+    EXPECT_EQ(oracle.ArgMaxCoverage(),
               bitmap.ArgMaxCoverage([](NodeId) { return true; }));
     attached = stage;
   }
@@ -207,8 +186,7 @@ TEST(CoverageHeapTest, EqualCoveragesPopLowestNodeId) {
   // Nodes 9, 4, and 7 each cover exactly two (disjoint) sets. The heap must
   // pop them in id order — matching ArgMaxCoverage's first-maximum scan —
   // not in whatever order make_heap left equal keys.
-  PooledView<RrCollection> p(12, {{9}, {9}, {4}, {4}, {7}, {7}},
-                              CoverageKernel::kScalar);
+  PooledView<RrCollection> p(12, {{9}, {9}, {4}, {4}, {7}, {7}});
   RrCollection& c = p.view;
   EXPECT_EQ(c.ArgMaxCoverage([](NodeId) { return true; }), 4u);
 
@@ -222,21 +200,20 @@ TEST(CoverageHeapTest, EqualCoveragesPopLowestNodeId) {
   EXPECT_EQ(heap.PopBest([](NodeId) { return true; }), 9u);
 }
 
-TEST(CoverageHeapTest, TieBreakMatchesArgMaxUnderBothKernels) {
+TEST(CoverageHeapTest, TieBreakMatchesOracleArgMax) {
   Rng rng(5);
   std::unique_ptr<RrSetPool> pool = RandomPool(40, 96, 3, rng);
-  for (const CoverageKernel kernel :
-       {CoverageKernel::kScalar, CoverageKernel::kBitmap}) {
-    RrCollection c(pool.get(), kernel);
-    c.AttachUpTo(96);
-    CoverageHeap heap(&c);
-    for (int i = 0; i < 10; ++i) {
-      const NodeId by_scan = c.ArgMaxCoverage([](NodeId) { return true; });
-      const NodeId by_heap = heap.PopBest([](NodeId) { return true; });
-      ASSERT_EQ(by_heap, by_scan) << "iteration " << i;
-      if (by_heap == kInvalidNode) break;
-      c.CommitSeed(by_heap);
-    }
+  CoverageOracle oracle(pool.get());
+  RrCollection c(pool.get());
+  oracle.AttachUpTo(96);
+  c.AttachUpTo(96);
+  CoverageHeap heap(&c);
+  for (int i = 0; i < 10; ++i) {
+    const NodeId by_oracle = oracle.ArgMaxCoverage();
+    const NodeId by_heap = heap.PopBest([](NodeId) { return true; });
+    ASSERT_EQ(by_heap, by_oracle) << "iteration " << i;
+    if (by_heap == kInvalidNode) break;
+    EXPECT_EQ(c.CommitSeed(by_heap), oracle.CommitSeed(by_heap));
   }
 }
 
@@ -248,15 +225,9 @@ TEST(CoverageTransposeTest, BuiltLazilyAndCountedInMemoryBytes) {
   EXPECT_EQ(pool->TransposeBytes(), 0u);
   const std::size_t before = pool->MemoryBytes();
 
-  // A scalar view never touches the transpose.
-  RrCollection scalar(pool.get(), CoverageKernel::kScalar);
-  scalar.AttachUpTo(70);
-  EXPECT_EQ(pool->TransposeBytes(), 0u);
-  EXPECT_EQ(pool->MemoryBytes(), before);
-
-  // The first bitmap attach builds it; the pool's accounting grows by
-  // exactly the transpose bytes.
-  RrCollection bitmap(pool.get(), CoverageKernel::kBitmap);
+  // The first attach builds it; the pool's accounting grows by exactly the
+  // transpose bytes.
+  RrCollection bitmap(pool.get());
   bitmap.AttachUpTo(70);
   const std::size_t transpose_bytes = pool->TransposeBytes();
   EXPECT_GT(transpose_bytes, 0u);
@@ -286,71 +257,114 @@ TEST(CoverageTransposeTest, ConcurrentEnsureIsSerialized) {
   EXPECT_EQ(pool->EnsureTranspose(128).built_sets(), 128u);
 
   // Post-join parity: the concurrently built transpose serves correct rows.
-  RrCollection scalar(pool.get(), CoverageKernel::kScalar);
-  RrCollection bitmap(pool.get(), CoverageKernel::kBitmap);
-  scalar.AttachUpTo(128);
+  CoverageOracle oracle(pool.get());
+  RrCollection bitmap(pool.get());
+  oracle.AttachUpTo(128);
   bitmap.AttachUpTo(128);
   for (NodeId v = 0; v < 60; ++v) {
-    ASSERT_EQ(scalar.CoverageOf(v), bitmap.CoverageOf(v));
+    ASSERT_EQ(oracle.CoverageOf(v), bitmap.CoverageOf(v));
+  }
+}
+
+// The rows must equal a member scatter after each extension, including a
+// second extension that starts mid-word and re-strides the rows.
+TEST(CoverageTransposeTest, ExtensionsMatchMemberScatter) {
+  Rng rng(4096);
+  std::unique_ptr<RrSetPool> pool = RandomPool(300, 1100, 6, rng);
+  const std::vector<std::vector<NodeId>> sets = SetsOf(*pool);
+  std::size_t stride = 0;
+  for (const std::uint32_t up_to : {100u, 1100u}) {  // 100 % 64 == 36
+    const CoverageTranspose& t = pool->EnsureTranspose(up_to);
+    ASSERT_EQ(t.built_sets(), up_to);
+    EXPECT_GT(t.words_per_row(), stride);
+    stride = t.words_per_row();
+    ExpectRowsMatch(t, std::span(sets).first(up_to));
   }
 }
 
 // ----------------------------------------------- golden end-to-end selections
 
-AllocationResult RunWithKernel(const std::string& allocator,
-                               const std::string& kernel,
-                               const ProblemInstance& instance,
-                               std::uint64_t seed, bool ctp_aware = false) {
-  AllocatorConfig config;
-  config.allocator = allocator;
-  config.eps = 0.3;
-  config.theta_cap = 1 << 14;
-  config.mc_sims = 200;
-  config.coverage_kernel = kernel;
-  config.ctp_aware_coverage = ctp_aware;
-  Result<std::unique_ptr<Allocator>> made =
-      AllocatorRegistry::Global().Create(config);
-  EXPECT_TRUE(made.ok()) << made.status().ToString();
-  Rng rng(seed);
-  return made.value()->Allocate(instance, rng);
+// Hash of what an allocator run decided: per-ad seeds, the iteration count
+// and, when `with_revenue`, the exact bits of the per-ad revenue estimates.
+std::uint64_t HashRun(const AllocationResult& r, bool with_revenue) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const std::vector<NodeId>& ad : r.allocation.seeds) {
+    const auto size = static_cast<std::uint64_t>(ad.size());
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, ad.data(), ad.size() * sizeof(NodeId));
+  }
+  if (with_revenue) {
+    h = HashBytes(h, r.estimated_revenue.data(),
+                  r.estimated_revenue.size() * sizeof(double));
+  }
+  const auto iterations = static_cast<std::uint64_t>(r.iterations);
+  h = HashBytes(h, &iterations, sizeof(iterations));
+  return FinalizeHash(h);
 }
 
-void ExpectKernelInvariantRuns(const BuiltInstance& built,
-                               const std::vector<std::string>& allocators,
-                               bool ctp_aware = false) {
+struct GoldenRun {
+  const char* allocator;
+  std::uint64_t hash;
+};
+
+// Runs each allocator once (λ = 0.1, κ = 1, rng seed 99) and compares its
+// HashRun with the constant, which was recorded when a scalar postings
+// kernel still ran beside the bitmap one and both gave these values.
+void ExpectGoldenRuns(const BuiltInstance& built,
+                      const std::vector<GoldenRun>& runs,
+                      bool ctp_aware = false) {
   const ProblemInstance instance = built.MakeInstance(1, 0.1);
-  for (const std::string& name : allocators) {
-    const AllocationResult scalar =
-        RunWithKernel(name, "scalar", instance, 99, ctp_aware);
-    const AllocationResult bitmap =
-        RunWithKernel(name, "bitmap", instance, 99, ctp_aware);
-    EXPECT_EQ(scalar.allocation.seeds, bitmap.allocation.seeds) << name;
-    EXPECT_EQ(scalar.estimated_revenue, bitmap.estimated_revenue) << name;
-    EXPECT_EQ(scalar.iterations, bitmap.iterations) << name;
+  for (const GoldenRun& golden : runs) {
+    AllocatorConfig config;
+    config.allocator = golden.allocator;
+    config.eps = 0.3;
+    config.theta_cap = 1 << 14;
+    config.mc_sims = 200;
+    config.ctp_aware_coverage = ctp_aware;
+    Result<std::unique_ptr<Allocator>> made =
+        AllocatorRegistry::Global().Create(config);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    // Only TIRM reads its revenue estimates off the coverage views;
+    // greedy-mc's and greedy-irie's come from Monte-Carlo and IRIE, so
+    // their constants pin seeds and iterations only (myopic estimates none).
+    const bool with_revenue = std::string_view(golden.allocator) == "tirm";
+    Rng rng(99);
+    const std::uint64_t hash =
+        HashRun(made.value()->Allocate(instance, rng), with_revenue);
+    EXPECT_EQ(hash, golden.hash)
+        << golden.allocator << " got 0x" << std::hex << hash;
   }
 }
 
-TEST(CoverageKernelGoldenTest, AllFiveAllocatorsKernelInvariantOnFigure1) {
-  // The acceptance gate of the kernel refactor: switching the coverage data
-  // path must never change an allocation, for every registered allocator.
-  ExpectKernelInvariantRuns(BuildFigure1Instance(),
-                            AllocatorRegistry::Global().Names());
+TEST(CoverageKernelGoldenTest, AllFiveAllocatorsOnFigure1) {
+  EXPECT_EQ(AllocatorRegistry::Global().Names(),
+            (std::vector<std::string>{"greedy-irie", "greedy-mc", "myopic",
+                                      "myopic+", "tirm"}));
+  ExpectGoldenRuns(BuildFigure1Instance(),
+                   {{"greedy-irie", 0xe1d00a8a199d0253ULL},
+                    {"greedy-mc", 0x8d1e34af84f42c5bULL},
+                    {"myopic", 0x4c9143744baf3e19ULL},
+                    {"myopic+", 0x0142737761f5a0ccULL},
+                    {"tirm", 0x6d9b8b9b4198f1d7ULL}});
 }
 
-TEST(CoverageKernelGoldenTest, SamplingAllocatorsKernelInvariantOnPerTopic) {
+TEST(CoverageKernelGoldenTest, SamplingAllocatorsOnPerTopic) {
   Rng rng(2015);
   const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
   // greedy-mc is excluded: it is the small-graph MC reference oracle.
-  ExpectKernelInvariantRuns(built, {"tirm", "myopic", "myopic+",
-                                    "greedy-irie"});
+  ExpectGoldenRuns(built, {{"tirm", 0xe9d62c9d928dc1a0ULL},
+                           {"myopic", 0x7742535de895c58bULL},
+                           {"myopic+", 0x134f973d3e3e8d53ULL},
+                           {"greedy-irie", 0x73f1edb1086db470ULL}});
 }
 
-TEST(CoverageKernelGoldenTest, WeightedTirmKernelInvariantOnPerTopic) {
+TEST(CoverageKernelGoldenTest, WeightedTirmOnPerTopic) {
   Rng rng(2015);
   const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
-  // The survival-weighted backend relies on the gather argument (file
-  // comment of weighted_rr_collection.h) for its bit-identity.
-  ExpectKernelInvariantRuns(built, {"tirm"}, /*ctp_aware=*/true);
+  // The survival-weighted backend's bit-identity rests on the gather
+  // argument in the file comment of weighted_rr_collection.h.
+  ExpectGoldenRuns(built, {{"tirm", 0xbd4cea5e08af0451ULL}},
+                   /*ctp_aware=*/true);
 }
 
 }  // namespace

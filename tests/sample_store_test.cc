@@ -23,6 +23,7 @@
 #include "api/allocator_registry.h"
 #include "common/hashing.h"
 #include "common/rng.h"
+#include "coverage_oracle.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "rrset/rr_collection.h"
@@ -43,28 +44,25 @@ std::vector<float> ConstantProbs(const Graph& g, float p) {
 
 // ------------------------------------------------------------------ pool
 
-// Adopted chunks get dense ids in order (empty sets included), postings
-// stay ascending across chunks, and spans handed out before a later
-// adoption stay valid.
-TEST(RrSetPoolTest, AdoptedChunksKeepIdsPostingsAndSpans) {
+// Adopted chunks get dense ids in order (empty sets included), the
+// transpose rows hold exactly those ids across chunks, and spans handed out
+// before a later adoption stay valid.
+TEST(RrSetPoolTest, AdoptedChunksKeepIdsRowsAndSpans) {
   RrSetPool pool(5);
   const std::vector<std::size_t> first_offsets = {0, 2, 2, 4};
   EXPECT_EQ(pool.AdoptChunk({0, 1, 1, 2}, first_offsets), 0u);
   const std::span<const NodeId> first = pool.SetMembers(0);
   EXPECT_EQ(pool.AdoptChunk({3, 1, 4}, std::vector<std::size_t>{0, 2, 3}), 3u);
   ASSERT_EQ(pool.NumSets(), 5u);
-  EXPECT_EQ(SetsOf(pool), (std::vector<std::vector<NodeId>>{
-                              {0, 1}, {}, {1, 2}, {3, 1}, {4}}));
+  const std::vector<std::vector<NodeId>> sets = {
+      {0, 1}, {}, {1, 2}, {3, 1}, {4}};
+  EXPECT_EQ(SetsOf(pool), sets);
   ASSERT_EQ(first.size(), 2u);  // still points at live storage
   EXPECT_EQ(first[0], 0u);
   EXPECT_EQ(first[1], 1u);
-  const auto postings = [&pool](NodeId v) {
-    const std::span<const std::uint32_t> ids = pool.Postings(v);
-    return std::vector<std::uint32_t>(ids.begin(), ids.end());
-  };
-  EXPECT_EQ(postings(1), (std::vector<std::uint32_t>{0, 2, 3}));
-  EXPECT_EQ(postings(4), (std::vector<std::uint32_t>{4}));
-  EXPECT_EQ(postings(3), (std::vector<std::uint32_t>{3}));
+  const CoverageTranspose& transpose = pool.EnsureTranspose(5);
+  ExpectRowsMatch(transpose, sets);
+  EXPECT_EQ(transpose.Row(1)[0], 0b01101u);  // sets 0, 2 and 3
   EXPECT_GT(pool.MemoryBytes(), 0u);
 }
 
@@ -363,8 +361,13 @@ std::uint64_t HashPool(const RrSetPool& pool) {
     h = HashBytes(h, &size, sizeof(size));
     h = HashBytes(h, members.data(), members.size() * sizeof(NodeId));
   }
-  for (NodeId v = 0; v < pool.num_nodes(); ++v) {
-    const std::span<const std::uint32_t> ids = pool.Postings(v);
+  // Each node's ascending list of set ids, derived from the members: part
+  // of the bytes the constants below were recorded over.
+  std::vector<std::vector<std::uint32_t>> lists(pool.num_nodes());
+  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+    for (const NodeId v : pool.SetMembers(id)) lists[v].push_back(id);
+  }
+  for (const std::vector<std::uint32_t>& ids : lists) {
     h = HashBytes(h, ids.data(), ids.size() * sizeof(std::uint32_t));
   }
   return FinalizeHash(h);

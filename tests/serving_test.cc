@@ -1,5 +1,5 @@
 // Tests for the serving subsystem (src/serve/): bounded queue admission,
-// sweep-grid expansion, the NDJSON protocol codec, service metrics
+// sweep-grid expansion, the NDJSON protocol codecs, service metrics
 // identities, and — the core contract — bit-identical responses under
 // concurrent mixed load vs direct single-threaded engine runs.
 //
@@ -18,6 +18,7 @@
 #include "serve/allocation_service.h"
 #include "serve/protocol.h"
 #include "serve/request_queue.h"
+#include "serve/shard_protocol.h"
 
 namespace tirm {
 namespace serve {
@@ -274,6 +275,31 @@ TEST(ProtocolTest, ErrorResponsesRoundTripTyped) {
       ParseResponse(FormatResponse(expired));
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->status.code(), StatusCode::kDeadlineExceeded);
+}
+
+// A removed config key is an unknown key at both wire boundaries: the
+// client request codec and the shard plane's begin op answer it with a
+// typed error naming the key, never by ignoring it.
+TEST(ProtocolTest, RemovedCoverageKernelKeyIsTypedErrorAtBothBoundaries) {
+  Result<AllocationRequest> request = ParseRequest(
+      R"({"id":"k1","allocator":"tirm","config":{"coverage_kernel":"scalar"}})",
+      AllocationRequest());
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(request.status().message(),
+            R"(unknown key "coverage_kernel" in "config")");
+
+  ShardRunConfig run;
+  run.num_ads = 1;
+  std::string begin = FormatBeginRequest(run, 0, 2);
+  ASSERT_TRUE(ParseShardRequest(begin).ok()) << begin;
+  ASSERT_EQ(begin.back(), '}');
+  begin.insert(begin.size() - 1, R"(,"coverage_kernel":"auto")");
+  Result<ShardOpRequest> shard = ParseShardRequest(begin);
+  ASSERT_FALSE(shard.ok()) << begin;
+  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(shard.status().message(),
+            R"(unknown key "coverage_kernel" in shard op "begin")");
 }
 
 // ---------------------------------------------------------------- Service

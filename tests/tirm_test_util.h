@@ -25,7 +25,6 @@
 #include "alloc/tirm.h"
 #include "common/rng.h"
 #include "graph/generators.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/parallel_rr_builder.h"
 #include "rrset/sample_store.h"
 #include "topic/instance.h"
@@ -52,9 +51,8 @@ inline std::unique_ptr<RrSetPool> MakePool(
 /// declared first so it outlives the view.
 template <typename View>
 struct PooledView {
-  PooledView(NodeId num_nodes, const std::vector<std::vector<NodeId>>& sets,
-             CoverageKernel kernel = CoverageKernel::kAuto)
-      : pool(MakePool(num_nodes, sets)), view(pool.get(), kernel) {
+  PooledView(NodeId num_nodes, const std::vector<std::vector<NodeId>>& sets)
+      : pool(MakePool(num_nodes, sets)), view(pool.get()) {
     view.AttachUpTo(static_cast<std::uint32_t>(sets.size()));
   }
   std::unique_ptr<RrSetPool> pool;
