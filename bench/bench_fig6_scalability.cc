@@ -26,7 +26,6 @@
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
-#include "rrset/parallel_rr_builder.h"
 #include "rrset/sample_store.h"
 #include "rrset/sharded_store.h"
 
@@ -35,14 +34,17 @@ namespace {
 using namespace tirm;
 using namespace tirm::bench;
 
-// ---- Parallel RR-set engine: generation throughput vs worker threads.
+// ---- Parallel RR-set engine: store top-up time vs sampling threads.
 //
-// Samples a fixed batch of RR sets on the DBLP-shaped instance with
-// ParallelRrBuilder at 1/2/4/8 workers, adopting the parts into a pool as
-// a store top-up does, and reports sets/s plus the speedup over a single
-// worker. Also runs full TIRM serially and with the largest thread count
-// to confirm the allocations remain statistically equivalent (same #seeds
-// ballpark and revenue within Monte-Carlo noise).
+// Grows a fresh RrSampleStore pool for one ad of the DBLP-shaped instance
+// to a fixed set count in one EnsureSets call, with the default 4096-set
+// chunks, at 1/2/4/8 threads. That is the shape of every production top-up
+// (one sampling fan-out over all of the call's chunks, then adoption into
+// the pool), so a row times what TIRM's θ growth pays: the median of 5
+// top-ups, sets/s, and the speedup over the first row. Also runs full TIRM
+// serially and with the largest thread count to confirm the allocations
+// remain statistically equivalent (same #seeds ballpark and revenue within
+// Monte-Carlo noise).
 void RunThreadSweep(const BenchConfig& config,
                     const std::vector<int>& thread_counts, JsonValue* out) {
   Rng build_rng(config.seed + 101);
@@ -50,39 +52,52 @@ void RunThreadSweep(const BenchConfig& config,
                                            /*num_ads_override=*/1,
                                            /*budget_override=*/-1.0);
   const ProblemInstance inst = built.MakeInstance(/*kappa=*/1, /*lambda=*/0.0);
-  const std::uint64_t batch = 20000;
+  const std::uint64_t target = 20000;
+  const std::uint64_t chunk_sets = RrSampleStore::Options{}.chunk_sets;
 
-  std::printf("\n--- parallel RR-set engine: throughput vs threads (%llu sets, "
-              "dblp-like) ---\n",
-              static_cast<unsigned long long>(batch));
+  std::printf("\n--- parallel RR-set engine: store top-up vs threads (%llu "
+              "sets in %llu-set chunks, dblp-like) ---\n",
+              static_cast<unsigned long long>(target),
+              static_cast<unsigned long long>(chunk_sets));
   TablePrinter t({"threads", "seconds", "sets/s", "speedup", "avg |R|"});
   JsonValue rows = JsonValue::Array();
   double base_seconds = 0.0;
+  constexpr std::size_t kRepeats = 5;
   for (const int threads : thread_counts) {
-    ParallelRrBuilder builder(*built.graph, inst.EdgeProbsForAd(0),
-                              {.num_threads = threads});
-    Rng rng(config.seed + 202);  // same master stream per row
-    WallTimer timer;
-    RrSetPool pool(built.graph->num_nodes());
-    pool.ReserveSets(batch);
+    // Median of kRepeats top-ups, each on a fresh store with the same seed:
+    // only the thread count differs between rows.
+    std::vector<double> times;
+    std::uint64_t sets = 0;
     std::size_t nodes = 0;
-    for (ParallelRrBuilder::Batch& part : builder.SampleChunks(batch, rng)) {
-      nodes += part.nodes.size();
-      pool.AdoptChunk(std::move(part.nodes), part.offsets);
+    for (std::size_t r = 0; r < kRepeats; ++r) {
+      RrSampleStore store(&inst.graph(), {.seed = config.seed + 202,
+                                          .num_threads = threads});
+      RrSampleStore::AdPool* entry = store.Acquire(
+          store.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
+      WallTimer timer;
+      sets = store.EnsureSets(entry, target).sampled;
+      times.push_back(timer.Seconds());
+      const RrSetPool& pool = entry->sets();
+      nodes = 0;
+      for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+        nodes += pool.SetMembers(id).size();
+      }
     }
-    const double seconds = timer.Seconds();
+    std::sort(times.begin(), times.end());
+    const double seconds = times[kRepeats / 2];
     if (threads == thread_counts.front()) base_seconds = seconds;
     const double avg_size =
-        static_cast<double>(nodes) / static_cast<double>(pool.NumSets());
+        static_cast<double>(nodes) / static_cast<double>(sets);
     t.AddRow({TablePrinter::Int(threads), TablePrinter::Num(seconds, 3),
-              TablePrinter::Num(static_cast<double>(batch) / seconds, 0),
+              TablePrinter::Num(static_cast<double>(sets) / seconds, 0),
               TablePrinter::Num(base_seconds / seconds, 2),
               TablePrinter::Num(avg_size, 1)});
     JsonValue row = JsonValue::Object();
     row.Set("threads", JsonValue::Number(threads));
+    row.Set("sets", JsonValue::Number(static_cast<double>(sets)));
     row.Set("seconds", JsonValue::Number(seconds));
     row.Set("sets_per_second",
-            JsonValue::Number(static_cast<double>(batch) / seconds));
+            JsonValue::Number(static_cast<double>(sets) / seconds));
     row.Set("speedup", JsonValue::Number(base_seconds / seconds));
     rows.Append(std::move(row));
   }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "alloc/irie.h"
@@ -329,11 +330,10 @@ const std::vector<ParallelRrBuilder::Batch>& SharedSampledParts(int num_sets) {
     const SamplingFixture& f = SamplingFixture::Get();
     ParallelRrBuilder builder(f.graph, f.probs, {.num_threads = 4});
     Rng master(11);
-    it = cache
-             ->emplace(num_sets, builder.SampleChunks(
-                                     static_cast<std::uint64_t>(num_sets),
-                                     master))
-             .first;
+    std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
+        builder.SampleChunks(static_cast<std::uint64_t>(num_sets),
+                             {&master, 1});
+    it = cache->emplace(num_sets, std::move(chunks.front())).first;
   }
   return it->second;
 }

@@ -482,13 +482,12 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
         statuses[k] = local.status();
       }
     };
-    if (num_shards > 1) {
-      std::vector<std::thread> workers;
+    {
+      // Declared after the results the threads write: if a thread fails to
+      // start or fan(0) throws, unwinding joins the started threads first.
+      std::vector<std::jthread> workers;
       workers.reserve(num_shards - 1);
       for (std::size_t k = 1; k < num_shards; ++k) workers.emplace_back(fan, k);
-      fan(0);
-      for (std::thread& worker : workers) worker.join();
-    } else {
       fan(0);
     }
     bool any_sampled = false;

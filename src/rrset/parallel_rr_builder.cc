@@ -55,58 +55,70 @@ RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
   return *slot;
 }
 
-std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleChunks(
-    std::uint64_t count, Rng& master) {
-  return SampleParts(count, master, /*keep_sets=*/true);
+std::vector<std::vector<ParallelRrBuilder::Batch>>
+ParallelRrBuilder::SampleChunks(std::uint64_t count, std::span<Rng> masters) {
+  return SampleParts(count, masters, /*keep_sets=*/true);
 }
 
 std::vector<std::uint64_t> ParallelRrBuilder::SampleWidths(std::uint64_t count,
                                                            Rng& master) {
-  const std::vector<Batch> parts =
-      SampleParts(count, master, /*keep_sets=*/false);
+  const std::vector<std::vector<Batch>> chunks =
+      SampleParts(count, std::span<Rng>(&master, 1), /*keep_sets=*/false);
   std::vector<std::uint64_t> widths;
   widths.reserve(count);
-  for (const Batch& p : parts) {
+  for (const Batch& p : chunks.front()) {
     widths.insert(widths.end(), p.widths.begin(), p.widths.end());
   }
   TIRM_CHECK_EQ(widths.size(), count);
   return widths;
 }
 
-std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
-    std::uint64_t count, Rng& master, bool keep_sets) {
-  // Fork the per-worker streams sequentially on the calling thread; the
-  // result is a pure function of the master state, independent of scheduling.
-  const int workers =
+std::vector<std::vector<ParallelRrBuilder::Batch>>
+ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
+                               bool keep_sets) {
+  // Fork every chunk's part streams sequentially on the calling thread, in
+  // (chunk, part) order; task k is part k % parts of chunk k / parts, a pure
+  // function of its stream, independent of scheduling.
+  const std::size_t parts =
       count < min_parallel_batch_
           ? 1
-          : static_cast<int>(
-                std::min<std::uint64_t>(count,
-                                        static_cast<std::uint64_t>(num_threads_)));
+          : static_cast<std::size_t>(std::min<std::uint64_t>(
+                count, static_cast<std::uint64_t>(num_threads_)));
+  const std::size_t tasks = masters.size() * parts;
   std::vector<Rng> streams;
-  streams.reserve(static_cast<std::size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    streams.push_back(master.Fork(static_cast<std::uint64_t>(i)));
+  streams.reserve(tasks);
+  for (Rng& master : masters) {
+    for (std::size_t p = 0; p < parts; ++p) {
+      streams.push_back(master.Fork(static_cast<std::uint64_t>(p)));
+    }
   }
+  std::vector<std::vector<Batch>> chunks(masters.size(),
+                                         std::vector<Batch>(parts));
+  if (tasks == 0) return chunks;
 
-  const std::uint64_t base = workers == 0 ? 0 : count / workers;
-  const std::uint64_t rem = workers == 0 ? 0 : count % workers;
-  std::vector<Batch> parts(static_cast<std::size_t>(workers));
+  const std::uint64_t base = count / parts;
+  const std::uint64_t rem = count % parts;
+  const int threads = static_cast<int>(
+      std::min<std::size_t>(tasks, static_cast<std::size_t>(num_threads_)));
 
-  auto run_worker = [&](int w) {
-    const std::uint64_t quota =
-        base + (static_cast<std::uint64_t>(w) < rem ? 1 : 0);
-    // Per-worker sampling batch: spans land in the worker thread's own
-    // buffer, so the fan-out shows up as parallel lanes in the trace.
+  auto run_task = [&](RrSampler& sampler, std::size_t k) {
+    const std::size_t c = k / parts;
+    const std::size_t p = k % parts;
+    const std::uint64_t quota = base + (p < rem ? 1 : 0);
+    // One span per task: spans land in the running thread's own buffer, so
+    // the fan-out shows up as parallel lanes in the trace.
     obs::TraceSpan span("rr_sample_batch");
-    span.Counter("worker", w);
+    span.Counter("chunk", static_cast<double>(c));
+    span.Counter("part", static_cast<double>(p));
     span.Counter("quota", static_cast<double>(quota));
-    RrSampler& sampler = SamplerFor(w);
-    // Samplers are reused across batches; drop any coins buffered from a
-    // previous batch's stream so this part is a pure function of `rng`.
+    // Samplers are reused across tasks; drop any coins buffered from a
+    // previous task's stream so this part is a pure function of `rng`.
     sampler.ResetStreamState();
-    Rng& rng = streams[static_cast<std::size_t>(w)];
-    Batch& part = parts[static_cast<std::size_t>(w)];
+    // Neighbouring tasks' streams and parts share cache lines, and other
+    // threads write them on every set: work on a local copy of each and
+    // move the part into place when done.
+    Rng rng = streams[k];
+    Batch part;
     if (keep_sets) {
       part.offsets.reserve(quota + 1);
       part.offsets.push_back(0);
@@ -126,23 +138,31 @@ std::vector<ParallelRrBuilder::Batch> ParallelRrBuilder::SampleParts(
       }
     }
     span.Counter("max_traversal", static_cast<double>(part.max_traversal));
+    chunks[c][p] = std::move(part);
+  };
+  // Thread `slot` runs tasks slot, slot + threads, ... on its own sampler.
+  auto run_slot = [&](int slot) {
+    RrSampler& sampler = SamplerFor(slot);
+    for (std::size_t k = static_cast<std::size_t>(slot); k < tasks;
+         k += static_cast<std::size_t>(threads)) {
+      run_task(sampler, k);
+    }
   };
 
-  if (workers <= 1) {
-    if (workers == 1) run_worker(0);
-  } else {
-    // SamplerFor mutates samplers_; materialize every worker's sampler
-    // before the threads start so the workers only touch their own slot.
-    for (int w = 0; w < workers; ++w) SamplerFor(w);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers) - 1);
-    for (int w = 1; w < workers; ++w) {
-      threads.emplace_back(run_worker, w);
-    }
-    run_worker(0);
-    for (auto& t : threads) t.join();
+  // SamplerFor mutates samplers_: create every slot's sampler before any
+  // thread starts, so each thread only reads its own slot.
+  for (int slot = 0; slot < threads; ++slot) SamplerFor(slot);
+  // Declared after everything the threads use: if a thread fails to start
+  // or the calling thread's share throws, unwinding joins the started
+  // threads before that state is destroyed.
+  std::vector<std::jthread> workers;
+  workers.reserve(static_cast<std::size_t>(threads) - 1);
+  for (int slot = 1; slot < threads; ++slot) {
+    workers.emplace_back(run_slot, slot);
   }
-  return parts;
+  run_slot(0);
+  workers.clear();  // joins
+  return chunks;
 }
 
 }  // namespace tirm

@@ -1,22 +1,33 @@
 // Parallel RR/RRC-set generation (the dominant cost of TIM/TIRM, §5).
 //
 // RrSampler is deliberately "not thread-safe; create one per thread" — this
-// builder does exactly that: it owns one RrSampler per worker slot and fans a
-// requested batch of `count` sets out across N threads. Determinism is
-// preserved for a fixed (master RNG state, count, thread count, kernel):
+// builder does exactly that: it owns one RrSampler per worker slot and fans
+// sampling out over up to N threads. The unit of work is a *chunk*: `count`
+// sets drawn from one master Rng. SampleChunks takes the masters of every
+// chunk a caller is about to sample (RrSampleStore passes all the chunks of
+// one top-up) and samples them in ONE fan-out, so threads start once per
+// call, not once per chunk. Determinism is preserved for a fixed (master
+// RNG states, count, thread count, kernel):
 //
-//  * the master Rng forks one child stream per worker, sequentially, on the
-//    calling thread (Rng::Fork is deterministic in state and salt);
-//  * worker i samples a fixed contiguous chunk of the batch with its own
-//    sampler and its own stream, writing into worker-local storage;
-//  * the worker-local parts are returned in worker order, so the result is
-//    byte-identical no matter how the OS schedules the threads.
+//  * each chunk splits into min(count, N) parts, or one part when `count`
+//    is below min_parallel_batch, with quotas that differ by at most one;
+//    part p of chunk c samples from masters[c].Fork(p), forked in (chunk,
+//    part) order on the calling thread (Rng::Fork is deterministic in state
+//    and salt);
+//  * the chunk x part tasks run on min(N, tasks) threads, the calling thread
+//    among them: thread i runs tasks i, i+S, i+2S, ... (S threads) on its
+//    own sampler slot, resetting the sampler's stream state per task, so a
+//    part is a pure function of (chunk master, part index) whichever thread
+//    runs it;
+//  * parts are returned grouped by chunk, in part order, so the result is
+//    byte-identical no matter how the OS schedules the threads, and one call
+//    over N masters equals N one-master calls.
 //
-// Two outputs, one per consumer: SampleChunks returns each worker's
-// flattened sets, which RrSampleStore top-up moves into the pool arena
-// wholesale (RrSetPool::AdoptChunk — no merge copy); SampleWidths returns
-// only the TIM widths w(R) (sum of in-degrees over the traversal) that KPT
-// estimation needs.
+// Two outputs, one per consumer: SampleChunks returns each part's flattened
+// sets, which RrSampleStore top-up moves into the pool arena wholesale
+// (RrSetPool::AdoptChunk — no merge copy); SampleWidths, the one-chunk case
+// of the same fan-out, returns only the TIM widths w(R) (sum of in-degrees
+// over the traversal) that KPT estimation needs.
 //
 // The sampler kernel (Options::sampler_kernel, rrset/sampler_kernel.h)
 // switches every worker between the classic per-edge loop and the
@@ -39,22 +50,22 @@
 namespace tirm {
 
 /// Fans RR/RRC-set sampling out over worker threads; deterministic in
-/// (master seed, batch size, thread count, sampler kernel). Reusable across
-/// batches; not itself thread-safe (one builder per orchestrating thread).
+/// (master seeds, chunk size, thread count, sampler kernel). Reusable across
+/// calls; not itself thread-safe (one builder per orchestrating thread).
 class ParallelRrBuilder {
  public:
   struct Options {
     /// Worker threads; <= 0 selects std::thread::hardware_concurrency().
     int num_threads = 1;
-    /// Batches smaller than this run inline on the calling thread — thread
-    /// spawn overhead dwarfs the sampling work below it.
+    /// Chunks smaller than this are sampled as one part (one task) —
+    /// splitting them would cost more than the sampling work they hold.
     std::uint64_t min_parallel_batch = 256;
     /// Reverse-BFS inner-loop kernel (kAuto resolves to kClassic — see
     /// rrset/sampler_kernel.h for the determinism contract).
     SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   };
 
-  /// One worker's part of a sampled batch. SampleChunks fills the sets
+  /// One part of a sampled chunk. SampleChunks fills the sets
   /// (set k occupies nodes[offsets[k] .. offsets[k+1])); SampleWidths fills
   /// only the per-set widths.
   struct Batch {
@@ -85,19 +96,20 @@ class ParallelRrBuilder {
   ParallelRrBuilder(const Graph& graph, std::span<const float> edge_probs,
                     std::span<const float> node_ctps, Options options);
 
-  /// Samples `count` sets, returned as the worker-local parts in
-  /// deterministic worker order, without a concatenation copy: callers move
-  /// each part's `nodes` buffer straight into RrSetPool::AdoptChunk.
-  /// Consumes one fork of `master` per active worker — min(count,
+  /// Samples one chunk of `count` sets from each master in `masters`, in a
+  /// single fan-out. Returns the parts grouped by chunk — result[c] holds
+  /// chunk c's parts in part order — without a concatenation copy: callers
+  /// move each part's `nodes` buffer straight into RrSetPool::AdoptChunk.
+  /// Chunk c consumes one fork of masters[c] per part: min(count,
   /// num_threads()) forks, or a single fork when `count` is below
-  /// `min_parallel_batch` — so the master stream's advancement depends on
-  /// the batch size as well as the thread count. Part sizes differ by at
-  /// most one across workers.
-  std::vector<Batch> SampleChunks(std::uint64_t count, Rng& master);
+  /// `min_parallel_batch`, so a master's advancement depends on the chunk
+  /// size as well as the thread count. Part sizes differ by at most one.
+  std::vector<std::vector<Batch>> SampleChunks(std::uint64_t count,
+                                               std::span<Rng> masters);
 
-  /// Widths-only variant for KPT estimation: the same streams as
+  /// Widths-only variant for KPT estimation: the one-chunk case of
   /// SampleChunks (an identical master state yields the widths of the same
-  /// sets), concatenated in worker order, without keeping the sets.
+  /// sets), concatenated in part order, without keeping the sets.
   std::vector<std::uint64_t> SampleWidths(std::uint64_t count, Rng& master);
 
   /// Resolved worker count (>= 1, clamped to kMaxSamplingThreads —
@@ -111,10 +123,11 @@ class ParallelRrBuilder {
 
  private:
   RrSampler& SamplerFor(int worker);
-  /// Worker-local parts in worker order; each keeps its sets when
-  /// `keep_sets`, else its widths.
-  std::vector<Batch> SampleParts(std::uint64_t count, Rng& master,
-                                 bool keep_sets);
+  /// The one fan-out behind both outputs: parts grouped by chunk, each
+  /// keeping its sets when `keep_sets`, else its widths.
+  std::vector<std::vector<Batch>> SampleParts(std::uint64_t count,
+                                              std::span<Rng> masters,
+                                              bool keep_sets);
 
   const Graph& graph_;
   std::span<const float> edge_probs_;

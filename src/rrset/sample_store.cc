@@ -209,6 +209,8 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
   // Every local chunk holds exactly `chunk` sets, so the call's final set
   // count is known before sampling: size the per-set arrays once.
   entry->pool_.ReserveSets(target_chunks * chunk);
+  std::vector<Rng> masters;
+  masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
     // One independent substream per GLOBAL chunk index: chunk contents are
     // a pure function of (seed, signature, chunk_sets, thread count,
@@ -216,11 +218,14 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
     // and never of the shard layout, so every K partitions the same
     // global pool and K=1 reproduces it whole.
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
-    Rng master(MixHash(entry->base_seed_, 0x2000 + c));
-    // Arena-direct top-up: adopt each worker's flattened buffer wholesale,
-    // in deterministic worker order (see the file comment).
-    std::vector<ParallelRrBuilder::Batch> parts =
-        entry->builder_->SampleChunks(chunk, master);
+    masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
+  }
+  // Every chunk of the top-up in one fan-out; then arena-direct adoption of
+  // each part's flattened buffer, wholesale, in chunk and part order (see
+  // the file comment).
+  std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
+      entry->builder_->SampleChunks(chunk, masters);
+  for (std::vector<ParallelRrBuilder::Batch>& parts : chunks) {
     std::uint64_t emitted = 0;
     for (ParallelRrBuilder::Batch& part : parts) {
       emitted += part.size();

@@ -15,7 +15,7 @@
 // several therefore yields bit-identical pools (top-up granularity is the
 // chunk), and a run served from a warm pool is bit-identical to a run that
 // sampled the pool fresh. As with ParallelRrBuilder, pool contents are
-// deterministic for a fixed worker-thread count and sampler kernel.
+// deterministic for a fixed sampling-thread count and sampler kernel.
 //
 // Thread safety. Entry creation and top-up are internally synchronized
 // (store mutex for the key map, one mutex per entry for sampling), so
@@ -26,14 +26,17 @@
 // (member spans are stable — the arena is chunked, never relocated — but
 // the per-set bookkeeping still grows).
 //
-// Arena-direct top-up. Sets enter a pool one way only: EnsureSets consumes
-// ParallelRrBuilder::SampleChunks and each worker's flattened node buffer
-// is *adopted* by the pool wholesale (RrSetPool::AdoptChunk — a move, no
-// per-set copy), in deterministic worker order. The per-set bookkeeping is
-// reserved once per top-up (RrSetPool::ReserveSets), so adopting a part
-// never re-copies it. The pool's one node -> set index is the packed
-// transpose (rrset/coverage_bitmap.h), built lazily from the members on
-// first coverage use.
+// Arena-direct top-up. Sets enter a pool one way only: EnsureSets builds
+// the master Rng of every chunk the top-up needs and samples them all in
+// one ParallelRrBuilder::SampleChunks call — one fan-out per top-up, so the
+// sampling threads start once, not once per chunk. Each part's flattened
+// node buffer is then *adopted* by the pool wholesale
+// (RrSetPool::AdoptChunk — a move, no per-set copy), in chunk and part
+// order. The per-set bookkeeping is reserved once per top-up
+// (RrSetPool::ReserveSets), so adopting a part never re-copies it. The
+// pool's one node -> set index is the packed transpose
+// (rrset/coverage_bitmap.h), built lazily from the members on first
+// coverage use.
 //
 // Memory accounting is byte-accurate from container capacities (arena +
 // bookkeeping + transpose), not process RSS — this is what the Table 4
@@ -182,9 +185,9 @@ class RrSampleStore {
  public:
   struct Options {
     /// Sampling seed. Pool contents are a pure function of
-    /// (seed, signature, chunk_sets, worker thread count, sampler kernel).
+    /// (seed, signature, chunk_sets, sampling thread count, sampler kernel).
     std::uint64_t seed = 0x5EEDD00DULL;
-    /// Worker threads for top-up sampling (ParallelRrBuilder semantics:
+    /// Sampling threads per top-up (ParallelRrBuilder semantics:
     /// 0 = hardware concurrency; deterministic per fixed count).
     int num_threads = 1;
     /// Top-up granularity: pools grow in whole chunks so the sampled

@@ -1,7 +1,8 @@
 // Regression tests for the parallel RR-set engine: determinism for a fixed
-// (seed, thread count), structural integrity of the sampled parts, and
-// statistical agreement between parallel and serial sampling — both at the
-// raw spread-estimate level (Proposition 1) and end-to-end through TIRM.
+// (seed, thread count), structural integrity of the sampled parts, split
+// invariance (one call over many chunk masters equals one call per master),
+// and statistical agreement between parallel and serial sampling — both at
+// the raw spread-estimate level (Proposition 1) and end-to-end through TIRM.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "graph/generators.h"
 #include "rrset/parallel_rr_builder.h"
 #include "rrset/rr_sampler.h"
+#include "rrset/sampler_kernel.h"
 #include "tirm_test_util.h"
 #include "topic/instance.h"
 
@@ -34,14 +36,14 @@ TEST(ParallelRrBuilderTest, DeterministicForFixedSeedAndThreads) {
     ParallelRrBuilder b2(g, probs, {.num_threads = threads,
                                     .min_parallel_batch = 1});
     Rng r1(99), r2(99);
-    EXPECT_EQ(SetsOf(b1.SampleChunks(500, r1)),
-              SetsOf(b2.SampleChunks(500, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(500, {&r1, 1})),
+              SetsOf(b2.SampleChunks(500, {&r2, 1})))
         << "threads=" << threads;
-    // Later batches continue both master streams identically.
+    // Later calls continue both master streams identically.
     EXPECT_EQ(b1.SampleWidths(123, r1), b2.SampleWidths(123, r2))
         << "threads=" << threads;
-    EXPECT_EQ(SetsOf(b1.SampleChunks(123, r1)),
-              SetsOf(b2.SampleChunks(123, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(123, {&r1, 1})),
+              SetsOf(b2.SampleChunks(123, {&r2, 1})))
         << "threads=" << threads;
   }
 }
@@ -53,15 +55,18 @@ TEST(ParallelRrBuilderTest, PartStructureIsConsistent) {
   ParallelRrBuilder builder(g, probs,
                             {.num_threads = 3, .min_parallel_batch = 1});
   Rng rng(5);
-  const std::vector<Batch> parts = builder.SampleChunks(1000, rng);
-  ASSERT_EQ(parts.size(), 3u);  // one part per worker, sizes within one
+  const std::vector<std::vector<Batch>> chunks =
+      builder.SampleChunks(1000, {&rng, 1});
+  ASSERT_EQ(chunks.size(), 1u);
+  const std::vector<Batch>& parts = chunks[0];
+  ASSERT_EQ(parts.size(), 3u);  // one part per thread, sizes within one
   for (const Batch& part : parts) {
     EXPECT_TRUE(part.size() == 333u || part.size() == 334u);
     ASSERT_EQ(part.offsets.size(), part.size() + 1);
     EXPECT_EQ(part.offsets.back(), part.nodes.size());
     EXPECT_TRUE(part.widths.empty());
   }
-  const std::vector<std::vector<NodeId>> sets = SetsOf(parts);
+  const std::vector<std::vector<NodeId>> sets = SetsOf(chunks);
   ASSERT_EQ(sets.size(), 1000u);
   for (const std::vector<NodeId>& set : sets) {
     ASSERT_FALSE(set.empty());  // plain mode: the root is always a member
@@ -79,10 +84,67 @@ TEST(ParallelRrBuilderTest, ThreadCountCappedByBatchSize) {
   ParallelRrBuilder builder(g, probs,
                             {.num_threads = 8, .min_parallel_batch = 1});
   Rng rng(1);
-  const std::vector<Batch> parts = builder.SampleChunks(3, rng);
-  EXPECT_EQ(parts.size(), 3u);
-  EXPECT_EQ(SetsOf(parts).size(), 3u);
-  EXPECT_TRUE(SetsOf(builder.SampleChunks(0, rng)).empty());
+  const std::vector<std::vector<Batch>> chunks =
+      builder.SampleChunks(3, {&rng, 1});
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_EQ(chunks[0].size(), 3u);
+  EXPECT_EQ(SetsOf(chunks).size(), 3u);
+  EXPECT_TRUE(SetsOf(builder.SampleChunks(0, {&rng, 1})).empty());
+  EXPECT_TRUE(builder.SampleChunks(5, {}).empty());  // no masters, no chunks
+}
+
+// One fan-out over N masters is N one-master calls on copies of the same
+// masters, part for part — the split invariance a store top-up relies on
+// when it samples all of its chunks in one call. Covers a chunk size that
+// splits into one part per thread and one below min_parallel_batch (one
+// part per chunk), for both sampler kernels: a thread reuses its sampler
+// across tasks, so no buffered coin may leak from one part into the next.
+TEST(ParallelRrBuilderTest, ManyMastersEqualOneMasterCallsPartForPart) {
+  Rng graph_rng(14);
+  Graph g = ErdosRenyiGraph(60, 300, graph_rng);
+  std::vector<float> probs(g.num_edges(), 0.2f);
+  constexpr std::size_t kChunks = 5;
+  for (const SamplerKernel kernel :
+       {SamplerKernel::kClassic, SamplerKernel::kSkip}) {
+    for (const int threads : {1, 2, 4}) {
+      for (const std::uint64_t count : {300u, 100u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kernel=" << SamplerKernelName(kernel)
+                     << " threads=" << threads << " count=" << count);
+        const ParallelRrBuilder::Options options{.num_threads = threads,
+                                                 .sampler_kernel = kernel};
+        ParallelRrBuilder together(g, probs, options);
+        ParallelRrBuilder apart(g, probs, options);
+        std::vector<Rng> masters;
+        for (std::size_t c = 0; c < kChunks; ++c) masters.emplace_back(50 + c);
+        std::vector<Rng> copies = masters;
+
+        const std::vector<std::vector<Batch>> chunks =
+            together.SampleChunks(count, masters);
+        ASSERT_EQ(chunks.size(), kChunks);
+        const std::size_t parts =
+            count < options.min_parallel_batch
+                ? 1
+                : static_cast<std::size_t>(threads);
+        for (std::size_t c = 0; c < kChunks; ++c) {
+          const std::vector<std::vector<Batch>> one =
+              apart.SampleChunks(count, {&copies[c], 1});
+          ASSERT_EQ(one.size(), 1u);
+          ASSERT_EQ(chunks[c].size(), parts);
+          ASSERT_EQ(one[0].size(), parts);
+          for (std::size_t p = 0; p < parts; ++p) {
+            EXPECT_EQ(chunks[c][p].offsets, one[0][p].offsets)
+                << "chunk " << c << " part " << p;
+            EXPECT_EQ(chunks[c][p].nodes, one[0][p].nodes)
+                << "chunk " << c << " part " << p;
+            EXPECT_EQ(chunks[c][p].max_traversal, one[0][p].max_traversal);
+          }
+          // Both sides advanced the master by the same forks.
+          EXPECT_EQ(masters[c].NextUInt64(), copies[c].NextUInt64());
+        }
+      }
+    }
+  }
 }
 
 // Proposition 1 (singleton form): n * P[u in R] = sigma({u}). The parallel
@@ -107,7 +169,7 @@ TEST(ParallelRrBuilderTest, ParallelSpreadEstimateMatchesSerialAndExact) {
                              {.num_threads = 4, .min_parallel_batch = 1});
   Rng prng(7);
   const double parallel_estimate =
-      estimate_from(SetsOf(parallel.SampleChunks(trials, prng)));
+      estimate_from(SetsOf(parallel.SampleChunks(trials, {&prng, 1})));
   EXPECT_NEAR(parallel_estimate, sigma0, 0.05);
 
   RrSampler serial(g, probs);
@@ -131,9 +193,10 @@ TEST(ParallelRrBuilderTest, RrcModeAppliesCtpCoins) {
   ParallelRrBuilder builder(g, probs, ctps,
                             {.num_threads = 2, .min_parallel_batch = 1});
   Rng rng(3);
-  const std::vector<Batch> parts = builder.SampleChunks(200, rng);
+  const std::vector<std::vector<Batch>> chunks =
+      builder.SampleChunks(200, {&rng, 1});
   std::size_t sets = 0;
-  for (const Batch& part : parts) {
+  for (const Batch& part : chunks[0]) {
     sets += part.size();
     EXPECT_TRUE(part.nodes.empty());  // delta = 0 blocks every membership coin
   }

@@ -1,6 +1,7 @@
 // RrSampleStore: pooled-sample reuse. Covers the pool/view split
 // (RrSetPool + borrowing RrCollection/WeightedRrCollection), chunked
-// top-up determinism (θ grown in one step vs several), concurrency of
+// top-up determinism (θ grown in one step vs several, at 1 and more
+// threads), one sampling fan-out per top-up, concurrency of
 // EnsureSets/Acquire (run under TSan in CI), golden equivalence of
 // pooled-store vs fresh-sampling runs for all five allocators,
 // engine-level sweep reuse (samples drawn at most once per (ad, max-θ)),
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "coverage_oracle.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
+#include "obs/trace.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
 #include "rrset/tim.h"
@@ -132,19 +136,51 @@ TEST_F(SampleStoreTest, EnsureSetsRoundsUpToChunks) {
 
 // Growing to θ in one step or in several yields bit-identical pools — the
 // property that lets a warm pool serve a run that would have sampled in a
-// different batch pattern.
+// different batch pattern. At T > 1 the one step is a single 8-chunk
+// fan-out, compared against several smaller ones.
 TEST_F(SampleStoreTest, TopUpDeterminismOneStepVsSeveral) {
-  RrSampleStore one(&graph_, {.seed = 42, .chunk_sets = 128});
-  RrSampleStore many(&graph_, {.seed = 42, .chunk_sets = 128});
-  RrSampleStore::AdPool* a = one.Acquire(9, probs_);
-  RrSampleStore::AdPool* b = many.Acquire(9, probs_);
-  one.EnsureSets(a, 1000);
-  many.EnsureSets(b, 100);
-  many.EnsureSets(b, 500);
-  many.EnsureSets(b, 130);  // no-op
-  many.EnsureSets(b, 1000);
-  ASSERT_EQ(a->sets().NumSets(), b->sets().NumSets());
-  EXPECT_EQ(SetsOf(a->sets()), SetsOf(b->sets()));
+  for (const int threads : {1, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    const RrSampleStore::Options options{
+        .seed = 42, .num_threads = threads, .chunk_sets = 128};
+    RrSampleStore one(&graph_, options);
+    RrSampleStore many(&graph_, options);
+    RrSampleStore::AdPool* a = one.Acquire(9, probs_);
+    RrSampleStore::AdPool* b = many.Acquire(9, probs_);
+    one.EnsureSets(a, 1000);
+    many.EnsureSets(b, 100);
+    many.EnsureSets(b, 500);
+    many.EnsureSets(b, 130);  // no-op
+    many.EnsureSets(b, 1000);
+    ASSERT_EQ(a->sets().NumSets(), b->sets().NumSets());
+    EXPECT_EQ(SetsOf(a->sets()), SetsOf(b->sets()));
+  }
+}
+
+// A top-up is one fan-out: all 8 chunks x 4 parts = 32 sampling tasks run
+// on at most 4 threads (the calling thread and 3 started once), not on a
+// fresh set of threads per chunk. Each thread that records a span keeps a
+// trace buffer for the life of the process, so this also bounds what a
+// traced multi-threaded run holds.
+TEST_F(SampleStoreTest, TopUpSamplesAllChunksOnAtMostNumThreadsThreads) {
+  RrSampleStore store(&graph_,
+                      {.seed = 8, .num_threads = 4, .chunk_sets = 256});
+  RrSampleStore::AdPool* entry = store.Acquire(1, probs_);
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  EXPECT_EQ(store.EnsureSets(entry, 8 * 256).sampled, 8u * 256);
+  recorder.Disable();
+  std::size_t batches = 0;
+  std::set<std::int32_t> tids;
+  for (const obs::TraceEvent& event : recorder.Collect()) {
+    if (std::string_view(event.name) != "rr_sample_batch") continue;
+    ++batches;
+    tids.insert(event.tid);
+  }
+  recorder.Clear();
+  EXPECT_EQ(batches, 32u);
+  EXPECT_LE(tids.size(), 4u);
 }
 
 TEST_F(SampleStoreTest, DifferentSignaturesGetIndependentPools) {
@@ -208,29 +244,35 @@ TEST_F(SampleStoreTest, KptCacheHitsOnRepeat) {
 
 // Concurrent top-ups — same entry and different entries — must be safe
 // (run under ThreadSanitizer in CI) and leave the same pools as a serial
-// reference store.
+// reference store with the same thread count. At 4 threads every racing
+// top-up runs its own sampling fan-out.
 TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
-  RrSampleStore store(&graph_, {.seed = 99, .chunk_sets = 64});
-  RrSampleStore::AdPool* shared = store.Acquire(77, probs_);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&store, shared, t, this] {
-      // Same entry, racing targets...
-      store.EnsureSets(shared, 64 * (t + 1));
-      // ...plus a per-thread entry created under the store lock.
-      RrSampleStore::AdPool* own =
-          store.Acquire(1000 + static_cast<std::uint64_t>(t), probs_);
-      store.EnsureSets(own, 128);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(shared->sets().NumSets(), 64u * 8);
-  EXPECT_EQ(store.NumEntries(), 9u);
+  for (const int num_threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "num_threads=" << num_threads);
+    const RrSampleStore::Options options{
+        .seed = 99, .num_threads = num_threads, .chunk_sets = 64};
+    RrSampleStore store(&graph_, options);
+    RrSampleStore::AdPool* shared = store.Acquire(77, probs_);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&store, shared, t, this] {
+        // Same entry, racing targets...
+        store.EnsureSets(shared, 64 * (t + 1));
+        // ...plus a per-thread entry created under the store lock.
+        RrSampleStore::AdPool* own =
+            store.Acquire(1000 + static_cast<std::uint64_t>(t), probs_);
+        store.EnsureSets(own, 128);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(shared->sets().NumSets(), 64u * 8);
+    EXPECT_EQ(store.NumEntries(), 9u);
 
-  RrSampleStore reference(&graph_, {.seed = 99, .chunk_sets = 64});
-  RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
-  reference.EnsureSets(ref, 64 * 8);
-  EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
+    RrSampleStore reference(&graph_, options);
+    RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
+    reference.EnsureSets(ref, 64 * 8);
+    EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
+  }
 }
 
 // --------------------------------------------- golden: pooled == fresh

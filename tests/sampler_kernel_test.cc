@@ -362,15 +362,15 @@ TEST(SkipKernelTest, DeterministicForFixedSeedAndThreads) {
                           .sampler_kernel = SamplerKernel::kSkip});
     EXPECT_EQ(b1.sampler_kernel(), SamplerKernel::kSkip);
     Rng r1(99), r2(99);
-    EXPECT_EQ(SetsOf(b1.SampleChunks(500, r1)),
-              SetsOf(b2.SampleChunks(500, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(500, {&r1, 1})),
+              SetsOf(b2.SampleChunks(500, {&r2, 1})))
         << "threads=" << threads;
-    // Second batch: the coin-buffer state must not leak across batches —
-    // each batch is a pure function of its own master stream.
+    // Second call: the coin-buffer state must not leak across calls —
+    // each chunk is a pure function of its own master stream.
     EXPECT_EQ(b1.SampleWidths(123, r1), b2.SampleWidths(123, r2))
         << "threads=" << threads;
-    EXPECT_EQ(SetsOf(b1.SampleChunks(123, r1)),
-              SetsOf(b2.SampleChunks(123, r2)))
+    EXPECT_EQ(SetsOf(b1.SampleChunks(123, {&r1, 1})),
+              SetsOf(b2.SampleChunks(123, {&r2, 1})))
         << "threads=" << threads;
   }
 }
@@ -395,15 +395,17 @@ TEST(ArenaDirectGoldenTest, StoreTopUpMatchesSampledParts) {
   EXPECT_EQ(ensured.sampled, 3 * kChunk);
   EXPECT_GT(ensured.max_traversal, 0u);
 
-  // Replay: same builder configuration and substreams, parts kept as sets.
+  // Replay: same builder configuration and substreams, one chunk per
+  // call, parts kept as sets.
   ParallelRrBuilder builder(g, probs, {.num_threads = 3});
   const std::uint64_t base_seed = MixHash(kStoreSeed, kSignature);
   std::vector<std::vector<NodeId>> sampled;
   for (std::uint64_t c = 0; c < 3; ++c) {
     Rng master(MixHash(base_seed, 0x2000 + c));
-    const std::vector<Batch> parts = builder.SampleChunks(kChunk, master);
-    EXPECT_EQ(parts.size(), 3u);  // one part per worker
-    for (std::vector<NodeId>& set : SetsOf(parts)) {
+    const std::vector<std::vector<Batch>> chunks =
+        builder.SampleChunks(kChunk, {&master, 1});
+    EXPECT_EQ(chunks[0].size(), 3u);  // one part per thread
+    for (std::vector<NodeId>& set : SetsOf(chunks)) {
       sampled.push_back(std::move(set));
     }
   }
@@ -458,7 +460,9 @@ TEST(MaxTraversalStatTest, SurfacesThroughBatchStoreAndLifetimeStats) {
   ParallelRrBuilder builder(g, probs, {.num_threads = 2,
                                        .min_parallel_batch = 1});
   Rng rng(5);
-  for (const Batch& part : builder.SampleChunks(200, rng)) {
+  const std::vector<std::vector<Batch>> chunks =
+      builder.SampleChunks(200, {&rng, 1});
+  for (const Batch& part : chunks[0]) {
     EXPECT_GT(part.max_traversal, 0u);  // every traversal visits >= the root
     EXPECT_LE(part.max_traversal, static_cast<std::uint64_t>(g.num_nodes()));
   }

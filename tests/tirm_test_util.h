@@ -70,15 +70,17 @@ inline std::vector<std::vector<NodeId>> SetsOf(const RrSetPool& pool) {
   return sets;
 }
 
-/// The sets of sampled parts, concatenated in part order — exactly the
-/// sets (and ids) a pool adopting the parts in order holds.
+/// The sets of sampled chunks, concatenated in chunk and part order —
+/// exactly the sets (and ids) a pool adopting the parts in order holds.
 inline std::vector<std::vector<NodeId>> SetsOf(
-    const std::vector<ParallelRrBuilder::Batch>& parts) {
+    const std::vector<std::vector<ParallelRrBuilder::Batch>>& chunks) {
   std::vector<std::vector<NodeId>> sets;
-  for (const ParallelRrBuilder::Batch& part : parts) {
-    for (std::size_t k = 0; k < part.size(); ++k) {
-      const std::span<const NodeId> set = part.Set(k);
-      sets.emplace_back(set.begin(), set.end());
+  for (const std::vector<ParallelRrBuilder::Batch>& parts : chunks) {
+    for (const ParallelRrBuilder::Batch& part : parts) {
+      for (std::size_t k = 0; k < part.size(); ++k) {
+        const std::span<const NodeId> set = part.Set(k);
+        sets.emplace_back(set.begin(), set.end());
+      }
     }
   }
   return sets;
