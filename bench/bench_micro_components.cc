@@ -25,7 +25,6 @@
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
 #include "rrset/sample_store.h"
-#include "rrset/sampler_kernel.h"
 
 namespace {
 
@@ -209,16 +208,15 @@ void BM_CoverageCommitRecount(benchmark::State& state) {
 }
 BENCHMARK(BM_CoverageCommitRecount)->Arg(20000)->Arg(80000);
 
-// ------------------------------------------------- sampling-kernel section
-// Compares the two reverse-BFS inner loops of rrset/sampler_kernel.h and
-// the two pool-write paths of rrset/sample_store.h. Every benchmark here
-// starts with BM_Sampling so CI's --benchmark_filter='BM_Sampling' emits
-// exactly this section into BENCH_sampling.json.
+// ------------------------------------------------------- sampling section
+// RR-set sampling rate and the pool write path of rrset/sample_store.h.
+// Every benchmark here starts with BM_Sampling so CI's
+// --benchmark_filter='BM_Sampling' emits exactly this section into
+// BENCH_sampling.json.
 
-// Denser weighted-cascade instance than Fixture: the skip kernel's win
-// scales with 1/p = indeg, so the sampling gate measures at a mean in-degree
-// (~39, mean p ~ 0.026) representative of the paper's social graphs rather
-// than the sparse coverage fixture.
+// Denser weighted-cascade instance than Fixture (mean in-degree ~39, mean
+// p ~ 0.026): the reverse BFS touches many in-edges per visited node, so
+// this measures the per-edge coin loop rather than per-set overhead.
 struct SamplingFixture {
   Graph graph;
   std::vector<float> probs;
@@ -239,13 +237,9 @@ struct SamplingFixture {
   }
 };
 
-SamplerKernel SamplerKernelArg(const benchmark::State& state) {
-  return state.range(0) == 0 ? SamplerKernel::kClassic : SamplerKernel::kSkip;
-}
-
-void BM_SamplingKernel(benchmark::State& state) {
+void BM_SamplingRrSets(benchmark::State& state) {
   const SamplingFixture& f = SamplingFixture::Get();
-  RrSampler sampler(f.graph, f.probs, SamplerKernelArg(state));
+  RrSampler sampler(f.graph, f.probs);
   Rng rng(1);
   std::vector<NodeId> set;
   std::uint64_t edges = 0;
@@ -254,67 +248,12 @@ void BM_SamplingKernel(benchmark::State& state) {
     edges += sampler.last_width();
     benchmark::DoNotOptimize(set.data());
   }
-  // items/sec == sets/sec; the counter reports the edge-examination rate
-  // (widths are kernel-invariant in expectation, so this is comparable).
+  // items/sec == sets/sec; the counter reports the edge-examination rate.
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["edges_per_sec"] = benchmark::Counter(
       static_cast<double>(edges), benchmark::Counter::kIsRate);
-  state.SetLabel(SamplerKernelName(sampler.kernel()));
 }
-BENCHMARK(BM_SamplingKernel)->Arg(0)->Arg(1);
-
-// Wall-clock milliseconds to sample `num_sets` RR sets with `kernel`,
-// accumulating the examined-edge count into `edges`.
-double SampleSetsMs(SamplerKernel kernel, int num_sets, std::uint64_t* edges) {
-  const SamplingFixture& f = SamplingFixture::Get();
-  RrSampler sampler(f.graph, f.probs, kernel);
-  Rng rng(9);
-  std::vector<NodeId> set;
-  *edges = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < num_sets; ++i) {
-    sampler.SampleInto(rng, set);
-    *edges += sampler.last_width();
-    benchmark::DoNotOptimize(set.data());
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-// Headline summary for BENCH_sampling.json: best-of-5 sampling time per
-// kernel at bench θ, sets/sec and ns/edge per kernel, and the speedup (the
-// tentpole's >= 2x acceptance gate reads the "speedup" counter).
-void BM_SamplingKernelSpeedup(benchmark::State& state) {
-  const int num_sets = static_cast<int>(state.range(0));
-  double classic_ms = 0.0, skip_ms = 0.0;
-  std::uint64_t classic_edges = 0, skip_edges = 0;
-  for (auto _ : state) {
-    for (int rep = 0; rep < 5; ++rep) {
-      std::uint64_t edges = 0;
-      const double c = SampleSetsMs(SamplerKernel::kClassic, num_sets, &edges);
-      if (rep == 0 || c < classic_ms) {
-        classic_ms = c;
-        classic_edges = edges;
-      }
-      const double s = SampleSetsMs(SamplerKernel::kSkip, num_sets, &edges);
-      if (rep == 0 || s < skip_ms) {
-        skip_ms = s;
-        skip_edges = edges;
-      }
-    }
-  }
-  const double sets = static_cast<double>(num_sets);
-  state.counters["classic_ms"] = classic_ms;
-  state.counters["skip_ms"] = skip_ms;
-  state.counters["speedup"] = skip_ms > 0.0 ? classic_ms / skip_ms : 0.0;
-  state.counters["classic_sets_per_sec"] = sets / (classic_ms * 1e-3);
-  state.counters["skip_sets_per_sec"] = sets / (skip_ms * 1e-3);
-  state.counters["classic_ns_per_edge"] =
-      classic_ms * 1e6 / static_cast<double>(classic_edges);
-  state.counters["skip_ns_per_edge"] =
-      skip_ms * 1e6 / static_cast<double>(skip_edges);
-}
-BENCHMARK(BM_SamplingKernelSpeedup)->Arg(20000)->Iterations(1);
+BENCHMARK(BM_SamplingRrSets);
 
 // --------------------------------------------------- pool-write data path
 // Arena-direct adoption, the pool's one write path: worker parts moved

@@ -13,7 +13,8 @@
 //        --scale= --kappa= --lambda= --beta= --budget_scale= --eval_sims=
 //        --seed= --sweep_lambda=a,b,c --reuse_samples={true,false} plus
 //        every AllocatorConfig flag
-//        (--eps, --theta_cap, --threads, --irie_alpha, --mc_sims, ...).
+//        (--eps, --theta_cap, --threads, --num_shards, --irie_alpha,
+//        --mc_sims, ...).
 // Observability: --trace_out=<path> records the whole run with the
 // obs::TraceRecorder and writes a Chrome trace-event JSON file (load it
 // in Perfetto or chrome://tracing); --print_profile prints the per-stage
@@ -34,6 +35,7 @@
 #include "datasets/dataset.h"
 #include "graph/graph_stats.h"
 #include "obs/trace.h"
+#include "serve/protocol.h"
 
 namespace {
 
@@ -61,23 +63,17 @@ int Fail(const Status& status) {
 
 }  // namespace
 
-// Every flag this binary reads (AllocatorConfig's set plus the engine and
-// CLI knobs); anything else on the command line is a typo the user must
-// hear about, not a silently ignored key.
+// Every flag this binary reads; anything else on the command line is a
+// typo the user must hear about, not a silently ignored key. The
+// AllocatorConfig / EngineQuery flags come from the serving protocol's key
+// sets, as in tirm_server, so the CLI and the request format cannot drift
+// apart.
 bool IsKnownFlag(const std::string& key) {
-  static const std::set<std::string> kKnown = {
-      // CLI
+  static const std::set<std::string> kCli = {
       "list", "allocator", "dataset", "bundle", "scale", "seed", "eval_sims",
-      "sweep_lambda", "reuse_samples", "trace_out", "print_profile",
-      // EngineQuery
-      "kappa", "lambda", "beta", "budget_scale",
-      // AllocatorConfig
-      "max_total_seeds", "min_drop", "eps", "ell", "theta_cap", "theta_min",
-      "kpt_max_samples", "threads", "weight_by_ctp",
-      "exact_selection_fallback", "ctp_aware_coverage", "sampler_kernel",
-      "irie_alpha", "irie_rank_iterations",
-      "irie_ap_truncation", "irie_max_push_hops", "mc_sims"};
-  return kKnown.count(key) > 0;
+      "sweep_lambda", "reuse_samples", "trace_out", "print_profile"};
+  return kCli.count(key) > 0 || serve::RequestConfigKeys().count(key) > 0 ||
+         serve::RequestQueryKeys().count(key) > 0;
 }
 
 int main(int argc, char** argv) {

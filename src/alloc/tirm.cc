@@ -382,8 +382,7 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
         local_sharded.emplace(
             &graph,
             RrSampleStore::Options{.seed = store_seed,
-                                   .num_threads = options.num_threads,
-                                   .sampler_kernel = options.sampler_kernel},
+                                   .num_threads = options.num_threads},
             options.num_shards);
         sharded_store = &*local_sharded;
       } else {
@@ -396,7 +395,6 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       run_config.store_seed = store_options.seed;
       run_config.num_threads = store_options.num_threads;
       run_config.chunk_sets = store_options.chunk_sets;
-      run_config.sampler_kernel = store_options.sampler_kernel;
       owned_clients.reserve(
           static_cast<std::size_t>(sharded_store->num_shards()));
       for (int k = 0; k < sharded_store->num_shards(); ++k) {
@@ -417,7 +415,6 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       // machine.
       run_config.num_threads = ResolveThreadCount(options.num_threads);
       run_config.chunk_sets = RrSampleStore::Options{}.chunk_sets;
-      run_config.sampler_kernel = options.sampler_kernel;
     }
     run_span.Counter("shards", static_cast<double>(clients.size()));
     for (RrShardClient* client : clients) {
@@ -442,8 +439,7 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       local_store.emplace(
           &graph,
           RrSampleStore::Options{.seed = store_seed,
-                                 .num_threads = options.num_threads,
-                                 .sampler_kernel = options.sampler_kernel});
+                                 .num_threads = options.num_threads});
       store = &*local_store;
     } else {
       TIRM_CHECK(store->graph() == &graph)

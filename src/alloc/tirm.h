@@ -117,13 +117,6 @@ struct TirmOptions {
   /// revenue estimates unbiased for the true TIC-CTP spread. Default off
   /// (paper-faithful); benchmarked in bench_ablation_ctp_coverage.
   bool ctp_aware_coverage = false;
-  /// RR-sampling kernel (rrset/sampler_kernel.h): kAuto resolves to the
-  /// classic per-edge reference; kSkip replaces per-edge coins with
-  /// geometric jumps on uniform-probability rows — deterministic per seed
-  /// but on a different random stream, so allocations are statistically
-  /// equivalent (gated), not bit-identical. Applies to the private store
-  /// only; a shared `sample_store` keeps its own configured kernel.
-  SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   /// Sampling/coverage shards (the GreeDIMM shape — see
   /// rrset/sharded_store.h). 1 = the classic single-store path. K > 1
   /// interleaves each ad's θ chunks across K shard pools and replaces the

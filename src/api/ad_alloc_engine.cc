@@ -153,27 +153,18 @@ Result<EngineRun> AdAllocEngine::Run(const AllocatorConfig& config,
   // way, only the sampling bill differs.
   run_config.sample_store_seed = StoreSeed();
   if (options_.reuse_samples) {
-    // One store per (resolved worker count, sampler kernel): pools are
-    // deterministic per fixed thread count and kernel, so sharing them
-    // across either would break the reuse-on/off bit-identical contract.
-    // The map mutation is guarded —
+    // One store per resolved worker count: pools are deterministic per
+    // fixed thread count, so sharing them across counts would break the
+    // reuse-on/off bit-identical contract. The map mutation is guarded —
     // Run() may be called concurrently (see the header contract) and
     // sample_store() polls from other threads.
     const int threads = ResolveThreadCount(run_config.num_threads);
-    // An unparseable kernel string keys the default here; registry Create
-    // rejects the config (Validate) before any sampling touches the store.
-    const Result<SamplerKernel> parsed =
-        ParseSamplerKernel(run_config.sampler_kernel);
-    const SamplerKernel kernel = ResolveSamplerKernel(
-        parsed.ok() ? parsed.value() : SamplerKernel::kAuto);
     MutexLock lock(store_mutex_);
-    std::unique_ptr<RrSampleStore>& store = stores_[{threads, kernel}];
+    std::unique_ptr<RrSampleStore>& store = stores_[threads];
     if (store == nullptr) {
       store = std::make_unique<RrSampleStore>(
           &base_.graph(),
-          RrSampleStore::Options{.seed = StoreSeed(),
-                                 .num_threads = threads,
-                                 .sampler_kernel = kernel});
+          RrSampleStore::Options{.seed = StoreSeed(), .num_threads = threads});
     }
     run_config.sample_store = store.get();
     last_store_ = store.get();
@@ -182,13 +173,12 @@ Result<EngineRun> AdAllocEngine::Run(const AllocatorConfig& config,
     // engine-owned stores entirely.
     if (run_config.num_shards > 1 && run_config.shard_clients.empty()) {
       std::unique_ptr<ShardedRrSampleStore>& sharded =
-          sharded_stores_[{threads, kernel, run_config.num_shards}];
+          sharded_stores_[{threads, run_config.num_shards}];
       if (sharded == nullptr) {
         sharded = std::make_unique<ShardedRrSampleStore>(
             &base_.graph(),
             RrSampleStore::Options{.seed = StoreSeed(),
-                                   .num_threads = threads,
-                                   .sampler_kernel = kernel},
+                                   .num_threads = threads},
             run_config.num_shards);
       }
       run_config.sharded_sample_store = sharded.get();

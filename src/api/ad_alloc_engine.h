@@ -41,7 +41,6 @@
 
 #include <map>
 #include <memory>
-#include <tuple>
 #include <utility>
 
 #include "alloc/allocator.h"
@@ -172,19 +171,18 @@ class AdAllocEngine {
   /// heap-held) so the capability analysis can name it statically; the
   /// explicit move constructor above is what keeps the engine movable.
   mutable Mutex store_mutex_;
-  /// One store per (resolved sampling worker count, resolved sampler
-  /// kernel), created lazily: pool contents are deterministic per fixed
-  /// thread count and kernel, so runs differing in either must not share
-  /// pools or the reuse-on/off bit-identical contract would break. In
-  /// practice an engine serves one combination and this holds one store.
-  std::map<std::pair<int, SamplerKernel>, std::unique_ptr<RrSampleStore>>
-      stores_ TIRM_GUARDED_BY(store_mutex_);
+  /// One store per resolved sampling worker count, created lazily: pool
+  /// contents are deterministic per fixed thread count, so runs differing
+  /// in it must not share pools or the reuse-on/off bit-identical contract
+  /// would break. In practice an engine serves one count and this holds
+  /// one store.
+  std::map<int, std::unique_ptr<RrSampleStore>> stores_
+      TIRM_GUARDED_BY(store_mutex_);
   /// Sharded-plane twin of `stores_`, additionally keyed by shard count:
   /// shard pools are chunk-interleaved per K, so different K values own
   /// different stores (their unions are nevertheless the same global pool,
   /// which is what keeps K-sweeps bit-identical).
-  std::map<std::tuple<int, SamplerKernel, int>,
-           std::unique_ptr<ShardedRrSampleStore>>
+  std::map<std::pair<int, int>, std::unique_ptr<ShardedRrSampleStore>>
       sharded_stores_ TIRM_GUARDED_BY(store_mutex_);
   const RrSampleStore* last_store_ TIRM_GUARDED_BY(store_mutex_) = nullptr;
 };

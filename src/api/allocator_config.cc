@@ -101,7 +101,6 @@ Result<AllocatorConfig> AllocatorConfig::FromFlags(const Flags& flags,
   c.exact_selection_fallback =
       boolean("exact_selection_fallback", c.exact_selection_fallback);
   c.ctp_aware_coverage = boolean("ctp_aware_coverage", c.ctp_aware_coverage);
-  c.sampler_kernel = flags.GetString("sampler_kernel", c.sampler_kernel);
   c.num_shards = static_cast<int>(bounded("num_shards", c.num_shards, 1, 64));
   c.irie_alpha = num("irie_alpha", c.irie_alpha);
   c.irie_rank_iterations = static_cast<int>(
@@ -162,7 +161,6 @@ Status AllocatorConfig::Validate() const {
         "num_shards > 1 requires the paper-faithful unweighted path "
         "(weight_by_ctp and ctp_aware_coverage must be off)");
   }
-  TIRM_RETURN_NOT_OK(ParseSamplerKernel(sampler_kernel).status());
   return Status::OK();
 }
 
@@ -179,10 +177,6 @@ TirmOptions AllocatorConfig::MakeTirmOptions() const {
   o.weight_by_ctp = weight_by_ctp;
   o.exact_selection_fallback = exact_selection_fallback;
   o.ctp_aware_coverage = ctp_aware_coverage;
-  // Validate() already rejected unknown names; a stale string here (field
-  // mutated after validation) falls back to kAuto.
-  Result<SamplerKernel> sampling = ParseSamplerKernel(sampler_kernel);
-  o.sampler_kernel = sampling.ok() ? sampling.value() : SamplerKernel::kAuto;
   o.sample_store = sample_store;
   o.sample_store_seed = sample_store_seed;
   o.num_shards = num_shards;

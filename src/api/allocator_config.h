@@ -46,11 +46,6 @@ struct AllocatorConfig {
   bool weight_by_ctp = false;       ///< ablation: delta-weighted selection
   bool exact_selection_fallback = true;
   bool ctp_aware_coverage = false;  ///< extension: survival-weighted coverage
-  /// RR-sampling kernel: "auto" (classic per-edge coins, the bit-stable
-  /// golden reference), "classic", or "skip" (geometric jumps on uniform-
-  /// probability rows — statistically equivalent, different random stream;
-  /// see rrset/sampler_kernel.h).
-  std::string sampler_kernel = "auto";
   /// Sampling/coverage shards for TIRM (`--num_shards`): 1 = single-store
   /// path; K > 1 runs the GreeDIMM-shaped sharded plane (chunk-interleaved
   /// shard pools + tree-reduced selection; allocations bit-identical to

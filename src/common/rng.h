@@ -11,7 +11,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 
 #include "common/check.h"
 
@@ -37,14 +36,6 @@ class Rng {
   /// Uniform float in [0, 1).
   float NextFloat() {
     return static_cast<float>(NextUInt64() >> 40) * 0x1.0p-24f;
-  }
-
-  /// Block-refill: fills `out` with uniform floats in [0, 1), one generator
-  /// step per element. Each value is exactly what NextFloat() would have
-  /// returned at the same stream position — only the call overhead is
-  /// amortized, for hot loops that drain a buffer (RrSampler skip kernel).
-  void FillUniformFloats(std::span<float> out) {
-    for (float& v : out) v = NextFloat();
   }
 
   /// True with probability `p` (p outside [0,1] clamps naturally).

@@ -15,12 +15,8 @@ ParallelRrBuilder::ParallelRrBuilder(const Graph& graph,
     : graph_(graph),
       edge_probs_(edge_probs),
       num_threads_(ResolveThreadCount(options.num_threads)),
-      min_parallel_batch_(options.min_parallel_batch),
-      sampler_kernel_(ResolveSamplerKernel(options.sampler_kernel)) {
+      min_parallel_batch_(options.min_parallel_batch) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
-  if (sampler_kernel_ == SamplerKernel::kSkip) {
-    rows_ = std::make_unique<SamplerRowClass>(graph_, edge_probs_);
-  }
   samplers_.resize(static_cast<std::size_t>(num_threads_));
 }
 
@@ -33,13 +29,9 @@ ParallelRrBuilder::ParallelRrBuilder(const Graph& graph,
       node_ctps_(node_ctps),
       with_ctp_(true),
       num_threads_(ResolveThreadCount(options.num_threads)),
-      min_parallel_batch_(options.min_parallel_batch),
-      sampler_kernel_(ResolveSamplerKernel(options.sampler_kernel)) {
+      min_parallel_batch_(options.min_parallel_batch) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
   TIRM_CHECK_EQ(node_ctps_.size(), graph_.num_nodes());
-  if (sampler_kernel_ == SamplerKernel::kSkip) {
-    rows_ = std::make_unique<SamplerRowClass>(graph_, edge_probs_);
-  }
   samplers_.resize(static_cast<std::size_t>(num_threads_));
 }
 
@@ -47,10 +39,8 @@ RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
   auto& slot = samplers_[static_cast<std::size_t>(worker)];
   if (slot == nullptr) {
     slot = with_ctp_
-               ? std::make_unique<RrSampler>(graph_, edge_probs_, node_ctps_,
-                                             sampler_kernel_, rows_.get())
-               : std::make_unique<RrSampler>(graph_, edge_probs_,
-                                             sampler_kernel_, rows_.get());
+               ? std::make_unique<RrSampler>(graph_, edge_probs_, node_ctps_)
+               : std::make_unique<RrSampler>(graph_, edge_probs_);
   }
   return *slot;
 }
@@ -111,9 +101,6 @@ ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
     span.Counter("chunk", static_cast<double>(c));
     span.Counter("part", static_cast<double>(p));
     span.Counter("quota", static_cast<double>(quota));
-    // Samplers are reused across tasks; drop any coins buffered from a
-    // previous task's stream so this part is a pure function of `rng`.
-    sampler.ResetStreamState();
     // Neighbouring tasks' streams and parts share cache lines, and other
     // threads write them on every set: work on a local copy of each and
     // move the part into place when done.

@@ -7,7 +7,7 @@
 // chunk a caller is about to sample (RrSampleStore passes all the chunks of
 // one top-up) and samples them in ONE fan-out, so threads start once per
 // call, not once per chunk. Determinism is preserved for a fixed (master
-// RNG states, count, thread count, kernel):
+// RNG states, count, thread count):
 //
 //  * each chunk splits into min(count, N) parts, or one part when `count`
 //    is below min_parallel_batch, with quotas that differ by at most one;
@@ -16,7 +16,7 @@
 //    and salt);
 //  * the chunk x part tasks run on min(N, tasks) threads, the calling thread
 //    among them: thread i runs tasks i, i+S, i+2S, ... (S threads) on its
-//    own sampler slot, resetting the sampler's stream state per task, so a
+//    own sampler slot; a sampler keeps no random state between sets, so a
 //    part is a pure function of (chunk master, part index) whichever thread
 //    runs it;
 //  * parts are returned grouped by chunk, in part order, so the result is
@@ -28,11 +28,6 @@
 // (RrSetPool::AdoptChunk — no merge copy); SampleWidths, the one-chunk case
 // of the same fan-out, returns only the TIM widths w(R) (sum of in-degrees
 // over the traversal) that KPT estimation needs.
-//
-// The sampler kernel (Options::sampler_kernel, rrset/sampler_kernel.h)
-// switches every worker between the classic per-edge loop and the
-// geometric-skip loop; the builder precomputes one shared SamplerRowClass
-// for all workers when skip is selected.
 
 #ifndef TIRM_RRSET_PARALLEL_RR_BUILDER_H_
 #define TIRM_RRSET_PARALLEL_RR_BUILDER_H_
@@ -45,13 +40,12 @@
 #include "common/rng.h"
 #include "graph/graph.h"
 #include "rrset/rr_sampler.h"
-#include "rrset/sampler_kernel.h"
 
 namespace tirm {
 
 /// Fans RR/RRC-set sampling out over worker threads; deterministic in
-/// (master seeds, chunk size, thread count, sampler kernel). Reusable across
-/// calls; not itself thread-safe (one builder per orchestrating thread).
+/// (master seeds, chunk size, thread count). Reusable across calls; not
+/// itself thread-safe (one builder per orchestrating thread).
 class ParallelRrBuilder {
  public:
   struct Options {
@@ -60,9 +54,6 @@ class ParallelRrBuilder {
     /// Chunks smaller than this are sampled as one part (one task) —
     /// splitting them would cost more than the sampling work they hold.
     std::uint64_t min_parallel_batch = 256;
-    /// Reverse-BFS inner-loop kernel (kAuto resolves to kClassic — see
-    /// rrset/sampler_kernel.h for the determinism contract).
-    SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   };
 
   /// One part of a sampled chunk. SampleChunks fills the sets
@@ -116,9 +107,6 @@ class ParallelRrBuilder {
   /// see common/threading.h).
   int num_threads() const { return num_threads_; }
 
-  /// Resolved sampler kernel (never kAuto).
-  SamplerKernel sampler_kernel() const { return sampler_kernel_; }
-
   const Graph& graph() const { return graph_; }
 
  private:
@@ -135,10 +123,6 @@ class ParallelRrBuilder {
   bool with_ctp_ = false;
   int num_threads_;
   std::uint64_t min_parallel_batch_;
-  SamplerKernel sampler_kernel_;
-  /// Row classification shared read-only by every worker's sampler
-  /// (immutable after construction); only built for the skip kernel.
-  std::unique_ptr<SamplerRowClass> rows_;
   // Lazily created so a builder configured for N threads but only ever used
   // for tiny inline batches allocates a single sampler.
   std::vector<std::unique_ptr<RrSampler>> samplers_;

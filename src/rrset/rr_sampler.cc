@@ -1,7 +1,6 @@
 #include "rrset/rr_sampler.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tirm {
 
@@ -9,42 +8,20 @@ namespace {
 constexpr std::size_t kMinReserve = 16;
 }  // namespace
 
-RrSampler::RrSampler(const Graph& graph, std::span<const float> edge_probs,
-                     SamplerKernel kernel, const SamplerRowClass* rows)
-    : graph_(graph),
-      edge_probs_(edge_probs),
-      mode_(Mode::kPlain),
-      kernel_(ResolveSamplerKernel(kernel)),
-      rows_(rows) {
+RrSampler::RrSampler(const Graph& graph, std::span<const float> edge_probs)
+    : graph_(graph), edge_probs_(edge_probs), mode_(Mode::kPlain) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
-  if (kernel_ == SamplerKernel::kSkip && rows_ == nullptr) {
-    owned_rows_ = std::make_unique<SamplerRowClass>(graph_, edge_probs_);
-    rows_ = owned_rows_.get();
-  }
-  if (rows_ != nullptr) {
-    TIRM_CHECK_EQ(rows_->num_nodes(), graph_.num_nodes());
-  }
   visited_.assign(graph_.num_nodes(), 0);
 }
 
 RrSampler::RrSampler(const Graph& graph, std::span<const float> edge_probs,
-                     std::span<const float> node_ctps, SamplerKernel kernel,
-                     const SamplerRowClass* rows)
+                     std::span<const float> node_ctps)
     : graph_(graph),
       edge_probs_(edge_probs),
       mode_(Mode::kWithCtp),
-      node_ctps_(node_ctps),
-      kernel_(ResolveSamplerKernel(kernel)),
-      rows_(rows) {
+      node_ctps_(node_ctps) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
   TIRM_CHECK_EQ(node_ctps_.size(), graph_.num_nodes());
-  if (kernel_ == SamplerKernel::kSkip && rows_ == nullptr) {
-    owned_rows_ = std::make_unique<SamplerRowClass>(graph_, edge_probs_);
-    rows_ = owned_rows_.get();
-  }
-  if (rows_ != nullptr) {
-    TIRM_CHECK_EQ(rows_->num_nodes(), graph_.num_nodes());
-  }
   visited_.assign(graph_.num_nodes(), 0);
 }
 
@@ -84,15 +61,6 @@ void RrSampler::SampleWithRoot(NodeId root, Rng& rng,
     out.push_back(root);
   }
 
-  if (kernel_ == SamplerKernel::kSkip) {
-    TraverseSkip(rng, out);
-  } else {
-    TraverseClassic(rng, out);
-  }
-  last_traversal_ = queue_.size();
-}
-
-void RrSampler::TraverseClassic(Rng& rng, std::vector<NodeId>& out) {
   std::size_t head = 0;
   while (head < queue_.size()) {
     const NodeId u = queue_[head++];
@@ -114,61 +82,7 @@ void RrSampler::TraverseClassic(Rng& rng, std::vector<NodeId>& out) {
       // its own in-neighbors can be discovered as valid seeds.
     }
   }
-}
-
-void RrSampler::TraverseSkip(Rng& rng, std::vector<NodeId>& out) {
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const NodeId u = queue_[head++];
-    const std::size_t indeg = graph_.InDegree(u);
-    last_width_ += indeg;
-    if (indeg == 0) continue;
-    const auto sources = graph_.InNeighbors(u);
-    switch (rows_->Kind(u)) {
-      case SamplerRowClass::RowKind::kBlocked:
-        // No in-edge can fire; consumes no randomness, matching the
-        // classic p <= 0 short-circuit.
-        break;
-      case SamplerRowClass::RowKind::kAlways:
-        for (const NodeId v : sources) Visit(v, rng, out);
-        break;
-      case SamplerRowClass::RowKind::kGeometric: {
-        const double inv = rows_->InvLog1mP(u);
-        std::size_t j = 0;
-        for (;;) {
-          // Failures before the next success. Both log1p terms are
-          // negative, so g >= 0; compare in double BEFORE the size_t cast
-          // (for tiny p one jump can exceed the integer range, and an
-          // out-of-range float->int cast is UB).
-          const double g = std::floor(
-              std::log1p(-static_cast<double>(NextCoin(rng))) * inv);
-          if (g >= static_cast<double>(indeg - j)) break;
-          j += static_cast<std::size_t>(g);
-          Visit(sources[j], rng, out);
-          if (++j >= indeg) break;
-        }
-        break;
-      }
-      case SamplerRowClass::RowKind::kMixed: {
-        // Mixed-probability row: the classic per-edge loop, fed from the
-        // same coin buffer.
-        const auto edge_ids = graph_.InEdgeIds(u);
-        for (std::size_t j = 0; j < indeg; ++j) {
-          const NodeId v = sources[j];
-          if (visited_[v] == epoch_) continue;
-          const float p = edge_probs_[edge_ids[j]];
-          if (p <= 0.0f || NextCoin(rng) >= p) continue;  // edge blocked
-          visited_[v] = epoch_;
-          queue_.push_back(v);
-          if (mode_ == Mode::kPlain ||
-              rng.Bernoulli(static_cast<double>(node_ctps_[v]))) {
-            out.push_back(v);
-          }
-        }
-        break;
-      }
-    }
-  }
+  last_traversal_ = queue_.size();
 }
 
 }  // namespace tirm

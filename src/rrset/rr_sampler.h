@@ -14,29 +14,20 @@
 //    in-neighbors can be valid seeds. The root itself also takes a node coin
 //    for membership but is always expanded.
 //
-// Two kernels (rrset/sampler_kernel.h):
-//  * kClassic — one Bernoulli coin per in-edge, consumed directly from the
-//    caller's Rng. The golden reference: its stream consumption is part of
-//    the repo-wide bit-identical determinism contract and must not change.
-//  * kSkip — on uniform-probability in-edge rows (all weighted-cascade
-//    rows), jump between coin successes geometrically, consuming one
-//    buffered uniform per success instead of one per edge; mixed rows fall
-//    back to the classic per-edge loop (through the same buffer). Fully
-//    deterministic in (seed, kernel) but stream-incompatible with classic,
-//    so it is opt-in and statistically gated (see sampler_kernel.h).
+// One traversal: one Bernoulli coin per in-edge touched, drawn directly
+// from the caller's Rng. Its stream consumption is part of the repo-wide
+// bit-identical determinism contract (the PinnedGoldenTest constants in
+// tests/sample_store_test.cc) and must not change.
 
 #ifndef TIRM_RRSET_RR_SAMPLER_H_
 #define TIRM_RRSET_RR_SAMPLER_H_
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "rrset/sampler_kernel.h"
 
 namespace tirm {
 
@@ -46,12 +37,8 @@ class RrSampler {
  public:
   enum class Mode { kPlain, kWithCtp };
 
-  /// Plain RR-set sampler. `rows` optionally shares a precomputed
-  /// SamplerRowClass (ParallelRrBuilder builds one for all its workers);
-  /// when null and the kernel needs one, the sampler builds its own.
-  explicit RrSampler(const Graph& graph, std::span<const float> edge_probs,
-                     SamplerKernel kernel = SamplerKernel::kClassic,
-                     const SamplerRowClass* rows = nullptr);
+  /// Plain RR-set sampler.
+  explicit RrSampler(const Graph& graph, std::span<const float> edge_probs);
 
   /// RRC-set sampler with node-level CTP coin flips; `node_ctps[v]` = δ(v),
   /// one float per node (ClickProbabilities::Row(ad) has exactly this
@@ -59,9 +46,7 @@ class RrSampler {
   /// node coin flip a single indexed load in the hot reverse-BFS loop.
   /// The array must outlive the sampler.
   RrSampler(const Graph& graph, std::span<const float> edge_probs,
-            std::span<const float> node_ctps,
-            SamplerKernel kernel = SamplerKernel::kClassic,
-            const SamplerRowClass* rows = nullptr);
+            std::span<const float> node_ctps);
 
   /// Samples one RR/RRC set rooted at a uniform node into `out`
   /// (cleared first). Returns the root.
@@ -79,62 +64,21 @@ class RrSampler {
   /// kWithCtp mode). Also used to size the next traversal's reservations.
   std::uint64_t last_traversal() const { return last_traversal_; }
 
-  /// Discards buffered skip-kernel coins. The buffer refills from whatever
-  /// Rng the next SampleWithRoot receives, so callers that switch streams
-  /// between batches (ParallelRrBuilder workers) must reset first to keep
-  /// each batch a pure function of its own stream. No-op for kClassic,
-  /// which never buffers (buffering would reorder the interleaved CTP
-  /// coins and break the classic bit-identity contract).
-  void ResetStreamState() { coin_pos_ = kCoinBuffer; }
-
   Mode mode() const { return mode_; }
-
-  SamplerKernel kernel() const { return kernel_; }
 
   const Graph& graph() const { return graph_; }
 
  private:
-  void TraverseClassic(Rng& rng, std::vector<NodeId>& out);
-  void TraverseSkip(Rng& rng, std::vector<NodeId>& out);
-
-  /// First-touch bookkeeping shared by the skip-kernel row loops.
-  void Visit(NodeId v, Rng& rng, std::vector<NodeId>& out) {
-    if (visited_[v] == epoch_) return;
-    visited_[v] = epoch_;
-    queue_.push_back(v);
-    if (mode_ == Mode::kPlain ||
-        rng.Bernoulli(static_cast<double>(node_ctps_[v]))) {
-      out.push_back(v);
-    }
-  }
-
-  /// Next buffered uniform in [0, 1) (skip kernel only).
-  float NextCoin(Rng& rng) {
-    if (coin_pos_ == kCoinBuffer) {
-      rng.FillUniformFloats(coins_);
-      coin_pos_ = 0;
-    }
-    return coins_[coin_pos_++];
-  }
-
   const Graph& graph_;
   std::span<const float> edge_probs_;
   Mode mode_;
   std::span<const float> node_ctps_;  // per-node δ; empty in kPlain mode
-
-  SamplerKernel kernel_;
-  const SamplerRowClass* rows_ = nullptr;       // row classes (skip kernel)
-  std::unique_ptr<SamplerRowClass> owned_rows_;  // backing when not shared
 
   std::vector<std::uint32_t> visited_;
   std::uint32_t epoch_ = 0;
   std::vector<NodeId> queue_;
   std::uint64_t last_width_ = 0;
   std::uint64_t last_traversal_ = 0;
-
-  static constexpr std::size_t kCoinBuffer = 256;
-  std::array<float, kCoinBuffer> coins_;
-  std::size_t coin_pos_ = kCoinBuffer;  // empty until first refill
 };
 
 }  // namespace tirm

@@ -106,14 +106,13 @@ std::size_t RrSetPool::MemoryBytes() const {
 
 RrSampleStore::AdPool::AdPool(const Graph& graph, std::uint64_t base_seed,
                               std::span<const float> edge_probs,
-                              int num_threads, SamplerKernel sampler_kernel)
+                              int num_threads)
     : pool_(graph.num_nodes()),
       base_seed_(base_seed),
       edge_probs_(edge_probs),
       builder_(std::make_unique<ParallelRrBuilder>(
           graph, edge_probs,
-          ParallelRrBuilder::Options{.num_threads = num_threads,
-                                     .sampler_kernel = sampler_kernel})) {}
+          ParallelRrBuilder::Options{.num_threads = num_threads})) {}
 
 RrSampleStore::AdPool::~AdPool() = default;
 
@@ -141,12 +140,10 @@ std::uint64_t RrSampleStore::SignatureForAd(const ProblemInstance& instance,
     const auto topics = static_cast<std::uint64_t>(mass.size());
     h = HashBytes(h, &topics, sizeof(topics));
   }
-  if (!options_.share_across_ads) {
-    // Keep per-ad sample independence (the paper's per-ad R_j): salt with
-    // the ad id so identically-distributed ads draw decorrelated pools.
-    const auto id = static_cast<std::uint64_t>(ad);
-    h = HashBytes(h, &id, sizeof(id));
-  }
+  // Keep per-ad sample independence (the paper's per-ad R_j): salt with the
+  // ad id so identically-distributed ads draw decorrelated pools.
+  const auto id = static_cast<std::uint64_t>(ad);
+  h = HashBytes(h, &id, sizeof(id));
   return FinalizeHash(h);
 }
 
@@ -160,17 +157,13 @@ RrSampleStore::AdPool* RrSampleStore::Acquire(
     // members (edge_probs_, builder_) therefore need no capability guard.
     auto entry = std::unique_ptr<AdPool>(
         new AdPool(*graph_, MixHash(options_.seed, signature), edge_probs,
-                   options_.num_threads, options_.sampler_kernel));
+                   options_.num_threads));
     it = entries_.emplace(signature, std::move(entry)).first;
   } else {
     // A warm acquire must describe the same probabilities the pool was
     // sampled from — a mismatch means the signature scheme and the
-    // caller's probabilities disagree. Under share_across_ads, distinct
-    // ads with equal mixtures may hand in equal-content arrays at
-    // different addresses, so only the size is checked there.
-    TIRM_DCHECK(it->second->edge_probs_.size() == edge_probs.size());
-    TIRM_DCHECK(options_.share_across_ads ||
-                it->second->edge_probs_.data() == edge_probs.data());
+    // caller's probabilities disagree.
+    TIRM_DCHECK(it->second->edge_probs_.data() == edge_probs.data());
   }
   return it->second.get();
 }
@@ -213,10 +206,10 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
   masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
     // One independent substream per GLOBAL chunk index: chunk contents are
-    // a pure function of (seed, signature, chunk_sets, thread count,
-    // kernel) — never of how θ growth was split across EnsureSets calls,
-    // and never of the shard layout, so every K partitions the same
-    // global pool and K=1 reproduces it whole.
+    // a pure function of (seed, signature, chunk_sets, thread count) —
+    // never of how θ growth was split across EnsureSets calls, and never
+    // of the shard layout, so every K partitions the same global pool and
+    // K=1 reproduces it whole.
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
     masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
   }

@@ -4,8 +4,8 @@
 // for ad i depend only on the graph and the ad's Eq. 1 edge probabilities
 // (i.e. its topic mixture γ_i) — not on λ, κ, β, or budgets. The store
 // exploits that: it owns one immutable, append-only pool of RR sets per
-// *ad signature* (hash of γ_i, or a single shared pool in topic-blind
-// kShared probability mode), and every consumer — a TIRM run, a sweep
+// *ad signature* (hash of γ_i, salted with the ad id so every ad keeps its
+// own independent pool), and every consumer — a TIRM run, a sweep
 // point, a second allocator in a head-to-head — borrows read-only spans
 // from the same physical copy instead of resampling.
 //
@@ -15,7 +15,7 @@
 // several therefore yields bit-identical pools (top-up granularity is the
 // chunk), and a run served from a warm pool is bit-identical to a run that
 // sampled the pool fresh. As with ParallelRrBuilder, pool contents are
-// deterministic for a fixed sampling-thread count and sampler kernel.
+// deterministic for a fixed sampling-thread count.
 //
 // Thread safety. Entry creation and top-up are internally synchronized
 // (store mutex for the key map, one mutex per entry for sampling), so
@@ -59,9 +59,16 @@
 #include "common/types.h"
 #include "graph/graph.h"
 #include "rrset/kpt_estimator.h"
-#include "rrset/sampler_kernel.h"
 
 namespace tirm {
+
+/// Kept only so bench_suite/bench_suite.cc, which names them in its store
+/// options, builds unchanged: RR sampling has one kernel, and nothing reads
+/// RrSampleStore::Options::sampler_kernel.
+enum class SamplerKernel : std::uint8_t { kAuto };
+constexpr SamplerKernel ResolveSamplerKernel(SamplerKernel kernel) {
+  return kernel;
+}
 
 class CoverageTranspose;  // rrset/coverage_bitmap.h
 class ParallelRrBuilder;  // rrset/parallel_rr_builder.h
@@ -185,7 +192,7 @@ class RrSampleStore {
  public:
   struct Options {
     /// Sampling seed. Pool contents are a pure function of
-    /// (seed, signature, chunk_sets, sampling thread count, sampler kernel).
+    /// (seed, signature, chunk_sets, sampling thread count).
     std::uint64_t seed = 0x5EEDD00DULL;
     /// Sampling threads per top-up (ParallelRrBuilder semantics:
     /// 0 = hardware concurrency; deterministic per fixed count).
@@ -193,16 +200,7 @@ class RrSampleStore {
     /// Top-up granularity: pools grow in whole chunks so the sampled
     /// prefix never depends on how θ growth was split across calls.
     std::uint64_t chunk_sets = 4096;
-    /// When true, ads with identical topic mixtures (or any ads in
-    /// topic-blind kShared probability mode) share one physical pool —
-    /// maximal dedupe, but competing ads then see *correlated* sample
-    /// noise. Default false: each ad keeps a statistically independent
-    /// pool (the paper's per-ad R_j), and sharing happens across runs,
-    /// sweep points, and allocators instead.
-    bool share_across_ads = false;
-    /// Sampling kernel for top-ups (rrset/sampler_kernel.h). Pool contents
-    /// are additionally a function of the resolved kernel — kAuto resolves
-    /// to the classic golden reference.
+    /// Unused; see SamplerKernel above.
     SamplerKernel sampler_kernel = SamplerKernel::kAuto;
     /// Shard coordinates for distributed sampling (rrset/sharded_store.h).
     /// The global chunk sequence is interleaved across shards — global
@@ -232,8 +230,7 @@ class RrSampleStore {
    private:
     friend class RrSampleStore;
     AdPool(const Graph& graph, std::uint64_t base_seed,
-           std::span<const float> edge_probs, int num_threads,
-           SamplerKernel sampler_kernel);
+           std::span<const float> edge_probs, int num_threads);
 
     Mutex mutex_;
     RrSetPool pool_ TIRM_GUARDED_BY(mutex_);
@@ -276,9 +273,9 @@ class RrSampleStore {
   RrSampleStore& operator=(const RrSampleStore&) = delete;
 
   /// Pool key for ad `ad` of `instance`: a stable hash of the ad's topic
-  /// distribution (one shared key for every ad in topic-blind kShared
-  /// probability mode), salted with the ad id unless
-  /// options().share_across_ads. Stable across queries derived from one
+  /// distribution (of the topic-blind marker in kShared probability mode),
+  /// salted with the ad id, so every ad keeps a statistically independent
+  /// pool (the paper's per-ad R_j). Stable across queries derived from one
   /// BuiltInstance, so sweep points and head-to-head allocator runs hit
   /// the same pools.
   std::uint64_t SignatureForAd(const ProblemInstance& instance,

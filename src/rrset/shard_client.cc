@@ -34,11 +34,10 @@ int LocalShardClient::num_shards() const {
 Status LocalShardClient::BeginRun(const ShardRunConfig& run) {
   const RrSampleStore::Options& opts = store_->options();
   if (run.store_seed != opts.seed || run.num_threads != opts.num_threads ||
-      run.chunk_sets != opts.chunk_sets ||
-      run.sampler_kernel != opts.sampler_kernel) {
+      run.chunk_sets != opts.chunk_sets) {
     return Status::InvalidArgument(
         "shard run config does not match this shard's store (seed, threads, "
-        "chunking, and sampler kernel must agree or pools diverge)");
+        "and chunking must agree or pools diverge)");
   }
   if (run.num_ads < 0 || run.num_ads > instance_->num_ads()) {
     return Status::InvalidArgument("shard run num_ads out of range");

@@ -48,16 +48,15 @@
 #include "rrset/kpt_estimator.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
-#include "rrset/sampler_kernel.h"
 
 namespace tirm {
 
 class ProblemInstance;  // topic/instance.h
 
 /// Per-run handshake. Everything a shard needs that is not derivable from
-/// its bundle/graph: the store identity (seed, threads, chunking, sampler
-/// kernel — all of which the pool contents are a pure function of) and the
-/// run's KPT knobs. A local client validates these against its
+/// its bundle/graph: the store identity (seed, threads, chunking — the
+/// pool contents are a pure function of all three) and the run's KPT
+/// knobs. A local client validates these against its
 /// store; a remote client ships them to the worker, which creates or
 /// reuses a matching shard store.
 struct ShardRunConfig {
@@ -65,7 +64,6 @@ struct ShardRunConfig {
   std::uint64_t store_seed = 0;
   int num_threads = 1;  ///< resolved sampling workers (never 0)
   std::uint64_t chunk_sets = 4096;
-  SamplerKernel sampler_kernel = SamplerKernel::kAuto;
   double kpt_ell = 1.0;
   std::uint64_t kpt_max_samples = 1 << 17;
 };

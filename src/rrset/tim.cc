@@ -20,8 +20,7 @@ TimResult RunTim(const Graph& graph, std::span<const float> edge_probs,
   TIRM_CHECK_LE(k, graph.num_nodes());
   TimResult result;
 
-  RrSampler sampler(graph, edge_probs,
-                    ResolveSamplerKernel(options.sampler_kernel));
+  RrSampler sampler(graph, edge_probs);
 
   // Phase 1: KPT* lower bound on OPT_k.
   {

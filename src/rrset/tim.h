@@ -18,7 +18,6 @@
 
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "rrset/sampler_kernel.h"
 #include "rrset/theta.h"
 
 namespace tirm {
@@ -42,10 +41,6 @@ struct TimResult {
 struct TimOptions {
   ThetaParams theta;            ///< ε, ℓ, caps
   std::uint64_t kpt_max_samples = 1 << 20;
-  /// RR-sampling kernel for phases 1 and 2 (kAuto resolves to the classic
-  /// per-edge reference; skip is statistically equivalent but consumes the
-  /// random stream differently — see rrset/sampler_kernel.h).
-  SamplerKernel sampler_kernel = SamplerKernel::kAuto;
 };
 
 /// Runs TIM for seed-set size `k` on `graph` with per-edge probabilities

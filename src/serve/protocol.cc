@@ -43,8 +43,8 @@ const std::set<std::string>& RequestConfigKeys() {
   static const std::set<std::string> kKeys = {
       "max_total_seeds", "min_drop", "eps", "ell", "theta_cap", "theta_min",
       "kpt_max_samples", "threads", "weight_by_ctp",
-      "exact_selection_fallback", "ctp_aware_coverage", "sampler_kernel",
-      "num_shards", "irie_alpha", "irie_rank_iterations",
+      "exact_selection_fallback", "ctp_aware_coverage", "num_shards",
+      "irie_alpha", "irie_rank_iterations",
       "irie_ap_truncation", "irie_max_push_hops", "mc_sims"};
   return kKeys;
 }
@@ -98,7 +98,6 @@ void WriteConfig(JsonWriter& w, const AllocatorConfig& c) {
   w.Field("weight_by_ctp", c.weight_by_ctp);
   w.Field("exact_selection_fallback", c.exact_selection_fallback);
   w.Field("ctp_aware_coverage", c.ctp_aware_coverage);
-  w.Field("sampler_kernel", c.sampler_kernel);
   w.Field("num_shards", c.num_shards);
   w.Field("irie_alpha", c.irie_alpha);
   w.Field("irie_rank_iterations", c.irie_rank_iterations);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/json.h"
-#include "rrset/sampler_kernel.h"
 #include "serve/json_fields.h"
 
 namespace tirm {
@@ -133,7 +132,6 @@ std::string FormatBeginRequest(const ShardRunConfig& run, int shard_index,
   w.Field("store_seed", EncodeHexU64(run.store_seed));
   w.Field("num_threads", run.num_threads);
   w.Field("chunk_sets", run.chunk_sets);
-  w.Field("sampler_kernel", SamplerKernelName(run.sampler_kernel));
   w.Field("kpt_ell", run.kpt_ell);
   w.Field("kpt_max_samples", run.kpt_max_samples);
   w.Field("shard_index", shard_index);
@@ -275,9 +273,9 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   if (request.op == "begin") {
     static const std::set<std::string> kKeys = {
-        "op",          "num_ads",        "store_seed",  "num_threads",
-        "chunk_sets",  "sampler_kernel", "kpt_ell",     "kpt_max_samples",
-        "shard_index", "num_shards"};
+        "op",         "num_ads", "store_seed",      "num_threads",
+        "chunk_sets", "kpt_ell", "kpt_max_samples", "shard_index",
+        "num_shards"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     Result<std::int64_t> num_ads = RequireInt(root, "num_ads", 0, 1 << 20);
     if (!num_ads.ok()) return num_ads.status();
@@ -291,19 +289,6 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     Result<std::int64_t> chunk = RequireInt(root, "chunk_sets", 1, kMaxCount);
     if (!chunk.ok()) return chunk.status();
     request.run.chunk_sets = static_cast<std::uint64_t>(*chunk);
-    const JsonValue* sampler = root.Find("sampler_kernel");
-    if (sampler == nullptr) {
-      return Status::InvalidArgument("missing field \"sampler_kernel\"");
-    }
-    Result<std::string> sampler_name = sampler->AsString();
-    if (!sampler_name.ok()) {
-      return FieldError("sampler_kernel", sampler_name.status());
-    }
-    Result<SamplerKernel> sampler_kernel = ParseSamplerKernel(*sampler_name);
-    if (!sampler_kernel.ok()) {
-      return FieldError("sampler_kernel", sampler_kernel.status());
-    }
-    request.run.sampler_kernel = *sampler_kernel;
     const JsonValue* ell = root.Find("kpt_ell");
     if (ell == nullptr) {
       return Status::InvalidArgument("missing field \"kpt_ell\"");

@@ -19,8 +19,7 @@ ShardWorkerContext::ShardWorkerContext(const ProblemInstance* instance,
 }
 
 RrSampleStore* ShardWorkerContext::GetOrCreateStore(const ShardRunConfig& run) {
-  const StoreKey key{run.store_seed, run.num_threads, run.chunk_sets,
-                     run.sampler_kernel};
+  const StoreKey key{run.store_seed, run.num_threads, run.chunk_sets};
   MutexLock lock(mutex_);
   std::unique_ptr<RrSampleStore>& store = stores_[key];
   if (store == nullptr) {
@@ -29,7 +28,6 @@ RrSampleStore* ShardWorkerContext::GetOrCreateStore(const ShardRunConfig& run) {
         RrSampleStore::Options{.seed = run.store_seed,
                                .num_threads = run.num_threads,
                                .chunk_sets = run.chunk_sets,
-                               .sampler_kernel = run.sampler_kernel,
                                .num_shards = num_shards_,
                                .shard_index = shard_index_});
   }

@@ -32,7 +32,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "rrset/sample_store.h"
-#include "rrset/sampler_kernel.h"
 #include "rrset/shard_client.h"
 #include "topic/instance.h"
 
@@ -55,14 +54,14 @@ class ShardWorkerContext {
   int num_shards() const { return num_shards_; }
 
   /// The shard store for `run`'s store identity, created on first use.
-  /// Pools are a pure function of (seed, threads, chunking, kernel, shard
-  /// coordinates), so keying the cache by the first four (the coordinates
+  /// Pools are a pure function of (seed, threads, chunking, shard
+  /// coordinates), so keying the cache by the first three (the coordinates
   /// are fixed per worker) keeps reuse bit-safe across runs.
   [[nodiscard]] RrSampleStore* GetOrCreateStore(const ShardRunConfig& run)
       TIRM_EXCLUDES(mutex_);
 
  private:
-  using StoreKey = std::tuple<std::uint64_t, int, std::uint64_t, SamplerKernel>;
+  using StoreKey = std::tuple<std::uint64_t, int, std::uint64_t>;
 
   const ProblemInstance* instance_;
   const int shard_index_;

@@ -17,7 +17,6 @@
 #include "graph/generators.h"
 #include "rrset/parallel_rr_builder.h"
 #include "rrset/rr_sampler.h"
-#include "rrset/sampler_kernel.h"
 #include "tirm_test_util.h"
 #include "topic/instance.h"
 
@@ -97,51 +96,46 @@ TEST(ParallelRrBuilderTest, ThreadCountCappedByBatchSize) {
 // masters, part for part — the split invariance a store top-up relies on
 // when it samples all of its chunks in one call. Covers a chunk size that
 // splits into one part per thread and one below min_parallel_batch (one
-// part per chunk), for both sampler kernels: a thread reuses its sampler
-// across tasks, so no buffered coin may leak from one part into the next.
+// part per chunk); a thread reuses its sampler across tasks, so no state
+// may leak from one part into the next.
 TEST(ParallelRrBuilderTest, ManyMastersEqualOneMasterCallsPartForPart) {
   Rng graph_rng(14);
   Graph g = ErdosRenyiGraph(60, 300, graph_rng);
   std::vector<float> probs(g.num_edges(), 0.2f);
   constexpr std::size_t kChunks = 5;
-  for (const SamplerKernel kernel :
-       {SamplerKernel::kClassic, SamplerKernel::kSkip}) {
-    for (const int threads : {1, 2, 4}) {
-      for (const std::uint64_t count : {300u, 100u}) {
-        SCOPED_TRACE(testing::Message()
-                     << "kernel=" << SamplerKernelName(kernel)
-                     << " threads=" << threads << " count=" << count);
-        const ParallelRrBuilder::Options options{.num_threads = threads,
-                                                 .sampler_kernel = kernel};
-        ParallelRrBuilder together(g, probs, options);
-        ParallelRrBuilder apart(g, probs, options);
-        std::vector<Rng> masters;
-        for (std::size_t c = 0; c < kChunks; ++c) masters.emplace_back(50 + c);
-        std::vector<Rng> copies = masters;
+  for (const int threads : {1, 2, 4}) {
+    for (const std::uint64_t count : {300u, 100u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " count=" << count);
+      const ParallelRrBuilder::Options options{.num_threads = threads};
+      ParallelRrBuilder together(g, probs, options);
+      ParallelRrBuilder apart(g, probs, options);
+      std::vector<Rng> masters;
+      for (std::size_t c = 0; c < kChunks; ++c) masters.emplace_back(50 + c);
+      std::vector<Rng> copies = masters;
 
-        const std::vector<std::vector<Batch>> chunks =
-            together.SampleChunks(count, masters);
-        ASSERT_EQ(chunks.size(), kChunks);
-        const std::size_t parts =
-            count < options.min_parallel_batch
-                ? 1
-                : static_cast<std::size_t>(threads);
-        for (std::size_t c = 0; c < kChunks; ++c) {
-          const std::vector<std::vector<Batch>> one =
-              apart.SampleChunks(count, {&copies[c], 1});
-          ASSERT_EQ(one.size(), 1u);
-          ASSERT_EQ(chunks[c].size(), parts);
-          ASSERT_EQ(one[0].size(), parts);
-          for (std::size_t p = 0; p < parts; ++p) {
-            EXPECT_EQ(chunks[c][p].offsets, one[0][p].offsets)
-                << "chunk " << c << " part " << p;
-            EXPECT_EQ(chunks[c][p].nodes, one[0][p].nodes)
-                << "chunk " << c << " part " << p;
-            EXPECT_EQ(chunks[c][p].max_traversal, one[0][p].max_traversal);
-          }
-          // Both sides advanced the master by the same forks.
-          EXPECT_EQ(masters[c].NextUInt64(), copies[c].NextUInt64());
+      const std::vector<std::vector<Batch>> chunks =
+          together.SampleChunks(count, masters);
+      ASSERT_EQ(chunks.size(), kChunks);
+      const std::size_t parts =
+          count < options.min_parallel_batch
+              ? 1
+              : static_cast<std::size_t>(threads);
+      for (std::size_t c = 0; c < kChunks; ++c) {
+        const std::vector<std::vector<Batch>> one =
+            apart.SampleChunks(count, {&copies[c], 1});
+        ASSERT_EQ(one.size(), 1u);
+        ASSERT_EQ(chunks[c].size(), parts);
+        ASSERT_EQ(one[0].size(), parts);
+        for (std::size_t p = 0; p < parts; ++p) {
+          EXPECT_EQ(chunks[c][p].offsets, one[0][p].offsets)
+              << "chunk " << c << " part " << p;
+          EXPECT_EQ(chunks[c][p].nodes, one[0][p].nodes)
+              << "chunk " << c << " part " << p;
+          EXPECT_EQ(chunks[c][p].max_traversal, one[0][p].max_traversal);
         }
+        // Both sides advanced the master by the same forks.
+        EXPECT_EQ(masters[c].NextUInt64(), copies[c].NextUInt64());
       }
     }
   }
@@ -204,8 +198,7 @@ TEST(ParallelRrBuilderTest, RrcModeAppliesCtpCoins) {
 }
 
 // ----------------------------------------------------- TIRM end-to-end
-// TestInstance / MakeRMatInstance / FastOptions live in tirm_test_util.h,
-// shared with sampler_kernel_test.cc.
+// TestInstance / MakeRMatInstance / FastOptions live in tirm_test_util.h.
 
 TEST(ParallelTirmTest, DeterministicForFixedThreadCount) {
   TestInstance s = MakeRMatInstance(2, 30.0);

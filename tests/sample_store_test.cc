@@ -2,10 +2,12 @@
 // (RrSetPool + borrowing RrCollection/WeightedRrCollection), chunked
 // top-up determinism (θ grown in one step vs several, at 1 and more
 // threads), one sampling fan-out per top-up, concurrency of
-// EnsureSets/Acquire (run under TSan in CI), golden equivalence of
-// pooled-store vs fresh-sampling runs for all five allocators,
-// engine-level sweep reuse (samples drawn at most once per (ad, max-θ)),
-// and pool contents, RunTim and TIRM seeds pinned to recorded constants.
+// EnsureSets/Acquire (run under TSan in CI), the arena-direct top-up (a
+// pool holds exactly the sets of its sampled parts, byte for byte), the
+// max-traversal statistic, golden equivalence of pooled-store vs
+// fresh-sampling runs for all five allocators, engine-level sweep reuse
+// (samples drawn at most once per (ad, max-θ)), and pool contents, RunTim
+// and TIRM seeds pinned to recorded constants.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,7 @@
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
+#include "rrset/parallel_rr_builder.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
 #include "rrset/tim.h"
@@ -39,6 +42,8 @@
 
 namespace tirm {
 namespace {
+
+using Batch = ParallelRrBuilder::Batch;
 
 constexpr std::uint64_t kSeed = 2015;
 
@@ -194,9 +199,10 @@ TEST_F(SampleStoreTest, DifferentSignaturesGetIndependentPools) {
   EXPECT_NE(SetsOf(a->sets()), SetsOf(b->sets()));
 }
 
-// Signature keying: ads are independent by default (paper per-ad R_j);
-// share_across_ads collapses identically-distributed ads onto one pool.
-TEST_F(SampleStoreTest, SignatureKeyingRespectsShareAcrossAds) {
+// Signature keying keeps ads independent (the paper's per-ad R_j): even
+// identically-distributed ads sampling one probability array (kShared
+// mode) get distinct signatures, and so distinct pools.
+TEST_F(SampleStoreTest, SignatureKeyingKeepsIdenticalAdsIndependent) {
   auto probs = std::make_unique<EdgeProbabilities>(
       EdgeProbabilities::WeightedCascade(graph_));  // kShared mode
   auto ctps = std::make_unique<ClickProbabilities>(
@@ -209,18 +215,14 @@ TEST_F(SampleStoreTest, SignatureKeyingRespectsShareAcrossAds) {
   const ProblemInstance inst = ProblemInstance::WithUniformAttention(
       &graph_, probs.get(), ctps.get(), ads, 1, 0.0);
 
-  RrSampleStore independent(&graph_, {.seed = 1});
-  EXPECT_NE(independent.SignatureForAd(inst, 0),
-            independent.SignatureForAd(inst, 1));
-
-  RrSampleStore shared(&graph_, {.seed = 1, .share_across_ads = true});
-  const std::uint64_t sig0 = shared.SignatureForAd(inst, 0);
-  EXPECT_EQ(sig0, shared.SignatureForAd(inst, 1));
-  // Both ads resolve to one physical pool (kShared mode: same prob array).
-  RrSampleStore::AdPool* a = shared.Acquire(sig0, inst.EdgeProbsForAd(0));
-  RrSampleStore::AdPool* b = shared.Acquire(sig0, inst.EdgeProbsForAd(1));
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(shared.NumEntries(), 1u);
+  RrSampleStore store(&graph_, {.seed = 1});
+  const std::uint64_t sig0 = store.SignatureForAd(inst, 0);
+  const std::uint64_t sig1 = store.SignatureForAd(inst, 1);
+  EXPECT_NE(sig0, sig1);
+  RrSampleStore::AdPool* a = store.Acquire(sig0, inst.EdgeProbsForAd(0));
+  RrSampleStore::AdPool* b = store.Acquire(sig1, inst.EdgeProbsForAd(1));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(store.NumEntries(), 2u);
 }
 
 TEST_F(SampleStoreTest, KptCacheHitsOnRepeat) {
@@ -273,6 +275,75 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
     reference.EnsureSets(ref, 64 * 8);
     EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
   }
+}
+
+// --------------------------------------------------- arena-direct pool path
+
+// Golden gate for the arena-direct top-up: a store pool must hold exactly
+// the sets of the parts its builder samples, replayed by hand from the
+// same per-chunk substreams — ids, members, and transpose rows.
+TEST(ArenaDirectGoldenTest, StoreTopUpMatchesSampledParts) {
+  Rng grng(7);
+  const Graph g = ErdosRenyiGraph(60, 300, grng);
+  const std::vector<float> probs(g.num_edges(), 0.2f);
+  constexpr std::uint64_t kStoreSeed = 123;
+  constexpr std::uint64_t kSignature = 7;
+  constexpr std::uint64_t kChunk = 256;
+
+  RrSampleStore store(&g, {.seed = kStoreSeed, .num_threads = 3,
+                           .chunk_sets = kChunk});
+  RrSampleStore::AdPool* entry = store.Acquire(kSignature, probs);
+  const auto ensured = store.EnsureSets(entry, 600);  // 3 chunks
+  EXPECT_EQ(ensured.sampled, 3 * kChunk);
+  EXPECT_GT(ensured.max_traversal, 0u);
+
+  // Replay: same builder configuration and substreams, one chunk per
+  // call, parts kept as sets.
+  ParallelRrBuilder builder(g, probs, {.num_threads = 3});
+  const std::uint64_t base_seed = MixHash(kStoreSeed, kSignature);
+  std::vector<std::vector<NodeId>> sampled;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    Rng master(MixHash(base_seed, 0x2000 + c));
+    const std::vector<std::vector<Batch>> chunks =
+        builder.SampleChunks(kChunk, {&master, 1});
+    EXPECT_EQ(chunks[0].size(), 3u);  // one part per thread
+    for (std::vector<NodeId>& set : SetsOf(chunks)) {
+      sampled.push_back(std::move(set));
+    }
+  }
+
+  const RrSetPool& pool = entry->sets();
+  ASSERT_EQ(pool.NumSets(), sampled.size());
+  EXPECT_EQ(SetsOf(pool), sampled);
+  const auto count = static_cast<std::uint32_t>(sampled.size());
+  ExpectRowsMatch(pool.EnsureTranspose(count), sampled);
+}
+
+// ------------------------------------------------------ traversal telemetry
+
+TEST(MaxTraversalStatTest, SurfacesThroughBatchStoreAndLifetimeStats) {
+  Rng grng(7);
+  const Graph g = ErdosRenyiGraph(60, 300, grng);
+  const std::vector<float> probs(g.num_edges(), 0.2f);
+
+  ParallelRrBuilder builder(g, probs, {.num_threads = 2,
+                                       .min_parallel_batch = 1});
+  Rng rng(5);
+  const std::vector<std::vector<Batch>> chunks =
+      builder.SampleChunks(200, {&rng, 1});
+  for (const Batch& part : chunks[0]) {
+    EXPECT_GT(part.max_traversal, 0u);  // every traversal visits >= the root
+    EXPECT_LE(part.max_traversal, static_cast<std::uint64_t>(g.num_nodes()));
+  }
+
+  RrSampleStore store(&g, {.seed = 11, .chunk_sets = 128});
+  RrSampleStore::AdPool* entry = store.Acquire(1, probs);
+  const auto grown = store.EnsureSets(entry, 128);
+  EXPECT_GT(grown.max_traversal, 0u);
+  EXPECT_GE(store.LifetimeStats().max_traversal, grown.max_traversal);
+  // Pure reuse samples nothing, so it reports no traversal.
+  const auto reused = store.EnsureSets(entry, 64);
+  EXPECT_EQ(reused.max_traversal, 0u);
 }
 
 // --------------------------------------------- golden: pooled == fresh

@@ -280,26 +280,30 @@ TEST(ProtocolTest, ErrorResponsesRoundTripTyped) {
 // A removed config key is an unknown key at both wire boundaries: the
 // client request codec and the shard plane's begin op answer it with a
 // typed error naming the key, never by ignoring it.
-TEST(ProtocolTest, RemovedCoverageKernelKeyIsTypedErrorAtBothBoundaries) {
-  Result<AllocationRequest> request = ParseRequest(
-      R"({"id":"k1","allocator":"tirm","config":{"coverage_kernel":"scalar"}})",
-      AllocationRequest());
-  ASSERT_FALSE(request.ok());
-  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(request.status().message(),
-            R"(unknown key "coverage_kernel" in "config")");
+TEST(ProtocolTest, RemovedKernelKeysAreTypedErrorsAtBothBoundaries) {
+  for (const std::string key : {"coverage_kernel", "sampler_kernel"}) {
+    SCOPED_TRACE(key);
+    Result<AllocationRequest> request = ParseRequest(
+        R"({"id":"k1","allocator":"tirm","config":{")" + key +
+            R"(":"auto"}})",
+        AllocationRequest());
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(request.status().message(),
+              "unknown key \"" + key + R"(" in "config")");
 
-  ShardRunConfig run;
-  run.num_ads = 1;
-  std::string begin = FormatBeginRequest(run, 0, 2);
-  ASSERT_TRUE(ParseShardRequest(begin).ok()) << begin;
-  ASSERT_EQ(begin.back(), '}');
-  begin.insert(begin.size() - 1, R"(,"coverage_kernel":"auto")");
-  Result<ShardOpRequest> shard = ParseShardRequest(begin);
-  ASSERT_FALSE(shard.ok()) << begin;
-  EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(shard.status().message(),
-            R"(unknown key "coverage_kernel" in shard op "begin")");
+    ShardRunConfig run;
+    run.num_ads = 1;
+    std::string begin = FormatBeginRequest(run, 0, 2);
+    ASSERT_TRUE(ParseShardRequest(begin).ok()) << begin;
+    ASSERT_EQ(begin.back(), '}');
+    begin.insert(begin.size() - 1, ",\"" + key + R"(":"auto")");
+    Result<ShardOpRequest> shard = ParseShardRequest(begin);
+    ASSERT_FALSE(shard.ok()) << begin;
+    EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(shard.status().message(),
+              "unknown key \"" + key + R"(" in shard op "begin")");
+  }
 }
 
 // ---------------------------------------------------------------- Service

@@ -1,12 +1,12 @@
 // Shared test fixtures for the sampling / allocation statistical tests.
 //
 // Extracted from parallel_rr_test.cc so every suite that compares two
-// equally-valid sampling configurations (serial vs parallel threads,
-// classic vs skip sampler kernel) builds the same weighted-cascade RMat
-// instance, runs TIRM with the same fast options, and applies the same
-// evaluator-based tolerance discipline: evaluate both allocations under an
-// IDENTICAL Monte-Carlo stream and compare ground-truth revenue / regret,
-// never the (legitimately different) seed picks themselves.
+// equally-valid sampling configurations (serial vs parallel threads) builds
+// the same weighted-cascade RMat instance, runs TIRM with the same fast
+// options, and applies the same evaluator-based tolerance discipline:
+// evaluate both allocations under an IDENTICAL Monte-Carlo stream and
+// compare ground-truth revenue / regret, never the (legitimately
+// different) seed picks themselves.
 //
 // Also the one way tests build an RR-set pool from explicit sets (MakePool:
 // a single RrSetPool::AdoptChunk, the pool's only write path; PooledView:
@@ -100,8 +100,7 @@ struct TestInstance {
 };
 
 /// 512-node RMat graph with weighted-cascade probabilities (every in-edge
-/// row uniform at p = 1/indeg, so the skip kernel applies wholesale) and
-/// `num_ads` identical unit-CPE advertisers.
+/// of v at p = 1/indeg(v)) and `num_ads` identical unit-CPE advertisers.
 inline TestInstance MakeRMatInstance(int num_ads, double budget) {
   TestInstance s;
   Rng rng(500);
