@@ -20,7 +20,6 @@
 #include "diffusion/possible_world.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/parallel_rr_builder.h"
 #include "rrset/rr_collection.h"
 #include "rrset/rr_sampler.h"
@@ -110,8 +109,8 @@ void BM_PossibleWorldSampling(benchmark::State& state) {
 BENCHMARK(BM_PossibleWorldSampling);
 
 // ------------------------------------------------- coverage-kernel section
-// The packed bitmap coverage kernel of rrset/coverage_bitmap.h on the
-// greedy primitives, on the active SIMD tier.
+// The coverage views over the CSR node -> set index of
+// rrset/coverage_bitmap.h, on the greedy primitives.
 
 // One sampled pool per θ, shared by every coverage benchmark below (the
 // sampling itself is BM_RrSetSampling's subject, not these benchmarks').
@@ -161,9 +160,9 @@ const std::vector<NodeId>& GreedySeeds(int num_sets) {
 }
 
 // Full greedy path: lazy-heap argmax (initial build + stale refreshes) plus
-// seed commits. Each commit costs O(words), and so does each recount of a
-// stale CELF probe. This instance (uniform random sets, heavy coverage
-// ties) maximizes probe count, so it bounds the kernel's worst case;
+// seed commits. Each commit, and each recount of a stale CELF probe, walks
+// the node's index row. This instance (uniform random sets, heavy coverage
+// ties) maximizes probe count, so it bounds the views' worst case;
 // BM_CoverageCommitRecount below isolates the commit+recount data path.
 void BM_CoverageGreedy(benchmark::State& state) {
   const RrSetPool& pool = SharedCoveragePool(static_cast<int>(state.range(0)));
@@ -179,14 +178,13 @@ void BM_CoverageGreedy(benchmark::State& state) {
       collection.CommitSeed(best);
     }
   }
-  state.SetLabel(std::string(ActiveCoverageOps().name) +
-                 ", argmax+commit 50 seeds");
+  state.SetLabel("argmax+commit 50 seeds");
 }
 BENCHMARK(BM_CoverageGreedy)->Arg(20000)->Arg(80000);
 
 // The commit+recount primitive pair alone, on the precomputed greedy seed
-// sequence: recount(v) then commit(v) per seed — word-parallel AND-NOT
-// popcount + OR.
+// sequence: recount(v) then commit(v) per seed — each a walk over v's ids
+// against the covered-set bitmap.
 void BM_CoverageCommitRecount(benchmark::State& state) {
   const int num_sets = static_cast<int>(state.range(0));
   const RrSetPool& pool = SharedCoveragePool(num_sets);
@@ -203,8 +201,7 @@ void BM_CoverageCommitRecount(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(checksum);
   }
-  state.SetLabel(std::string(ActiveCoverageOps().name) +
-                 ", recount+commit 50 seeds");
+  state.SetLabel("recount+commit 50 seeds");
 }
 BENCHMARK(BM_CoverageCommitRecount)->Arg(20000)->Arg(80000);
 

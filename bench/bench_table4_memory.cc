@@ -4,8 +4,8 @@
 // to 60.8 GB at h=20 on DBLP) while GREEDY-IRIE needs only the graph
 // (0.16-0.84 GB). This bench reports, per h: the *exact* RR-sample bytes
 // from the RrSampleStore accounting — the pooled arena (flattened sets +
-// packed transpose, shared across consumers) and the per-run coverage views
-// — plus the graph + probability footprint that bounds GREEDY-IRIE's
+// CSR node -> set index, shared across consumers) and the per-run coverage
+// views — plus the graph + probability footprint that bounds GREEDY-IRIE's
 // requirement. Process peak RSS is kept as a cross-check only; the arena
 // numbers are byte-accurate from container capacities, not RSS noise.
 

@@ -224,15 +224,22 @@ int main(int argc, char** argv) {
     }
   }
   t.Print();
-  if (const RrSampleStore* store = engine.sample_store(); store != nullptr) {
-    const SampleCacheStats stats = store->LifetimeStats();
+  const auto print_store = [](std::size_t pooled_ads,
+                               const SampleCacheStats& stats) {
     std::printf(
         "\nsample store: %zu pooled ads, sampled %llu sets, reused %llu, "
         "arena %zu bytes (--reuse_samples=false to resample per run)\n",
-        store->NumEntries(),
-        static_cast<unsigned long long>(stats.sampled_sets),
-        static_cast<unsigned long long>(stats.reused_sets),
-        stats.arena_bytes);
+        pooled_ads, static_cast<unsigned long long>(stats.sampled_sets),
+        static_cast<unsigned long long>(stats.reused_sets), stats.arena_bytes);
+  };
+  // --num_shards > 1 samples into the engine's sharded store, not its
+  // single one. Every shard pools every ad, so shard 0 counts the ads.
+  if (const ShardedRrSampleStore* sharded = engine.sharded_sample_store();
+      sharded != nullptr) {
+    print_store(sharded->shard(0).NumEntries(), sharded->LifetimeStats());
+  } else if (const RrSampleStore* store = engine.sample_store();
+             store != nullptr) {
+    print_store(store->NumEntries(), store->LifetimeStats());
   }
   if (*print_profile) {
     std::printf("\npipeline profile (by total wall time):\n");

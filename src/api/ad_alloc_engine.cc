@@ -112,12 +112,19 @@ AdAllocEngine::AdAllocEngine(AdAllocEngine&& other)
   stores_ = std::move(other.stores_);
   sharded_stores_ = std::move(other.sharded_stores_);
   last_store_ = other.last_store_;
+  last_sharded_store_ = other.last_sharded_store_;
   other.last_store_ = nullptr;
+  other.last_sharded_store_ = nullptr;
 }
 
 const RrSampleStore* AdAllocEngine::sample_store() const {
   MutexLock lock(store_mutex_);
   return last_store_;
+}
+
+const ShardedRrSampleStore* AdAllocEngine::sharded_sample_store() const {
+  MutexLock lock(store_mutex_);
+  return last_sharded_store_;
 }
 
 Status AdAllocEngine::ValidateQuery(const EngineQuery& query) {
@@ -182,6 +189,7 @@ Result<EngineRun> AdAllocEngine::Run(const AllocatorConfig& config,
             run_config.num_shards);
       }
       run_config.sharded_sample_store = sharded.get();
+      last_sharded_store_ = sharded.get();
     }
   } else {
     run_config.sample_store = nullptr;

@@ -11,13 +11,14 @@
 // is the concurrent front.
 //
 // Thread safety. Engine-internal state is synchronized: concurrent Run()
-// calls never race on the engine itself (the lazily created store map and
-// the last-used-store pointer are mutex-guarded), and sample_store() /
-// Metrics-style readers may poll from any thread. What is NOT safe is two
-// concurrent *sampling* runs (tirm / greedy-mc with reuse enabled) on ONE
-// engine: they borrow the same pooled RrSampleStore, and while the store
-// serializes pool growth internally, a reader of a pool must not overlap a
-// top-up of that pool (arena relocation — see rrset/sample_store.h).
+// calls never race on the engine itself (the lazily created store maps and
+// the last-used-store pointers are mutex-guarded), and sample_store() /
+// sharded_sample_store() / Metrics-style readers may poll from any thread.
+// What is NOT safe is two concurrent *sampling* runs (tirm / greedy-mc
+// with reuse enabled) on ONE engine: they borrow the same pooled
+// RrSampleStore, and while the store serializes pool growth internally, a
+// reader of a pool must not overlap a top-up of that pool (arena
+// relocation — see rrset/sample_store.h).
 // Concurrent Run() on one engine is therefore safe when (a) the allocators
 // are sampling-free (myopic/myopic+/greedy-irie), or (b) reuse_samples is
 // false (each run samples a private store), or (c) callers serialize
@@ -161,15 +162,24 @@ class AdAllocEngine {
   /// valid for the engine's lifetime.
   const RrSampleStore* sample_store() const TIRM_EXCLUDES(store_mutex_);
 
+  /// The engine-owned sharded store most recently used by Run: null until
+  /// a run with reuse enabled samples through the in-process sharded
+  /// plane (num_shards > 1). Such a run samples into this store, not into
+  /// sample_store(), so its pool counters come from here. Same thread
+  /// safety and lifetime as sample_store().
+  const ShardedRrSampleStore* sharded_sample_store() const
+      TIRM_EXCLUDES(store_mutex_);
+
  private:
   BuiltInstance built_;
   EngineOptions options_;
   ProblemInstance base_;  ///< kappa=1, lambda=0 template; owns the cache
-  /// Guards stores_ and last_store_ — Run() may be called concurrently
-  /// (see the thread-safety contract in the file comment) and metrics
-  /// readers poll sample_store() from other threads. A direct member (not
-  /// heap-held) so the capability analysis can name it statically; the
-  /// explicit move constructor above is what keeps the engine movable.
+  /// Guards the stores and last-used pointers — Run() may be called
+  /// concurrently (see the thread-safety contract in the file comment) and
+  /// metrics readers poll sample_store() from other threads. A direct
+  /// member (not heap-held) so the capability analysis can name it
+  /// statically; the explicit move constructor above is what keeps the
+  /// engine movable.
   mutable Mutex store_mutex_;
   /// One store per resolved sampling worker count, created lazily: pool
   /// contents are deterministic per fixed thread count, so runs differing
@@ -185,6 +195,8 @@ class AdAllocEngine {
   std::map<std::pair<int, int>, std::unique_ptr<ShardedRrSampleStore>>
       sharded_stores_ TIRM_GUARDED_BY(store_mutex_);
   const RrSampleStore* last_store_ TIRM_GUARDED_BY(store_mutex_) = nullptr;
+  const ShardedRrSampleStore* last_sharded_store_
+      TIRM_GUARDED_BY(store_mutex_) = nullptr;
 };
 
 }  // namespace tirm

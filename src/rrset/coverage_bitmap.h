@@ -1,42 +1,34 @@
-// Packed bitmap coverage kernel — the word-parallel data path behind the
-// greedy Max-Cover inner loop.
+// The node -> set index behind the greedy Max-Cover inner loop, and the
+// covered-set bitmap helpers of the coverage views.
 //
 // Every allocator in the paper bottoms out in weighted Max-Cover over RR
 // sets: recompute a node's marginal coverage, commit a seed, mark its sets
-// covered. The kernel represents "which sets contain node v" as one bit per
-// RR set (the node -> set-bitmap *transpose*, built lazily by RrSetPool from
-// its set members — the pool's only node -> set index) and "which sets are
-// already covered" as a second bitmap. The two hot operations are then
-// word-parallel:
+// covered. That needs two things: "which sets contain node v" and "which
+// sets are already covered". The first is CoverageTranspose below, the
+// pool's only node -> set index (built lazily by RrSetPool from its set
+// members): for every node, the ascending ids of the sets containing it,
+// in compressed sparse rows (CSR) sized by the members, not by n·θ. The
+// second is a per-view bitmap, one bit per attached set. The two hot
+// operations then walk a node's ids:
 //
-//   recount(v) = popcount(bits[v] & ~covered)          (AND-NOT + POPCNT)
-//   commit(v)  = covered |= bits[v]                    (OR)
+//   recount(v) = #{id in row(v) : id not covered}
+//   commit(v)  = covered |= {id in row(v)}
 //
-// The weighted (survival) policy gathers survival weights over the
-// *surviving lanes* of bits[v] & ~dead in ascending set order (adding a
-// dead set's 0.0 survival is an exact no-op, so skipping dead lanes cannot
-// change the sum).
-//
-// Dispatch tiers. The word loops run through a function table resolved once
-// at startup: an AVX2 specialization (compiled only when TIRM_ENABLE_AVX2 is
-// on, used only when the CPU reports AVX2) and a portable std::popcount
-// fallback. Tests force the portable tier explicitly (ForceCoverageSimdTier)
-// to assert tier equivalence. Tier choice can never change results — both
-// tiers compute the same exact integers.
+// The weighted (survival) policy gathers survival weights over row(v) in
+// ascending set order; a dead set adds exactly 0.0, so no dead-set
+// bookkeeping is needed to keep the sum bit-identical to a scalar gather.
 
 #ifndef TIRM_RRSET_COVERAGE_BITMAP_H_
 #define TIRM_RRSET_COVERAGE_BITMAP_H_
 
-#include <bit>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/status.h"
 #include "common/types.h"
 
 namespace tirm {
@@ -53,141 +45,6 @@ inline constexpr std::size_t CoverageWordsFor(std::uint64_t sets) {
                                   kCoverageWordBits);
 }
 
-/// All-ones below bit `count % 64` in the last partial word (all-ones when
-/// `count` fills the word exactly).
-inline constexpr std::uint64_t CoverageTailMask(std::uint64_t count) {
-  const std::uint64_t rem = count % kCoverageWordBits;
-  return rem == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << rem) - 1;
-}
-
-/// Lanes of word `w` that hold sets in [first_set, end), end > first_set:
-/// the word holding first_set drops the lanes below it, and the word
-/// holding end - 1 drops the lanes past it.
-inline constexpr std::uint64_t CoverageLaneMask(std::size_t w,
-                                                std::uint64_t first_set,
-                                                std::uint64_t end) {
-  std::uint64_t mask = ~std::uint64_t{0};
-  if (w == first_set / kCoverageWordBits) {
-    mask &= ~((std::uint64_t{1} << (first_set % kCoverageWordBits)) - 1);
-  }
-  if (w == (end - 1) / kCoverageWordBits) mask &= CoverageTailMask(end);
-  return mask;
-}
-
-/// Minimal cache-line-aligned allocator so bitmap rows and covered words
-/// start on 64-byte boundaries (full-speed aligned vector loads).
-template <typename T>
-struct CacheAlignedAllocator {
-  using value_type = T;
-  static constexpr std::align_val_t kAlign{64};
-
-  CacheAlignedAllocator() = default;
-  template <typename U>
-  CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}  // NOLINT
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
-  }
-  void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
-
-  template <typename U>
-  bool operator==(const CacheAlignedAllocator<U>&) const {
-    return true;
-  }
-};
-
-using CoverageWordBuffer =
-    std::vector<std::uint64_t, CacheAlignedAllocator<std::uint64_t>>;
-
-// ------------------------------------------------------------- SIMD tiers
-
-/// The word-loop primitives, resolved once per process (see file comment).
-struct CoverageKernelOps {
-  /// Σ popcount(bits[i] & ~mask[i]) over `words` words.
-  std::uint64_t (*andnot_popcount)(const std::uint64_t* bits,
-                                   const std::uint64_t* mask,
-                                   std::size_t words);
-  /// Per word: count popcount(bits[i] & ~mask[i]), then mask[i] |= bits[i].
-  /// Returns the total count of newly set mask bits.
-  std::uint64_t (*commit_or)(const std::uint64_t* bits, std::uint64_t* mask,
-                             std::size_t words);
-  /// Tier name for diagnostics ("avx2" / "portable").
-  const char* name;
-};
-
-/// The portable tier (always available; the reference for tier-equivalence
-/// tests).
-const CoverageKernelOps& PortableCoverageOps();
-
-/// The active tier: AVX2 when compiled in and supported by the CPU (unless
-/// a test forced another tier); portable otherwise.
-const CoverageKernelOps& ActiveCoverageOps();
-
-/// True when the AVX2 tier is compiled in AND this CPU supports it.
-bool CoverageAvx2Available();
-
-/// Test/bench hook: force a tier for the current process ("portable",
-/// "avx2", "auto"); returns InvalidArgument for unknown names or when
-/// forcing AVX2 without hardware support. Not thread-safe; call before
-/// spawning workers.
-Status ForceCoverageSimdTier(std::string_view tier);
-
-// --------------------------------------------------- shard gain summaries
-//
-// The distributed greedy round (GreeDIMM shape, alloc/tirm.cc): each shard
-// summarizes its CELF heap as a top-L candidate list plus a bound on what
-// it did not list; a coordinator tree-reduces the K summaries, fetches the
-// few exact counts the reduction is missing, and either proves the global
-// argmax (every sum is an exact integer, so the proof is exact and the
-// selection bit-identical to a single global heap) or asks for a larger L.
-
-/// One candidate of a shard's marginal-gain summary: a node and its exact
-/// local marginal coverage (uncovered attached sets containing it).
-struct ShardGainCandidate {
-  NodeId node = 0;
-  std::uint32_t coverage = 0;
-};
-
-/// Compact per-shard contribution to one distributed greedy round.
-struct ShardGainSummary {
-  int shard = 0;
-  /// Top eligible candidates in the shard's CELF pop order: non-increasing
-  /// coverage, ties by ascending node id. Coverages are exact local
-  /// marginals at summary time.
-  std::vector<ShardGainCandidate> top;
-  /// Upper bound on the local coverage of any eligible node NOT in `top`:
-  /// the last popped value, or 0 when the shard's heap ran dry (no
-  /// unlisted node covers anything on this shard).
-  std::uint32_t unlisted_bound = 0;
-  std::uint64_t covered_sets = 0;   ///< shard-local covered-set count
-  std::uint64_t attached_sets = 0;  ///< shard-local attached prefix
-};
-
-/// Tree-reduced merge of up to 64 shard summaries. Candidates are the
-/// union of the per-shard top lists; `partial` sums the coverages of the
-/// shards that listed the node and `shard_mask` records which ones
-/// (bit k = shard k), so the coordinator can fetch only the missing exact
-/// counts before picking the argmax. `unlisted_bound` sums the per-shard
-/// bounds: no node absent from EVERY list can reach a total above it.
-struct ReducedGainSummary {
-  struct Candidate {
-    NodeId node = 0;
-    std::uint64_t partial = 0;
-    std::uint64_t shard_mask = 0;
-  };
-  std::vector<Candidate> candidates;  ///< ascending node id
-  std::uint64_t unlisted_bound = 0;
-  std::uint64_t covered_sets = 0;   ///< Σ shard covered counts
-  std::uint64_t attached_sets = 0;  ///< Σ shard attached prefixes
-};
-
-/// Pairwise binary-tree reduction of shard summaries. All merges are
-/// associative integer sums / sorted unions, so the result is
-/// deterministic and independent of tree shape; shard indices must be
-/// distinct and < 64.
-ReducedGainSummary TreeReduceGainSummaries(
-    std::span<const ShardGainSummary> parts);
-
 /// Packed covered-bitmap delta of one seed commit on one shard: the words
 /// the commit changed in the shard's covered bitmap (shard-LOCAL set-id
 /// space, ascending word index, each word holding only the newly set
@@ -199,13 +56,25 @@ struct CoveredWordDelta {
   std::uint64_t newly_covered = 0;
 };
 
+/// Kept only so bench_suite/bench_suite.cc, which prints this name in its
+/// report header, builds unchanged: coverage has one code path on every
+/// platform, with no SIMD tier to report.
+struct CoverageKernelLabel {
+  const char* name;
+};
+inline const CoverageKernelLabel& ActiveCoverageOps() {
+  static constexpr CoverageKernelLabel kLabel{"none"};
+  return kLabel;
+}
+
 // -------------------------------------------------------------- transpose
 
-/// Packed node -> set-membership bitmap rows over a pool prefix: bit `s` of
-/// Row(v) is 1 iff set `s` contains node v. Rows share one flat cache-
-/// aligned buffer with a common stride (a multiple of 8 words, so every row
-/// is 64-byte aligned); the stride grows geometrically and rows are
-/// re-strided in place when the pool outgrows it.
+/// Node -> set index over a pool prefix, in CSR segments: each extension
+/// [built_sets(), up_to) appends one segment holding, for every node, the
+/// ascending ids of that range's sets containing it. A counting sort over
+/// the range's members builds it; earlier segments are never touched, so
+/// growth costs the new members only. Segments are in set order, so a
+/// node's ids are ascending across segments too.
 ///
 /// Thread safety matches the pool arena: extending (ExtendFromPool) must
 /// not overlap reads — RrSetPool::EnsureTranspose serializes the builds,
@@ -215,32 +84,52 @@ class CoverageTranspose {
  public:
   explicit CoverageTranspose(NodeId num_nodes);
 
-  /// Adds membership bits for pool sets [built_sets(), up_to); no-op when
-  /// already built that far. `up_to` must not exceed pool.NumSets().
+  /// Indexes pool sets [built_sets(), up_to) as one new segment; no-op
+  /// when already built that far. `up_to` must not exceed pool.NumSets().
   void ExtendFromPool(const RrSetPool& pool, std::uint32_t up_to);
 
-  /// Membership words of node `v` (words_per_row() words; lanes beyond
-  /// built_sets() are zero).
-  const std::uint64_t* Row(NodeId v) const {
+  /// Calls `visit(ids)` with the ascending ids in [first_set, end_set) of
+  /// the sets containing `v`: one span per segment that overlaps the
+  /// range, in segment order, so the concatenated spans are ascending too.
+  /// `end_set` must not exceed built_sets(). A segment that straddles
+  /// either bound starts or stops at a lower_bound of its row.
+  template <typename Visit>
+  void ForEachRun(NodeId v, std::uint32_t first_set, std::uint32_t end_set,
+                  Visit&& visit) const {
     TIRM_DCHECK(v < num_nodes_);
-    return words_.data() + static_cast<std::size_t>(v) * stride_;
+    TIRM_DCHECK(end_set <= built_sets_);
+    for (const Segment& segment : segments_) {
+      if (segment.end_set <= first_set) continue;
+      if (segment.first_set >= end_set) break;
+      const std::uint32_t* begin = segment.ids.data() + segment.offsets[v];
+      const std::uint32_t* end = segment.ids.data() + segment.offsets[v + 1];
+      if (first_set > segment.first_set) {
+        begin = std::lower_bound(begin, end, first_set);
+      }
+      if (end_set < segment.end_set) end = std::lower_bound(begin, end, end_set);
+      visit(std::span<const std::uint32_t>(begin, end));
+    }
   }
 
   std::uint32_t built_sets() const { return built_sets_; }
-  std::size_t words_per_row() const { return stride_; }
   NodeId num_nodes() const { return num_nodes_; }
 
-  /// Exact bytes held by the row buffer (capacity, like the pool's own
+  /// Exact bytes held by the segments (capacity, like the pool's own
   /// accounting).
-  std::size_t MemoryBytes() const {
-    return words_.capacity() * sizeof(std::uint64_t);
-  }
+  std::size_t MemoryBytes() const;
 
  private:
+  struct Segment {
+    std::uint32_t first_set = 0;  // the segment indexes [first_set, end_set)
+    std::uint32_t end_set = 0;
+    std::vector<std::size_t> offsets;  // num_nodes + 1; node v's ids are
+                                       // ids[offsets[v], offsets[v + 1])
+    std::vector<std::uint32_t> ids;
+  };
+
   NodeId num_nodes_;
   std::uint32_t built_sets_ = 0;
-  std::size_t stride_ = 0;  // words per row, multiple of 8
-  CoverageWordBuffer words_;
+  std::vector<Segment> segments_;
 };
 
 }  // namespace tirm

@@ -12,12 +12,11 @@
 // CommitSeedOnRange() lets existing seeds absorb freshly attached sets in
 // selection order (UpdateEstimates, Algorithm 4).
 //
-// The view runs on the packed bitmap kernel (rrset/coverage_bitmap.h):
-// membership is one bit per attached set in the pool's lazily built
-// node -> set-bitmap transpose, covered state is a second bitmap, and the
-// two hot operations are word-wise AND-NOT + popcount (recount) and OR
-// (commit), with an AVX2 tier dispatched at runtime. tests/coverage_oracle.h
-// keeps a scalar postings-scan reference that the tests check it against.
+// The view reads membership from the pool's lazily built CSR node -> set
+// index (rrset/coverage_bitmap.h) and keeps covered state as a bitmap, one
+// bit per attached set: a recount counts the uncovered ids of a node's
+// row, a commit sets their bits. tests/coverage_oracle.h keeps a
+// counter-decrement reference that the tests check it against.
 
 #ifndef TIRM_RRSET_RR_COLLECTION_H_
 #define TIRM_RRSET_RR_COLLECTION_H_
@@ -56,8 +55,7 @@ class RrCollection {
   std::size_t NumCovered() const { return num_covered_; }
 
   /// Current (marginal) coverage of `v`: #uncovered attached sets
-  /// containing v — a word-parallel AND-NOT + popcount recount over the
-  /// packed row.
+  /// containing v, counted over v's index row.
   std::uint32_t CoverageOf(NodeId v) const;
 
   /// Marks every uncovered attached set containing `v` as covered; returns
@@ -70,8 +68,9 @@ class RrCollection {
   std::uint32_t CommitSeedOnRange(NodeId v, std::uint32_t first_set);
 
   /// The covered-bitmap words CommitSeedOnRange(v, first_set) would change,
-  /// without changing them: Row(v) & ~covered over the attached sets with
-  /// id >= `first_set`, in ascending word order, zero words skipped.
+  /// without changing them: the uncovered attached sets with id >=
+  /// `first_set` containing v, as bits of their covered words, in
+  /// ascending word order, zero words skipped.
   CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const;
 
   /// Members of attached set `id` (borrowed from the pool).
@@ -104,14 +103,13 @@ class RrCollection {
     return best;
   }
 
-  /// Fills `counts[v]` with CoverageOf(v) for every node in one O(arena)
-  /// pass that accumulates the members of uncovered sets instead of
-  /// popcount-recounting each node. Exact same integers as per-node
-  /// CoverageOf — used by CoverageHeap::Rebuild.
+  /// Fills `counts[v]` with CoverageOf(v) for every node — one walk over
+  /// the whole index, which reads each id once and, unlike a pass over the
+  /// sets, has no per-set loop to mispredict. Used by CoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<std::uint32_t>& counts) const;
 
   /// Bytes held by this view's bookkeeping (the covered bitmap words). The
-  /// pool (including its shared transpose) is accounted once via
+  /// pool (including its shared index) is accounted once via
   /// pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
 
@@ -124,12 +122,10 @@ class RrCollection {
   std::uint32_t attached_ = 0;
   std::size_t num_covered_ = 0;
 
-  // The transpose pointer is refreshed on every attach (the pool's
-  // transpose object is stable; its rows may re-stride when *some* view
-  // attaches further, which is why Row() is re-read per operation rather
-  // than cached).
+  // The pool's index object is stable; another view may extend it past
+  // attached_, so every walk stops at attached_.
   const CoverageTranspose* transpose_ = nullptr;
-  CoverageWordBuffer covered_words_;  // one bit per attached set
+  std::vector<std::uint64_t> covered_words_;  // one bit per attached set
 };
 
 /// Lazy max-heap over node coverages (CELF-style). Valid while coverage

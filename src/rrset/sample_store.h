@@ -34,7 +34,7 @@
 // (RrSetPool::AdoptChunk — a move, no per-set copy), in chunk and part
 // order. The per-set bookkeeping is reserved once per top-up
 // (RrSetPool::ReserveSets), so adopting a part never re-copies it. The
-// pool's one node -> set index is the packed transpose
+// pool's one node -> set index is the CSR transpose
 // (rrset/coverage_bitmap.h), built lazily from the members on first
 // coverage use.
 //
@@ -45,6 +45,7 @@
 #ifndef TIRM_RRSET_SAMPLE_STORE_H_
 #define TIRM_RRSET_SAMPLE_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -94,9 +95,9 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 
 /// Append-only flattened storage of RR sets. Sets already appended are
 /// immutable; coverage views (RrCollection / WeightedRrCollection) borrow
-/// member spans and the packed node -> set-bitmap transpose from here
-/// instead of copying nodes. The transpose is the pool's only node -> set
-/// index, built lazily on first use (EnsureTranspose).
+/// member spans and the CSR node -> set transpose from here instead of
+/// copying nodes. The transpose is the pool's only node -> set index,
+/// built lazily on first use (EnsureTranspose).
 class RrSetPool {
  public:
   explicit RrSetPool(NodeId num_nodes);
@@ -126,11 +127,34 @@ class RrSetPool {
     return {set_begin_[id], set_offsets_[id + 1] - set_offsets_[id]};
   }
 
-  /// Packed node -> set-bitmap transpose covering at least the first
-  /// `up_to` sets, built/extended lazily on first call (concurrent calls
-  /// serialize on an internal mutex). Reading the returned transpose while
-  /// a *later* EnsureTranspose extends it follows the same discipline as
-  /// the arena: don't read while another thread may be growing the pool.
+  /// Calls `visit(members)` with the members of sets [first, end) as
+  /// contiguous arena spans, one per chunk the range touches, in set
+  /// order: a walk over whole chunks for callers that need the members
+  /// but not their set boundaries.
+  template <typename Visit>
+  void ForEachMemberRun(std::uint32_t first, std::uint32_t end,
+                        Visit&& visit) const {
+    TIRM_DCHECK(first <= end && end <= NumSets());
+    const std::size_t lo = set_offsets_[first];
+    const std::size_t hi = set_offsets_[end];
+    std::size_t base = 0;  // global position of the chunk's first member
+    for (const std::vector<NodeId>& chunk : chunks_) {
+      if (base >= hi) break;
+      const std::size_t next = base + chunk.size();
+      const std::size_t from = std::max(lo, base);
+      const std::size_t to = std::min(hi, next);
+      if (from < to) {
+        visit(std::span<const NodeId>(chunk.data() + (from - base), to - from));
+      }
+      base = next;
+    }
+  }
+
+  /// CSR node -> set transpose covering at least the first `up_to` sets,
+  /// built/extended lazily on first call (concurrent calls serialize on an
+  /// internal mutex). Reading the returned transpose while a *later*
+  /// EnsureTranspose extends it follows the same discipline as the arena:
+  /// don't read while another thread may be growing the pool.
   const CoverageTranspose& EnsureTranspose(std::uint32_t up_to) const
       TIRM_EXCLUDES(transpose_mutex_);
 
@@ -154,7 +178,7 @@ class RrSetPool {
   // The arena: adopted buffers, immutable once adopted. Moving a buffer in
   // keeps its data(), so SetMembers spans are stable across growth.
   std::vector<std::vector<NodeId>> chunks_;
-  // Lazy packed transpose, the node -> set index of every coverage view —
+  // Lazy CSR transpose, the node -> set index of every coverage view —
   // logically const derived state, hence buildable through const accessors.
   mutable Mutex transpose_mutex_;
   mutable std::unique_ptr<CoverageTranspose> transpose_

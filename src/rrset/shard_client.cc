@@ -10,6 +10,88 @@
 
 namespace tirm {
 
+// --------------------------------------------------- shard gain summaries
+
+namespace {
+
+ReducedGainSummary LiftSummary(const ShardGainSummary& part) {
+  TIRM_CHECK(part.shard >= 0 && part.shard < 64);
+  ReducedGainSummary out;
+  out.unlisted_bound = part.unlisted_bound;
+  out.covered_sets = part.covered_sets;
+  out.attached_sets = part.attached_sets;
+  out.candidates.reserve(part.top.size());
+  const std::uint64_t mask = std::uint64_t{1} << part.shard;
+  for (const ShardGainCandidate& c : part.top) {
+    out.candidates.push_back({c.node, c.coverage, mask});
+  }
+  // `top` arrives in CELF pop order (by coverage); the reduction keys on
+  // node id so merges are linear merge-joins.
+  std::sort(out.candidates.begin(), out.candidates.end(),
+            [](const ReducedGainSummary::Candidate& a,
+               const ReducedGainSummary::Candidate& b) {
+              return a.node < b.node;
+            });
+  return out;
+}
+
+ReducedGainSummary MergeReduced(const ReducedGainSummary& a,
+                                const ReducedGainSummary& b) {
+  TIRM_DCHECK((a.unlisted_bound | b.unlisted_bound) <
+              (std::uint64_t{1} << 63));
+  ReducedGainSummary out;
+  out.unlisted_bound = a.unlisted_bound + b.unlisted_bound;
+  out.covered_sets = a.covered_sets + b.covered_sets;
+  out.attached_sets = a.attached_sets + b.attached_sets;
+  out.candidates.reserve(a.candidates.size() + b.candidates.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.candidates.size() || j < b.candidates.size()) {
+    if (j == b.candidates.size() ||
+        (i < a.candidates.size() &&
+         a.candidates[i].node < b.candidates[j].node)) {
+      out.candidates.push_back(a.candidates[i++]);
+    } else if (i == a.candidates.size() ||
+               b.candidates[j].node < a.candidates[i].node) {
+      out.candidates.push_back(b.candidates[j++]);
+    } else {
+      ReducedGainSummary::Candidate merged = a.candidates[i++];
+      merged.partial += b.candidates[j].partial;
+      TIRM_DCHECK((merged.shard_mask & b.candidates[j].shard_mask) == 0u);
+      merged.shard_mask |= b.candidates[j++].shard_mask;
+      out.candidates.push_back(merged);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+ReducedGainSummary TreeReduceGainSummaries(
+    std::span<const ShardGainSummary> parts) {
+  TIRM_CHECK(!parts.empty());
+  std::vector<ReducedGainSummary> level;
+  level.reserve(parts.size());
+  for (const ShardGainSummary& part : parts) {
+    level.push_back(LiftSummary(part));
+  }
+  // Binary tree: merge adjacent pairs until one summary remains. Every
+  // merge is an associative sum/union, so the shape cannot change the
+  // result — the tree only bounds the reduction depth at log2(K).
+  while (level.size() > 1) {
+    std::vector<ReducedGainSummary> next;
+    next.reserve((level.size() + 1) / 2);
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      next.push_back(MergeReduced(level[i], level[i + 1]));
+    }
+    if (level.size() % 2 == 1) next.push_back(std::move(level.back()));
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
+// ------------------------------------------------------------ shard client
+
 RrShardClient::~RrShardClient() = default;
 
 LocalShardClient::LocalShardClient(RrSampleStore* store,

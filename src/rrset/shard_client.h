@@ -44,7 +44,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/kpt_estimator.h"
 #include "rrset/rr_collection.h"
 #include "rrset/sample_store.h"
@@ -73,6 +72,62 @@ struct ShardMemoryStats {
   std::size_t arena_bytes = 0;  ///< pooled sets, each distinct pool once
   std::size_t view_bytes = 0;   ///< per-run coverage views + heaps
 };
+
+// --------------------------------------------------- shard gain summaries
+//
+// The distributed greedy round (GreeDIMM shape, alloc/tirm.cc): each shard
+// summarizes its CELF heap as a top-L candidate list plus a bound on what
+// it did not list; a coordinator tree-reduces the K summaries, fetches the
+// few exact counts the reduction is missing, and either proves the global
+// argmax (every sum is an exact integer, so the proof is exact and the
+// selection bit-identical to a single global heap) or asks for a larger L.
+
+/// One candidate of a shard's marginal-gain summary: a node and its exact
+/// local marginal coverage (uncovered attached sets containing it).
+struct ShardGainCandidate {
+  NodeId node = 0;
+  std::uint32_t coverage = 0;
+};
+
+/// Compact per-shard contribution to one distributed greedy round.
+struct ShardGainSummary {
+  int shard = 0;
+  /// Top eligible candidates in the shard's CELF pop order: non-increasing
+  /// coverage, ties by ascending node id. Coverages are exact local
+  /// marginals at summary time.
+  std::vector<ShardGainCandidate> top;
+  /// Upper bound on the local coverage of any eligible node NOT in `top`:
+  /// the last popped value, or 0 when the shard's heap ran dry (no
+  /// unlisted node covers anything on this shard).
+  std::uint32_t unlisted_bound = 0;
+  std::uint64_t covered_sets = 0;   ///< shard-local covered-set count
+  std::uint64_t attached_sets = 0;  ///< shard-local attached prefix
+};
+
+/// Tree-reduced merge of up to 64 shard summaries. Candidates are the
+/// union of the per-shard top lists; `partial` sums the coverages of the
+/// shards that listed the node and `shard_mask` records which ones
+/// (bit k = shard k), so the coordinator can fetch only the missing exact
+/// counts before picking the argmax. `unlisted_bound` sums the per-shard
+/// bounds: no node absent from EVERY list can reach a total above it.
+struct ReducedGainSummary {
+  struct Candidate {
+    NodeId node = 0;
+    std::uint64_t partial = 0;
+    std::uint64_t shard_mask = 0;
+  };
+  std::vector<Candidate> candidates;  ///< ascending node id
+  std::uint64_t unlisted_bound = 0;
+  std::uint64_t covered_sets = 0;   ///< Σ shard covered counts
+  std::uint64_t attached_sets = 0;  ///< Σ shard attached prefixes
+};
+
+/// Pairwise binary-tree reduction of shard summaries. All merges are
+/// associative integer sums / sorted unions, so the result is
+/// deterministic and independent of tree shape; shard indices must be
+/// distinct and < 64.
+ReducedGainSummary TreeReduceGainSummaries(
+    std::span<const ShardGainSummary> parts);
 
 /// See file comment.
 class RrShardClient {
@@ -105,7 +160,7 @@ class RrShardClient {
   [[nodiscard]] virtual Status Attach(AdId ad, std::uint64_t global_count) = 0;
 
   /// Top-`top_l` marginal-gain summary of the ad's eligible nodes (see
-  /// coverage_bitmap.h). Does not mutate coverage state.
+  /// ShardGainSummary above). Does not mutate coverage state.
   [[nodiscard]] virtual Result<ShardGainSummary> Summarize(
       AdId ad, std::uint32_t top_l) = 0;
 

@@ -1,10 +1,10 @@
 // ShardedRrSampleStore — one logical RR-sample pool partitioned across K
 // shard-local RrSampleStores (the GreeDIMM shape, without MPI).
 //
-// Each shard owns a private chunked arena and lazy CoverageTranspose for
-// the global chunks it is responsible for: global sampling chunk c belongs
-// to shard c % K, and keeps the exact RNG substream a single store would
-// use for it (see ShardPrefixCount /
+// Each shard owns a private chunked arena and lazy CSR node -> set index
+// (CoverageTranspose) for the global chunks it is responsible for: global
+// sampling chunk c belongs to shard c % K, and keeps the exact RNG
+// substream a single store would use for it (see ShardPrefixCount /
 // RrSampleStore::Options::num_shards). Chunk contents are therefore
 // independent of K — the union of the K shard pools IS the single-store
 // pool, bit for bit, and K = 1 degenerates to a plain RrSampleStore.

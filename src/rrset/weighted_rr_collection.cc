@@ -1,7 +1,5 @@
 #include "rrset/weighted_rr_collection.h"
 
-#include <bit>
-
 namespace tirm {
 
 WeightedRrCollection::WeightedRrCollection(const RrSetPool* pool)
@@ -15,28 +13,19 @@ void WeightedRrCollection::AttachUpTo(std::uint32_t count) {
   if (count == attached_) return;
   survival_.resize(count, 1.0f);
   transpose_ = &pool_->EnsureTranspose(count);
-  dead_words_.resize(CoverageWordsFor(count), 0);
   attached_ = count;
 }
 
 double WeightedRrCollection::CoverageOf(NodeId v) const {
   TIRM_DCHECK(v < num_nodes_);
   if (attached_ == 0) return 0.0;
-  const std::uint64_t* row = transpose_->Row(v);
-  const std::uint64_t* dead = dead_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
-  const std::uint64_t tail_mask = CoverageTailMask(attached_);
   double cov = 0.0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t lanes = row[w] & ~dead[w];
-    if (w == words - 1) lanes &= tail_mask;
-    while (lanes != 0) {
-      const int bit = std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      cov += static_cast<double>(
-          survival_[w * kCoverageWordBits + static_cast<std::size_t>(bit)]);
-    }
-  }
+  transpose_->ForEachRun(v, 0, attached_,
+                         [&](std::span<const std::uint32_t> ids) {
+                           for (const std::uint32_t id : ids) {
+                             cov += static_cast<double>(survival_[id]);
+                           }
+                         });
   return cov;
 }
 
@@ -49,47 +38,30 @@ double WeightedRrCollection::CommitSeedOnRange(NodeId v, double accept_prob,
   TIRM_CHECK_LT(v, num_nodes_);
   TIRM_CHECK(accept_prob >= 0.0 && accept_prob <= 1.0);
   if (first_set >= attached_) return 0.0;
-  const std::uint64_t* row = transpose_->Row(v);
-  std::uint64_t* dead = dead_words_.data();
-  const std::size_t words = CoverageWordsFor(attached_);
   double covered_before = 0.0;
-  for (std::size_t w = first_set / kCoverageWordBits; w < words; ++w) {
-    std::uint64_t lanes =
-        row[w] & ~dead[w] & CoverageLaneMask(w, first_set, attached_);
-    while (lanes != 0) {
-      const int bit = std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      const std::size_t id =
-          w * kCoverageWordBits + static_cast<std::size_t>(bit);
-      const double s_old = survival_[id];
-      if (s_old <= 0.0) continue;  // underflowed-to-zero but unmarked lane
-      covered_before += s_old;
-      const double s_new = s_old * (1.0 - accept_prob);
-      const double delta = s_old - s_new;
-      if (delta <= 0.0) continue;
-      const float stored = static_cast<float>(s_new);
-      survival_[id] = stored;
-      covered_mass_ += delta;
-      if (stored == 0.0f) {
-        dead[w] |= std::uint64_t{1} << (id % kCoverageWordBits);
-      }
-    }
-  }
+  transpose_->ForEachRun(
+      v, first_set, attached_, [&](std::span<const std::uint32_t> ids) {
+        for (const std::uint32_t id : ids) {
+          const double s_old = survival_[id];
+          if (s_old <= 0.0) continue;  // dead: nothing left to discount
+          covered_before += s_old;
+          const double s_new = s_old * (1.0 - accept_prob);
+          const double delta = s_old - s_new;
+          if (delta <= 0.0) continue;
+          survival_[id] = static_cast<float>(s_new);
+          covered_mass_ += delta;
+        }
+      });
   return covered_before;
 }
 
 void WeightedRrCollection::AccumulateCoverage(std::vector<double>& cov) const {
-  cov.assign(num_nodes_, 0.0);
-  for (std::uint32_t id = 0; id < attached_; ++id) {
-    const double s = survival_[id];
-    if (s <= 0.0) continue;  // dead sets add exactly 0.0 in the gather too
-    for (const NodeId member : pool_->SetMembers(id)) cov[member] += s;
-  }
+  cov.resize(num_nodes_);
+  for (NodeId v = 0; v < num_nodes_; ++v) cov[v] = CoverageOf(v);
 }
 
 std::size_t WeightedRrCollection::MemoryBytes() const {
-  return survival_.capacity() * sizeof(float) +
-         dead_words_.capacity() * sizeof(std::uint64_t);
+  return survival_.capacity() * sizeof(float);
 }
 
 void WeightedCoverageHeap::Rebuild() {

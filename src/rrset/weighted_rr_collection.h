@@ -18,15 +18,14 @@
 // Committing with δ = 1 reproduces the paper's removal semantics exactly.
 //
 // Like RrCollection, this is a mutable coverage *view*: the flattened sets
-// and their packed transpose are borrowed from an RrSetPool
+// and their CSR node -> set index are borrowed from an RrSetPool
 // (rrset/sample_store.h) — shared with every other consumer of the same
 // samples — while survival weights are per-view state. Marginal coverage is
-// a deterministic *gather* in ascending set order over the surviving lanes
-// of Row(v) & ~dead (rrset/coverage_bitmap.h). A dead set contributes
-// exactly 0.0, an exact no-op, so the sum equals a gather over every set
-// containing v — the scalar reference in tests/coverage_oracle.h — bit for
-// bit. Commits discount survival in place — no per-node scatter — so
-// commit cost is O(words + sets containing v).
+// a deterministic *gather* of survival over v's index row, in ascending
+// set order (rrset/coverage_bitmap.h) — the order of the scalar reference
+// in tests/coverage_oracle.h, so the doubles match it bit for bit. A dead
+// set contributes exactly 0.0 to the sum. Commits discount survival in
+// place — no per-node scatter — so commit cost is O(sets containing v).
 
 #ifndef TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
 #define TIRM_RRSET_WEIGHTED_RR_COLLECTION_H_
@@ -98,15 +97,13 @@ class WeightedRrCollection {
     return best;
   }
 
-  /// Fills `cov[v]` with CoverageOf(v) for every node in one O(arena) pass
-  /// over the attached sets. Because sets are visited in ascending id order,
-  /// each node's sum accumulates in exactly the gather order of CoverageOf,
-  /// so the doubles are bit-identical. Used by WeightedCoverageHeap::Rebuild.
+  /// Fills `cov[v]` with CoverageOf(v) for every node (one walk over the
+  /// whole index). Used by WeightedCoverageHeap::Rebuild.
   void AccumulateCoverage(std::vector<double>& cov) const;
 
-  /// Bytes held by this view's bookkeeping — survival weights plus the
-  /// dead-lane words. The pool (including its shared transpose) is
-  /// accounted once via pool()->MemoryBytes().
+  /// Bytes held by this view's bookkeeping — the survival weights. The
+  /// pool (including its shared index) is accounted once via
+  /// pool()->MemoryBytes().
   std::size_t MemoryBytes() const;
 
   const RrSetPool* pool() const { return pool_; }
@@ -117,13 +114,8 @@ class WeightedRrCollection {
   std::uint32_t attached_ = 0;
   double covered_mass_ = 0.0;
   std::vector<float> survival_;  // per attached set
-
-  // Lanes whose survival has hit exactly 0 (δ = 1 commits — the paper's
-  // removal semantics) are marked dead so gathers skip them word-parallel;
-  // see rr_collection.h on why the transpose pointer is refreshed per
-  // attach.
+  // See rr_collection.h: walks stop at attached_.
   const CoverageTranspose* transpose_ = nullptr;
-  CoverageWordBuffer dead_words_;
 };
 
 /// CELF-style lazy max-heap over weighted coverages, mirroring

@@ -1,5 +1,5 @@
-// Tests for the packed bitmap coverage kernel (src/rrset/coverage_bitmap.h)
-// and the coverage views built on it:
+// Tests for the CSR node -> set index (src/rrset/coverage_bitmap.h) and the
+// coverage views built on it:
 //  * golden end-to-end selections — every registered allocator's seeds and
 //    iteration count, and TIRM's revenue estimates, pinned to recorded
 //    constants;
@@ -7,7 +7,8 @@
 //    tests/coverage_oracle.h (unweighted exact integers, weighted
 //    bit-identical doubles), including staged attaches and
 //    CommitSeedOnRange attribution;
-//  * SIMD tier equivalence (portable vs AVX2 word loops, same integers);
+//  * UncoveredWords parity with the oracle, and a view attached below the
+//    index's built count (the index stops mid-segment for it);
 //  * CoverageHeap tie-break regression (equal coverages pop lowest id,
 //    matching ArgMaxCoverage and the oracle);
 //  * transpose laziness + byte accounting, transpose extensions against a
@@ -38,52 +39,12 @@
 namespace tirm {
 namespace {
 
-// --------------------------------------------------------- word-loop helpers
+// -------------------------------------------------------------- word helpers
 
-TEST(CoverageKernelTest, TailMaskCoversPartialWords) {
-  EXPECT_EQ(CoverageTailMask(64), ~std::uint64_t{0});
-  EXPECT_EQ(CoverageTailMask(128), ~std::uint64_t{0});
-  EXPECT_EQ(CoverageTailMask(1), std::uint64_t{1});
-  EXPECT_EQ(CoverageTailMask(65), std::uint64_t{1});
-  EXPECT_EQ(CoverageTailMask(3), std::uint64_t{7});
+TEST(CoverageKernelTest, WordsForRoundsUpToWholeWords) {
   EXPECT_EQ(CoverageWordsFor(0), 0u);
   EXPECT_EQ(CoverageWordsFor(64), 1u);
   EXPECT_EQ(CoverageWordsFor(65), 2u);
-}
-
-TEST(CoverageKernelTest, SimdTiersComputeIdenticalCounts) {
-  // Random word buffers of awkward lengths: the active tier (AVX2 when the
-  // host supports it) must produce the exact integers of the portable tier
-  // for both the pure recount and the mutating commit.
-  Rng rng(41);
-  for (const std::size_t words : {1u, 3u, 4u, 5u, 17u, 64u, 129u}) {
-    CoverageWordBuffer bits(words), mask_a(words), mask_b(words);
-    for (std::size_t i = 0; i < words; ++i) {
-      bits[i] = rng.NextUInt64();
-      mask_a[i] = rng.NextUInt64();
-      mask_b[i] = mask_a[i];
-    }
-    const CoverageKernelOps& portable = PortableCoverageOps();
-    const CoverageKernelOps& active = ActiveCoverageOps();
-    EXPECT_EQ(portable.andnot_popcount(bits.data(), mask_a.data(), words),
-              active.andnot_popcount(bits.data(), mask_a.data(), words));
-    EXPECT_EQ(portable.commit_or(bits.data(), mask_a.data(), words),
-              active.commit_or(bits.data(), mask_b.data(), words));
-    for (std::size_t i = 0; i < words; ++i) EXPECT_EQ(mask_a[i], mask_b[i]);
-  }
-}
-
-TEST(CoverageKernelTest, ForceSimdTierValidatesNames) {
-  EXPECT_FALSE(ForceCoverageSimdTier("sse9").ok());
-  ASSERT_TRUE(ForceCoverageSimdTier("portable").ok());
-  EXPECT_STREQ(ActiveCoverageOps().name, "portable");
-  if (CoverageAvx2Available()) {
-    ASSERT_TRUE(ForceCoverageSimdTier("avx2").ok());
-    EXPECT_STREQ(ActiveCoverageOps().name, "avx2");
-  } else {
-    EXPECT_FALSE(ForceCoverageSimdTier("avx2").ok());
-  }
-  ASSERT_TRUE(ForceCoverageSimdTier("auto").ok());
 }
 
 // ----------------------------------------------------- randomized view parity
@@ -161,7 +122,7 @@ TEST(CoverageKernelTest, RandomizedWeightedParityIsBitIdentical) {
     }
     for (int k = 0; k < 6; ++k) {
       const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
-      // Mix of fractional discounts and removal-style δ = 1 (dead lanes).
+      // Mix of fractional discounts and removal-style δ = 1 (dead sets).
       const double delta = (k % 3 == 0) ? 1.0 : rng.NextDouble();
       // Bit-identical, not approximately equal: both gather in ascending
       // set order over identical values.
@@ -177,6 +138,94 @@ TEST(CoverageKernelTest, RandomizedWeightedParityIsBitIdentical) {
     EXPECT_EQ(oracle.ArgMaxCoverage(),
               bitmap.ArgMaxCoverage([](NodeId) { return true; }));
     attached = stage;
+  }
+}
+
+// UncoveredWords against the oracle's scatter of a node's uncovered ids,
+// over staged attaches (segments of uneven lengths) and first_set values
+// that fall mid-word and mid-segment. Each delta must be ascending with no
+// zero word, and its count must be what the following commit covers.
+TEST(CoverageKernelTest, UncoveredWordsMatchOracleIds) {
+  Rng rng(1412);
+  const NodeId n = 80;
+  std::unique_ptr<RrSetPool> pool = RandomPool(n, 400, 4, rng);
+  CoverageOracle oracle(pool.get());
+  RrCollection bitmap(pool.get());
+
+  std::uint32_t attached = 0;
+  for (const std::uint32_t stage : {70u, 129u, 250u, 400u}) {
+    oracle.AttachUpTo(stage);
+    bitmap.AttachUpTo(stage);
+    for (const std::uint32_t first_set : {0u, attached, attached + 37u}) {
+      for (int k = 0; k < 6; ++k) {
+        const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
+        const CoveredWordDelta want = oracle.UncoveredWords(v, first_set);
+        const CoveredWordDelta got = bitmap.UncoveredWords(v, first_set);
+        ASSERT_EQ(got.words, want.words) << "node " << v << " from "
+                                         << first_set;
+        ASSERT_EQ(got.newly_covered, want.newly_covered);
+        for (std::size_t i = 0; i < got.words.size(); ++i) {
+          EXPECT_NE(got.words[i].second, 0u);
+          if (i > 0) {
+            EXPECT_LT(got.words[i - 1].first, got.words[i].first);
+          }
+        }
+        // Commit every other probe, so later probes see covered sets.
+        if (k % 2 == 0) continue;
+        EXPECT_EQ(bitmap.CommitSeedOnRange(v, first_set), got.newly_covered);
+        oracle.CommitSeedOnRange(v, first_set);
+      }
+    }
+    attached = stage;
+  }
+}
+
+// A view attached below the index's built count: view A builds the index
+// to 1100 sets in one segment, then view B attaches only 100 (mid-segment,
+// mid-word), so every walk of B must stop inside the segment.
+TEST(CoverageKernelTest, ViewBelowBuiltCountMatchesOracle) {
+  Rng rng(1100);
+  const NodeId n = 200;
+  std::unique_ptr<RrSetPool> pool = RandomPool(n, 1100, 5, rng);
+  RrCollection a(pool.get());
+  a.AttachUpTo(1100);
+  RrCollection b(pool.get());
+  b.AttachUpTo(100);  // 100 % 64 == 36
+  ASSERT_EQ(pool->EnsureTranspose(100).built_sets(), 1100u);
+  CoverageOracle oracle(pool.get());
+  oracle.AttachUpTo(100);
+
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(b.CoverageOf(v), oracle.CoverageOf(v)) << "node " << v;
+  }
+  for (int k = 0; k < 20; ++k) {
+    const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
+    const std::uint32_t first_set = k % 2 == 0 ? 0u : 50u;
+    const CoveredWordDelta want = oracle.UncoveredWords(v, first_set);
+    const CoveredWordDelta got = b.UncoveredWords(v, first_set);
+    ASSERT_EQ(got.words, want.words) << "node " << v;
+    ASSERT_EQ(got.newly_covered, want.newly_covered);
+    ASSERT_EQ(b.CommitSeedOnRange(v, first_set),
+              oracle.CommitSeedOnRange(v, first_set));
+  }
+  EXPECT_EQ(b.NumCovered(), oracle.NumCovered());
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(b.CoverageOf(v), oracle.CoverageOf(v)) << "node " << v;
+  }
+  // A's coverage is its own: B's commits touched none of it.
+  EXPECT_EQ(a.NumCovered(), 0u);
+
+  // The weighted gather stops inside the segment too.
+  WeightedRrCollection weighted(pool.get());
+  weighted.AttachUpTo(100);
+  WeightedCoverageOracle weighted_oracle(pool.get());
+  weighted_oracle.AttachUpTo(100);
+  for (NodeId v = 0; v < n; v += 7) {
+    ASSERT_EQ(weighted.CommitSeedOnRange(v, 0.5, 50),
+              weighted_oracle.CommitSeedOnRange(v, 0.5, 50));
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(weighted.CoverageOf(v), weighted_oracle.CoverageOf(v));
   }
 }
 
@@ -232,10 +281,8 @@ TEST(CoverageTransposeTest, BuiltLazilyAndCountedInMemoryBytes) {
   const std::size_t transpose_bytes = pool->TransposeBytes();
   EXPECT_GT(transpose_bytes, 0u);
   EXPECT_EQ(pool->MemoryBytes(), before + transpose_bytes);
-  // Rows hold >= 70 lanes, stride is a multiple of 8 words (64B alignment).
   const CoverageTranspose& t = pool->EnsureTranspose(70);
   EXPECT_GE(t.built_sets(), 70u);
-  EXPECT_EQ(t.words_per_row() % 8, 0u);
 
   // The bitmap view's own bookkeeping (covered words) is counted in the
   // view, not double-counted in the pool.
@@ -266,18 +313,18 @@ TEST(CoverageTransposeTest, ConcurrentEnsureIsSerialized) {
   }
 }
 
-// The rows must equal a member scatter after each extension, including a
-// second extension that starts mid-word and re-strides the rows.
+// The ids must equal a member scatter after each extension, including a
+// second extension that starts mid-word and appends a second segment.
 TEST(CoverageTransposeTest, ExtensionsMatchMemberScatter) {
   Rng rng(4096);
   std::unique_ptr<RrSetPool> pool = RandomPool(300, 1100, 6, rng);
   const std::vector<std::vector<NodeId>> sets = SetsOf(*pool);
-  std::size_t stride = 0;
+  std::size_t bytes = 0;
   for (const std::uint32_t up_to : {100u, 1100u}) {  // 100 % 64 == 36
     const CoverageTranspose& t = pool->EnsureTranspose(up_to);
     ASSERT_EQ(t.built_sets(), up_to);
-    EXPECT_GT(t.words_per_row(), stride);
-    stride = t.words_per_row();
+    EXPECT_GT(t.MemoryBytes(), bytes);
+    bytes = t.MemoryBytes();
     ExpectRowsMatch(t, std::span(sets).first(up_to));
   }
 }

@@ -1,23 +1,24 @@
 // Scalar coverage reference for the tests.
 //
-// The library's coverage views (RrCollection, WeightedRrCollection) run on
-// the packed bitmap kernel over the pool's node -> set-bitmap transpose.
-// This header keeps the scalar postings-scan implementation they are
-// checked against. The oracles build their own node -> set lists from
-// RrSetPool::SetMembers (ascending set ids) and answer the same queries:
+// The library's coverage views (RrCollection, WeightedRrCollection) recount
+// nodes over the pool's CSR node -> set index and a covered-set bitmap.
+// This header keeps the scalar implementation they are checked against.
+// The oracles build their own node -> set lists from RrSetPool::SetMembers
+// (ascending set ids) and answer the same queries:
 //  * CoverageOracle keeps per-node marginal counters, decremented member by
 //    member as commits cover sets — the same exact integers as RrCollection;
 //  * WeightedCoverageOracle gathers survival weights over each node's list
 //    in ascending set order — the same doubles, bit for bit, as
 //    WeightedRrCollection (a dead set adds exactly 0.0).
-// Also ExpectRowsMatch: transpose rows against a member scatter of explicit
-// sets.
+// Also ExpectRowsMatch: each node's index ids against a member scatter of
+// explicit sets.
 
 #ifndef TIRM_TESTS_COVERAGE_ORACLE_H_
 #define TIRM_TESTS_COVERAGE_ORACLE_H_
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -28,25 +29,25 @@
 
 namespace tirm {
 
-/// Expects every row word of `transpose` to equal a member scatter of
-/// `sets`, where set s has id s: bit s of Row(v) is set iff v is in sets[s].
+/// Expects the index ids of every node of `transpose` to equal a member
+/// scatter of `sets`, where set s has id s: node v's ids are the ascending
+/// s with v in sets[s].
 inline void ExpectRowsMatch(const CoverageTranspose& transpose,
                             std::span<const std::vector<NodeId>> sets) {
-  const std::size_t stride = transpose.words_per_row();
-  std::vector<std::uint64_t> expected(
-      static_cast<std::size_t>(transpose.num_nodes()) * stride, 0);
+  ASSERT_EQ(transpose.built_sets(), sets.size());
+  std::vector<std::vector<std::uint32_t>> expected(transpose.num_nodes());
   for (std::size_t id = 0; id < sets.size(); ++id) {
     for (const NodeId v : sets[id]) {
-      expected[static_cast<std::size_t>(v) * stride + id / kCoverageWordBits] |=
-          std::uint64_t{1} << (id % kCoverageWordBits);
+      expected[v].push_back(static_cast<std::uint32_t>(id));
     }
   }
+  const auto built = static_cast<std::uint32_t>(sets.size());
   for (NodeId v = 0; v < transpose.num_nodes(); ++v) {
-    for (std::size_t w = 0; w < stride; ++w) {
-      ASSERT_EQ(transpose.Row(v)[w],
-                expected[static_cast<std::size_t>(v) * stride + w])
-          << "node " << v << " word " << w;
-    }
+    std::vector<std::uint32_t> ids;
+    transpose.ForEachRun(v, 0, built, [&](std::span<const std::uint32_t> run) {
+      ids.insert(ids.end(), run.begin(), run.end());
+    });
+    ASSERT_EQ(ids, expected[v]) << "node " << v;
   }
 }
 
@@ -85,6 +86,24 @@ class CoverageOracle {
       for (const NodeId member : pool_->SetMembers(id)) --coverage_[member];
     }
     return newly_covered;
+  }
+
+  /// The covered words CommitSeedOnRange(v, first_set) would change, from
+  /// a scatter of v's uncovered list ids >= first_set into dense words.
+  CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const {
+    std::vector<std::uint64_t> dense(CoverageWordsFor(attached_), 0);
+    for (const std::uint32_t id : lists_[v]) {
+      if (id < first_set || covered_[id]) continue;
+      dense[id / kCoverageWordBits] |= std::uint64_t{1}
+                                       << (id % kCoverageWordBits);
+    }
+    CoveredWordDelta delta;
+    for (std::size_t w = 0; w < dense.size(); ++w) {
+      if (dense[w] == 0) continue;
+      delta.words.emplace_back(static_cast<std::uint32_t>(w), dense[w]);
+      delta.newly_covered += static_cast<std::uint64_t>(std::popcount(dense[w]));
+    }
+    return delta;
   }
 
   /// First node of maximum positive coverage; kInvalidNode if none.

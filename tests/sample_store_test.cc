@@ -54,7 +54,7 @@ std::vector<float> ConstantProbs(const Graph& g, float p) {
 // ------------------------------------------------------------------ pool
 
 // Adopted chunks get dense ids in order (empty sets included), the
-// transpose rows hold exactly those ids across chunks, and spans handed out
+// transpose holds exactly those ids across chunks, and spans handed out
 // before a later adoption stay valid.
 TEST(RrSetPoolTest, AdoptedChunksKeepIdsRowsAndSpans) {
   RrSetPool pool(5);
@@ -71,8 +71,34 @@ TEST(RrSetPoolTest, AdoptedChunksKeepIdsRowsAndSpans) {
   EXPECT_EQ(first[1], 1u);
   const CoverageTranspose& transpose = pool.EnsureTranspose(5);
   ExpectRowsMatch(transpose, sets);
-  EXPECT_EQ(transpose.Row(1)[0], 0b01101u);  // sets 0, 2 and 3
+  std::vector<std::uint32_t> node1;
+  transpose.ForEachRun(1, 0, 5, [&](std::span<const std::uint32_t> ids) {
+    node1.insert(node1.end(), ids.begin(), ids.end());
+  });
+  EXPECT_EQ(node1, (std::vector<std::uint32_t>{0, 2, 3}));
   EXPECT_GT(pool.MemoryBytes(), 0u);
+}
+
+// ForEachMemberRun hands out a set range's members chunk by chunk, clipped
+// to the range at both ends.
+TEST(RrSetPoolTest, MemberRunsClipToTheSetRange) {
+  RrSetPool pool(6);
+  pool.AdoptChunk({0, 1, 2, 3}, std::vector<std::size_t>{0, 2, 4});
+  pool.AdoptChunk({4, 5, 0, 1, 2}, std::vector<std::size_t>{0, 1, 3, 5});
+  using Runs = std::vector<std::vector<NodeId>>;
+  const auto runs = [&pool](std::uint32_t first, std::uint32_t end) {
+    Runs out;
+    pool.ForEachMemberRun(first, end, [&out](std::span<const NodeId> m) {
+      out.emplace_back(m.begin(), m.end());
+    });
+    return out;
+  };
+  EXPECT_EQ(runs(0, 5), (Runs{{0, 1, 2, 3}, {4, 5, 0, 1, 2}}));
+  EXPECT_EQ(runs(1, 4), (Runs{{2, 3}, {4, 5, 0}}));
+  EXPECT_EQ(runs(3, 4), (Runs{{5, 0}}));
+  EXPECT_EQ(runs(0, 2), (Runs{{0, 1, 2, 3}}));
+  EXPECT_EQ(runs(2, 2), Runs{});
+  EXPECT_EQ(runs(1, 1), Runs{});
 }
 
 // Two views over one pool: independent coverage, one physical copy.

@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
 #include "rrset/sharded_store.h"
@@ -304,6 +303,36 @@ TEST(ShardedGoldenTest, AllFiveAllocatorsBitIdenticalAcrossK) {
       }
     }
   }
+}
+
+// A sharded engine run samples into the engine's sharded store, not its
+// single one, and the engine must report that store: the same pooled ads
+// and sampled sets as a K = 1 engine's single store, since the K shard
+// pools partition the same global pool.
+TEST(ShardedGoldenTest, EngineReportsTheShardedStoreItSampled) {
+  const auto build = [] {
+    Rng build_rng(77);
+    return BuildDataset(FlixsterLike(0.01), build_rng);
+  };
+  AdAllocEngine single(build(), {.eval_sims = 50, .seed = kSeed});
+  AdAllocEngine sharded(build(), {.eval_sims = 50, .seed = kSeed});
+  ASSERT_TRUE(single.Run(ShardConfig("tirm", 1)).ok());
+  ASSERT_TRUE(sharded.Run(ShardConfig("tirm", 2)).ok());
+
+  EXPECT_EQ(single.sharded_sample_store(), nullptr);
+  const RrSampleStore* store = single.sample_store();
+  const ShardedRrSampleStore* shards = sharded.sharded_sample_store();
+  ASSERT_NE(store, nullptr);
+  ASSERT_NE(shards, nullptr);
+  ASSERT_EQ(shards->num_shards(), 2);
+  // More than one chunk, so both shards own sampled sets.
+  const std::uint64_t sampled = store->LifetimeStats().sampled_sets;
+  EXPECT_GT(sampled, RrSampleStore::Options{}.chunk_sets);
+  EXPECT_GT(shards->shard(1).LifetimeStats().sampled_sets, 0u);
+  EXPECT_EQ(shards->LifetimeStats().sampled_sets, sampled);
+  EXPECT_GT(store->NumEntries(), 0u);
+  EXPECT_EQ(shards->shard(0).NumEntries(), store->NumEntries());
+  EXPECT_EQ(shards->shard(1).NumEntries(), store->NumEntries());
 }
 
 // Direct RunTirm on a generated graph (bigger than fig1, kappa = 2): the
