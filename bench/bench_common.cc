@@ -177,7 +177,7 @@ EngineRun RunOnEngine(AdAllocEngine& engine, const std::string& name,
 void PrintStoreStats(const AdAllocEngine& engine) {
   const RrSampleStore* store = engine.sample_store();
   if (store == nullptr) return;
-  const SampleCacheStats stats = store->LifetimeStats();
+  const SampleCacheStats stats = engine.StoreStats();
   std::printf(
       "store: %zu pooled ads, arena %s, sampled %llu sets, reused %llu, "
       "top-ups %llu, kpt hits %llu/%llu\n",

@@ -105,8 +105,9 @@ BuiltInstance BuildBenchInstance(const BenchConfig& config,
 EngineRun RunOnEngine(AdAllocEngine& engine, const std::string& name,
                       const EngineQuery& query, const BenchConfig& config);
 
-/// One-line summary of an engine's pooled-sample store ("store: ...");
-/// prints nothing when the engine has no store yet.
+/// One-line summary of an engine's pooled samples ("store: ..."): the
+/// store's pooled ads and the engine's StoreStats() totals; prints nothing
+/// when the engine keeps no store (reuse off).
 void PrintStoreStats(const AdAllocEngine& engine);
 
 /// Runs any registered allocator by name with this bench's shared config

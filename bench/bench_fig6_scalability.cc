@@ -17,12 +17,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/hashing.h"
 #include "graph/edge_list_io.h"
 #include "graph/generators.h"
 #include "obs/trace.h"
@@ -41,10 +43,21 @@ using namespace tirm::bench;
 // chunks, at 1/2/4/8 threads. That is the shape of every production top-up
 // (one sampling fan-out over all of the call's chunks, then adoption into
 // the pool), so a row times what TIRM's θ growth pays: the median of 5
-// top-ups, sets/s, and the speedup over the first row. Also runs full TIRM
-// serially and with the largest thread count to confirm the allocations
-// remain statistically equivalent (same #seeds ballpark and revenue within
-// Monte-Carlo noise).
+// top-ups, sets/s, and the speedup over the first row. The thread count
+// must not change a pool: every row's pool hash must equal the first
+// row's, and full TIRM at 1 thread and at the largest count must return
+// the same allocation (the bench aborts otherwise).
+std::uint64_t PoolHash(const RrSetPool& pool) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+    const std::span<const NodeId> members = pool.SetMembers(id);
+    const auto size = static_cast<std::uint64_t>(members.size());
+    h = HashBytes(h, &size, sizeof(size));
+    h = HashBytes(h, members.data(), members.size() * sizeof(NodeId));
+  }
+  return FinalizeHash(h);
+}
+
 void RunThreadSweep(const BenchConfig& config,
                     const std::vector<int>& thread_counts, JsonValue* out) {
   Rng build_rng(config.seed + 101);
@@ -62,6 +75,7 @@ void RunThreadSweep(const BenchConfig& config,
   TablePrinter t({"threads", "seconds", "sets/s", "speedup", "avg |R|"});
   JsonValue rows = JsonValue::Array();
   double base_seconds = 0.0;
+  std::uint64_t base_hash = 0;
   constexpr std::size_t kRepeats = 5;
   for (const int threads : thread_counts) {
     // Median of kRepeats top-ups, each on a fresh store with the same seed:
@@ -69,23 +83,30 @@ void RunThreadSweep(const BenchConfig& config,
     std::vector<double> times;
     std::uint64_t sets = 0;
     std::size_t nodes = 0;
+    std::uint64_t hash = 0;
     for (std::size_t r = 0; r < kRepeats; ++r) {
-      RrSampleStore store(&inst.graph(), {.seed = config.seed + 202,
-                                          .num_threads = threads});
+      RrSampleStore store(&inst.graph(), {.seed = config.seed + 202});
       RrSampleStore::AdPool* entry = store.Acquire(
           store.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
       WallTimer timer;
-      sets = store.EnsureSets(entry, target).sampled;
+      sets = store.EnsureSets(entry, target, 0, threads).sampled;
       times.push_back(timer.Seconds());
       const RrSetPool& pool = entry->sets();
       nodes = 0;
       for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
         nodes += pool.SetMembers(id).size();
       }
+      hash = PoolHash(pool);
     }
     std::sort(times.begin(), times.end());
     const double seconds = times[kRepeats / 2];
-    if (threads == thread_counts.front()) base_seconds = seconds;
+    if (threads == thread_counts.front()) {
+      base_seconds = seconds;
+      base_hash = hash;
+    }
+    TIRM_CHECK_EQ(hash, base_hash)
+        << "the pool sampled at " << threads << " threads differs from the "
+        << thread_counts.front() << "-thread pool";
     const double avg_size =
         static_cast<double>(nodes) / static_cast<double>(sets);
     t.AddRow({TablePrinter::Int(threads), TablePrinter::Num(seconds, 3),
@@ -104,21 +125,20 @@ void RunThreadSweep(const BenchConfig& config,
   t.Print();
   out->Set("thread_sweep", std::move(rows));
 
-  std::printf("\n--- TIRM serial vs parallel sampling (statistical "
-              "equivalence) ---\n");
-  TablePrinter cmp({"threads", "tirm (s)", "seeds", "est revenue"});
+  std::vector<std::vector<NodeId>> serial_seeds;
   for (const int threads : {1, thread_counts.back()}) {
     AllocatorConfig algo_config = config.MakeAllocatorConfig("tirm");
     algo_config.num_threads = threads;
     const AllocationResult result =
         RunConfigured(algo_config, inst, config.seed + 17);
-    cmp.AddRow({TablePrinter::Int(threads),
-                TablePrinter::Num(result.seconds, 2),
-                TablePrinter::Int(
-                    static_cast<long long>(result.allocation.TotalSeeds())),
-                TablePrinter::Num(result.TotalEstimatedRevenue(), 1)});
+    if (threads == 1) serial_seeds = result.allocation.seeds;
+    TIRM_CHECK(result.allocation.seeds == serial_seeds)
+        << "the TIRM allocation at " << threads
+        << " threads differs from the 1-thread allocation";
   }
-  cmp.Print();
+  std::printf("(every row's pool hash is the first row's; TIRM at 1 and %d "
+              "threads returned the same allocation)\n",
+              thread_counts.back());
 }
 
 // ---- Sharded sampling plane: K = 1/2/4 shards on a `file:` SNAP-style
@@ -177,11 +197,9 @@ void RunShardSweep(const BenchConfig& config, JsonValue* out) {
   for (const int num_shards : shard_counts) {
     // Sampling phase: same seed for every K, so the global chunk streams
     // are identical and only the partition changes.
-    ShardedRrSampleStore store(
-        built->graph.get(),
-        {.seed = config.seed ^ 0xF1665EEDULL,
-         .num_threads = config.threads},
-        num_shards);
+    ShardedRrSampleStore store(built->graph.get(),
+                               {.seed = config.seed ^ 0xF1665EEDULL},
+                               num_shards);
     double critical_path = 0.0;
     double sum_seconds = 0.0;
     JsonValue shard_seconds = JsonValue::Array();
@@ -190,7 +208,7 @@ void RunShardSweep(const BenchConfig& config, JsonValue* out) {
       RrSampleStore::AdPool* pool = shard.Acquire(
           shard.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
       WallTimer timer;
-      shard.EnsureSets(pool, theta);
+      shard.EnsureSets(pool, theta, 0, config.threads);
       const double seconds = timer.Seconds();
       critical_path = std::max(critical_path, seconds);
       sum_seconds += seconds;

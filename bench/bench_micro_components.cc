@@ -264,11 +264,11 @@ const std::vector<ParallelRrBuilder::Batch>& SharedSampledParts(int num_sets) {
   auto it = cache->find(num_sets);
   if (it == cache->end()) {
     const SamplingFixture& f = SamplingFixture::Get();
-    ParallelRrBuilder builder(f.graph, f.probs, {.num_threads = 4});
+    ParallelRrBuilder builder(f.graph, f.probs);
     Rng master(11);
     std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
         builder.SampleChunks(static_cast<std::uint64_t>(num_sets),
-                             {&master, 1});
+                             {&master, 1}, /*num_threads=*/4);
     it = cache->emplace(num_sets, std::move(chunks.front())).first;
   }
   return it->second;

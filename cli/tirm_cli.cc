@@ -233,13 +233,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stats.reused_sets), stats.arena_bytes);
   };
   // --num_shards > 1 samples into the engine's sharded store, not its
-  // single one. Every shard pools every ad, so shard 0 counts the ads.
-  if (const ShardedRrSampleStore* sharded = engine.sharded_sample_store();
-      sharded != nullptr) {
-    print_store(sharded->shard(0).NumEntries(), sharded->LifetimeStats());
-  } else if (const RrSampleStore* store = engine.sample_store();
-             store != nullptr) {
-    print_store(store->NumEntries(), store->LifetimeStats());
+  // single one. Every shard pools every ad, so shard 0 counts the ads; the
+  // counters are the engine's total over both.
+  if (const RrSampleStore* store = engine.sample_store(); store != nullptr) {
+    const ShardedRrSampleStore* sharded =
+        engine.sharded_sample_store(config->num_shards);
+    print_store(sharded != nullptr ? sharded->shard(0).NumEntries()
+                                   : store->NumEntries(),
+                engine.StoreStats());
   }
   if (*print_profile) {
     std::printf("\npipeline profile (by total wall time):\n");

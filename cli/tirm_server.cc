@@ -38,7 +38,9 @@
 //
 // A shard worker speaks the shard op line protocol (stdin or --port) and
 // serves ONE coordinator at a time; --mode=router forces --workers=1 for
-// the same reason (the shard connections are single-coordinator).
+// the same reason (the shard connections are single-coordinator). Each
+// worker samples on its own --threads; no thread count, the router's or a
+// worker's, changes an allocation.
 //
 // Observability: a '{"id":"s1","stats":true}' line is an admin request
 // answered immediately (never enqueued) with the service metrics, store
@@ -612,7 +614,8 @@ int main(int argc, char** argv) {
     const BuiltInstance built = build_instance();
     const ProblemInstance base = built.MakeInstance(/*kappa=*/1,
                                                     /*lambda=*/0.0);
-    serve::ShardWorkerContext context(&base, index, num_shards);
+    serve::ShardWorkerContext context(&base, index, num_shards,
+                                      defaults.config.num_threads);
     std::fprintf(stderr, "tirm_server: shard worker %d/%d dataset=%s\n",
                  index, num_shards, source.c_str());
     if (*port > 0) return ServeShardTcp(static_cast<int>(*port), &context);

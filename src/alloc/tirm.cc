@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "common/logging.h"
-#include "common/threading.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "rrset/kpt_estimator.h"
@@ -353,7 +352,8 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   // All sampling goes through an RrSampleStore. A shared store (engine
   // sweeps, head-to-head runs) serves warm pools; otherwise a private store
   // with the same chunked sampling discipline makes this run bit-identical
-  // to a store-backed one at the same seed and thread count.
+  // to a store-backed one at the same seed. The run's thread count only
+  // decides how many threads sample: pools never depend on it.
   //
   // Sharded mode (the GreeDIMM shape) replaces the single store with K
   // shard clients — in-process LocalShardClients over a (shared or
@@ -379,11 +379,9 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       if (sharded_store == nullptr) {
         std::uint64_t store_seed = options.sample_store_seed;
         if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
-        local_sharded.emplace(
-            &graph,
-            RrSampleStore::Options{.seed = store_seed,
-                                   .num_threads = options.num_threads},
-            options.num_shards);
+        local_sharded.emplace(&graph,
+                              RrSampleStore::Options{.seed = store_seed},
+                              options.num_shards);
         sharded_store = &*local_sharded;
       } else {
         TIRM_CHECK(sharded_store->shard(0).graph() == &graph)
@@ -393,13 +391,12 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       const RrSampleStore::Options& store_options =
           sharded_store->base_options();
       run_config.store_seed = store_options.seed;
-      run_config.num_threads = store_options.num_threads;
       run_config.chunk_sets = store_options.chunk_sets;
       owned_clients.reserve(
           static_cast<std::size_t>(sharded_store->num_shards()));
       for (int k = 0; k < sharded_store->num_shards(); ++k) {
         owned_clients.push_back(std::make_unique<LocalShardClient>(
-            &sharded_store->shard(k), &instance));
+            &sharded_store->shard(k), &instance, options.num_threads));
         clients.push_back(owned_clients.back().get());
       }
     } else {
@@ -409,11 +406,6 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
       std::uint64_t store_seed = options.sample_store_seed;
       if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
       run_config.store_seed = store_seed;
-      // Resolved (never 0): remote workers build their stores from this
-      // value, and an unresolved 0 would mean "whatever hardware the
-      // worker has" — pools must be a function of the request, not the
-      // machine.
-      run_config.num_threads = ResolveThreadCount(options.num_threads);
       run_config.chunk_sets = RrSampleStore::Options{}.chunk_sets;
     }
     run_span.Counter("shards", static_cast<double>(clients.size()));
@@ -436,10 +428,7 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
     if (store == nullptr) {
       std::uint64_t store_seed = options.sample_store_seed;
       if (store_seed == 0) store_seed = rng.Fork(0x5707).NextUInt64();
-      local_store.emplace(
-          &graph,
-          RrSampleStore::Options{.seed = store_seed,
-                                 .num_threads = options.num_threads});
+      local_store.emplace(&graph, RrSampleStore::Options{.seed = store_seed});
       store = &*local_store;
     } else {
       TIRM_CHECK(store->graph() == &graph)
@@ -457,8 +446,8 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   auto ensure_sets = [&](AdId j, AdState& st, std::uint64_t min_sets,
                          std::uint64_t already_attached) {
     if (!sharded) {
-      const RrSampleStore::EnsureResult ensured =
-          store->EnsureSets(st.entry, min_sets, already_attached);
+      const RrSampleStore::EnsureResult ensured = store->EnsureSets(
+          st.entry, min_sets, already_attached, options.num_threads);
       result.cache.sampled_sets += ensured.sampled;
       result.cache.reused_sets += ensured.reused;
       result.cache.max_traversal =
@@ -520,7 +509,8 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
                                  instance.EdgeProbsForAd(j));
       const KptEstimator::Options kpt_options{
           .ell = options.theta.ell, .max_samples = options.kpt_max_samples};
-      st->kpt = &store->EnsureKpt(st->entry, kpt_options, st->s, &kpt_hit);
+      st->kpt = &store->EnsureKpt(st->entry, kpt_options, st->s, &kpt_hit,
+                                  options.num_threads);
       st->kpt_value = st->kpt->ReEstimate(st->s);
     }
     ++result.cache.kpt_estimations;

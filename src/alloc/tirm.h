@@ -77,11 +77,10 @@ struct TirmOptions {
   double min_drop = 1e-12;
   /// KPT estimation sampling cap per ad.
   std::uint64_t kpt_max_samples = 1 << 17;
-  /// Worker threads for RR-set generation (ParallelRrBuilder). 1 keeps the
-  /// seed's exact serial sampling streams; 0 selects the hardware
-  /// concurrency; N > 1 fans each ad's sampling batches out over N threads
-  /// with deterministic per-thread substreams (results are deterministic
-  /// for a fixed thread count, and statistically equivalent across counts).
+  /// Worker threads for RR-set generation (ParallelRrBuilder); 0 selects
+  /// the hardware concurrency. Each sampling chunk splits into a fixed
+  /// layout of RNG substreams, so the count only decides how many threads
+  /// run them: pools, and so allocations, are the same at every count.
   int num_threads = 1;
   /// Ablation: rank candidates by δ(u,i)·coverage instead of Algorithm 3's
   /// raw coverage (linear scan; small instances only).
@@ -101,8 +100,7 @@ struct TirmOptions {
   /// instead of resampling, and pools persist for later runs/sweep points.
   /// When null, the run creates a private store with identical sampling
   /// discipline, so pooled and fresh runs are bit-identical at a fixed
-  /// store seed (and thread count). The store's graph must be the
-  /// instance's graph.
+  /// store seed. The store's graph must be the instance's graph.
   RrSampleStore* sample_store = nullptr;
   /// Seed of the private store when `sample_store` is null (a shared
   /// store keeps its own seed). 0 = derive deterministically from the

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/hashing.h"
-#include "common/threading.h"
 #include "common/timer.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -73,6 +72,10 @@ AdAllocEngine::AdAllocEngine(BuiltInstance built, EngineOptions options)
   const Status valid = base_.Validate();
   TIRM_CHECK(valid.ok()) << "AdAllocEngine: invalid instance: "
                          << valid.ToString();
+  if (options_.reuse_samples) {
+    store_ = std::make_unique<RrSampleStore>(
+        &base_.graph(), RrSampleStore::Options{.seed = StoreSeed()});
+  }
 }
 
 ProblemInstance AdAllocEngine::MakeInstance(const EngineQuery& query) const {
@@ -104,27 +107,30 @@ std::uint64_t AdAllocEngine::EvalSeed(const EngineQuery& query) const {
 AdAllocEngine::AdAllocEngine(AdAllocEngine&& other)
     : built_(std::move(other.built_)),
       options_(other.options_),
-      base_(std::move(other.base_)) {
+      base_(std::move(other.base_)),
+      store_(std::move(other.store_)) {
   // Locking the source's mutex keeps the capability analysis sound for the
   // guarded members; a move racing an actual concurrent user is a contract
   // violation the caller must rule out (see the header).
   MutexLock lock(other.store_mutex_);
-  stores_ = std::move(other.stores_);
   sharded_stores_ = std::move(other.sharded_stores_);
-  last_store_ = other.last_store_;
-  last_sharded_store_ = other.last_sharded_store_;
-  other.last_store_ = nullptr;
-  other.last_sharded_store_ = nullptr;
 }
 
-const RrSampleStore* AdAllocEngine::sample_store() const {
+const ShardedRrSampleStore* AdAllocEngine::sharded_sample_store(
+    int num_shards) const {
   MutexLock lock(store_mutex_);
-  return last_store_;
+  const auto it = sharded_stores_.find(num_shards);
+  return it == sharded_stores_.end() ? nullptr : it->second.get();
 }
 
-const ShardedRrSampleStore* AdAllocEngine::sharded_sample_store() const {
+SampleCacheStats AdAllocEngine::StoreStats() const {
+  SampleCacheStats total;
+  if (store_ != nullptr) total.Add(store_->LifetimeStats());
   MutexLock lock(store_mutex_);
-  return last_sharded_store_;
+  for (const auto& [num_shards, sharded] : sharded_stores_) {
+    total.Add(sharded->LifetimeStats());
+  }
+  return total;
 }
 
 Status AdAllocEngine::ValidateQuery(const EngineQuery& query) {
@@ -160,36 +166,24 @@ Result<EngineRun> AdAllocEngine::Run(const AllocatorConfig& config,
   // way, only the sampling bill differs.
   run_config.sample_store_seed = StoreSeed();
   if (options_.reuse_samples) {
-    // One store per resolved worker count: pools are deterministic per
-    // fixed thread count, so sharing them across counts would break the
-    // reuse-on/off bit-identical contract. The map mutation is guarded —
-    // Run() may be called concurrently (see the header contract) and
-    // sample_store() polls from other threads.
-    const int threads = ResolveThreadCount(run_config.num_threads);
-    MutexLock lock(store_mutex_);
-    std::unique_ptr<RrSampleStore>& store = stores_[threads];
-    if (store == nullptr) {
-      store = std::make_unique<RrSampleStore>(
-          &base_.graph(),
-          RrSampleStore::Options{.seed = StoreSeed(), .num_threads = threads});
-    }
-    run_config.sample_store = store.get();
-    last_store_ = store.get();
-    // Sharded plane: chunk-interleaved shard pools are keyed by K too.
+    // Runs at every thread count share the one store: the thread count
+    // never changes a pool (rrset/sample_store.h).
+    run_config.sample_store = store_.get();
+    // Sharded plane: chunk-interleaved shard pools are keyed by K. The map
+    // mutation is guarded — Run() may be called concurrently (see the
+    // header contract) and StoreStats() polls from other threads.
     // Externally injected shard clients (the serving router) bypass
     // engine-owned stores entirely.
     if (run_config.num_shards > 1 && run_config.shard_clients.empty()) {
+      MutexLock lock(store_mutex_);
       std::unique_ptr<ShardedRrSampleStore>& sharded =
-          sharded_stores_[{threads, run_config.num_shards}];
+          sharded_stores_[run_config.num_shards];
       if (sharded == nullptr) {
         sharded = std::make_unique<ShardedRrSampleStore>(
-            &base_.graph(),
-            RrSampleStore::Options{.seed = StoreSeed(),
-                                   .num_threads = threads},
+            &base_.graph(), RrSampleStore::Options{.seed = StoreSeed()},
             run_config.num_shards);
       }
       run_config.sharded_sample_store = sharded.get();
-      last_sharded_store_ = sharded.get();
     }
   } else {
     run_config.sample_store = nullptr;

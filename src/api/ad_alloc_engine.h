@@ -11,9 +11,9 @@
 // is the concurrent front.
 //
 // Thread safety. Engine-internal state is synchronized: concurrent Run()
-// calls never race on the engine itself (the lazily created store maps and
-// the last-used-store pointers are mutex-guarded), and sample_store() /
-// sharded_sample_store() / Metrics-style readers may poll from any thread.
+// calls never race on the engine itself (the lazily created sharded-store
+// map is mutex-guarded), and sample_store() / sharded_sample_store() /
+// StoreStats() may poll from any thread.
 // What is NOT safe is two concurrent *sampling* runs (tirm / greedy-mc
 // with reuse enabled) on ONE engine: they borrow the same pooled
 // RrSampleStore, and while the store serializes pool growth internally, a
@@ -42,7 +42,6 @@
 
 #include <map>
 #include <memory>
-#include <utility>
 
 #include "alloc/allocator.h"
 #include "common/mutex.h"
@@ -71,8 +70,9 @@ struct EngineOptions {
   /// Reuse pooled RR samples across queries: the engine owns an
   /// RrSampleStore and every sampling allocator run borrows warm per-ad
   /// pools from it, so a λ/κ/β/budget sweep samples each ad's sets at most
-  /// once per max-θ. Disabling it resamples per query through a private
-  /// store with the same seed — bit-identical results, sweep-slower.
+  /// once per max-θ, whatever thread count each run samples at. Disabling
+  /// it resamples per query through a private store with the same seed —
+  /// bit-identical results, sweep-slower.
   bool reuse_samples = true;
 };
 
@@ -113,7 +113,7 @@ class AdAllocEngine {
                                       EngineOptions options);
 
   /// Move-constructible so Create() can return Result<AdAllocEngine>. The
-  /// move takes `other`'s store mutex while transplanting the store map —
+  /// move takes `other`'s store mutex while transplanting the stores —
   /// but moving an engine another thread is concurrently using is a
   /// contract violation regardless (the mutex only keeps the capability
   /// analysis sound, it cannot make such a move safe). Copying and move
@@ -155,48 +155,44 @@ class AdAllocEngine {
   /// reuse on/off cannot change results.
   std::uint64_t StoreSeed() const;
 
-  /// The engine-owned sample store most recently used by Run (null until
-  /// the first run with reuse enabled). Pool/arena counters for
-  /// dashboards come from here. Safe to call from any thread (the store's
-  /// own counters are atomic/mutex-guarded); the returned pointer stays
-  /// valid for the engine's lifetime.
-  const RrSampleStore* sample_store() const TIRM_EXCLUDES(store_mutex_);
+  /// The engine-owned sample store that every run with reuse enabled
+  /// samples into, at any thread count (null when reuse_samples is off).
+  /// Safe to call from any thread (the store's own counters are
+  /// atomic/mutex-guarded); the returned pointer stays valid for the
+  /// engine's lifetime.
+  const RrSampleStore* sample_store() const { return store_.get(); }
 
-  /// The engine-owned sharded store most recently used by Run: null until
-  /// a run with reuse enabled samples through the in-process sharded
-  /// plane (num_shards > 1). Such a run samples into this store, not into
-  /// sample_store(), so its pool counters come from here. Same thread
-  /// safety and lifetime as sample_store().
-  const ShardedRrSampleStore* sharded_sample_store() const
+  /// The engine-owned sharded store of `num_shards` shards: null until a
+  /// run with reuse enabled samples through the in-process sharded plane
+  /// at that shard count. Such a run samples into this store, not into
+  /// sample_store(). Same thread safety and lifetime as sample_store().
+  const ShardedRrSampleStore* sharded_sample_store(int num_shards) const
       TIRM_EXCLUDES(store_mutex_);
+
+  /// Lifetime counters of every store the engine owns — sample_store()
+  /// and each sharded store — totalled by SampleCacheStats::Add; all zero
+  /// when reuse_samples is off. Safe to call from any thread.
+  SampleCacheStats StoreStats() const TIRM_EXCLUDES(store_mutex_);
 
  private:
   BuiltInstance built_;
   EngineOptions options_;
   ProblemInstance base_;  ///< kappa=1, lambda=0 template; owns the cache
-  /// Guards the stores and last-used pointers — Run() may be called
-  /// concurrently (see the thread-safety contract in the file comment) and
-  /// metrics readers poll sample_store() from other threads. A direct
-  /// member (not heap-held) so the capability analysis can name it
-  /// statically; the explicit move constructor above is what keeps the
-  /// engine movable.
+  /// The one store of every reuse-enabled run (null when reuse is off).
+  /// Created by the constructor and never replaced, hence unguarded.
+  std::unique_ptr<RrSampleStore> store_;
+  /// Guards `sharded_stores_` — Run() may be called concurrently (see the
+  /// thread-safety contract in the file comment) and StoreStats() polls
+  /// from other threads. A direct member (not heap-held) so the capability
+  /// analysis can name it statically; the explicit move constructor above
+  /// is what keeps the engine movable.
   mutable Mutex store_mutex_;
-  /// One store per resolved sampling worker count, created lazily: pool
-  /// contents are deterministic per fixed thread count, so runs differing
-  /// in it must not share pools or the reuse-on/off bit-identical contract
-  /// would break. In practice an engine serves one count and this holds
-  /// one store.
-  std::map<int, std::unique_ptr<RrSampleStore>> stores_
-      TIRM_GUARDED_BY(store_mutex_);
-  /// Sharded-plane twin of `stores_`, additionally keyed by shard count:
+  /// The sharded plane's stores, keyed by shard count and created lazily:
   /// shard pools are chunk-interleaved per K, so different K values own
   /// different stores (their unions are nevertheless the same global pool,
   /// which is what keeps K-sweeps bit-identical).
-  std::map<std::pair<int, int>, std::unique_ptr<ShardedRrSampleStore>>
-      sharded_stores_ TIRM_GUARDED_BY(store_mutex_);
-  const RrSampleStore* last_store_ TIRM_GUARDED_BY(store_mutex_) = nullptr;
-  const ShardedRrSampleStore* last_sharded_store_
-      TIRM_GUARDED_BY(store_mutex_) = nullptr;
+  std::map<int, std::unique_ptr<ShardedRrSampleStore>> sharded_stores_
+      TIRM_GUARDED_BY(store_mutex_);
 };
 
 }  // namespace tirm

@@ -25,11 +25,12 @@ KptEstimator::KptEstimator(ParallelRrBuilder* builder, std::uint64_t num_edges,
   TIRM_CHECK_GT(num_nodes_, 0u);
 }
 
-void KptEstimator::SampleWidths(std::uint64_t target, Rng& rng) {
+void KptEstimator::SampleWidths(std::uint64_t target, Rng& rng,
+                                int num_threads) {
   if (widths_.size() >= target) return;
   if (builder_ != nullptr) {
     const std::vector<std::uint64_t> widths =
-        builder_->SampleWidths(target - widths_.size(), rng);
+        builder_->SampleWidths(target - widths_.size(), rng, num_threads);
     widths_.insert(widths_.end(), widths.begin(), widths.end());
     return;
   }
@@ -52,7 +53,7 @@ double KptEstimator::MeanKappa(std::uint64_t s) const {
   return sum / static_cast<double>(widths_.size());
 }
 
-double KptEstimator::Estimate(std::uint64_t s, Rng& rng) {
+double KptEstimator::Estimate(std::uint64_t s, Rng& rng, int num_threads) {
   TIRM_CHECK_GE(s, 1u);
   obs::TraceSpan span("kpt_estimate");
   span.Counter("s", static_cast<double>(s));
@@ -68,7 +69,7 @@ double KptEstimator::Estimate(std::uint64_t s, Rng& rng) {
                         std::pow(2.0, i);
     const std::uint64_t ci = std::min<std::uint64_t>(
         options_.max_samples, static_cast<std::uint64_t>(ci_d) + 1);
-    SampleWidths(ci, rng);
+    SampleWidths(ci, rng, num_threads);
     iter_span.Counter("iteration", i);
     iter_span.Counter("samples", static_cast<double>(widths_.size()));
     const double c = MeanKappa(s);

@@ -48,8 +48,9 @@ class KptEstimator {
                Options options);
 
   /// Runs the geometric estimation for size `s`; caches widths.
-  /// Returns KPT*(s) >= 1.
-  double Estimate(std::uint64_t s, Rng& rng);
+  /// Returns KPT*(s) >= 1. The parallel variant samples each round on up
+  /// to `num_threads` threads; the estimate does not depend on how many.
+  double Estimate(std::uint64_t s, Rng& rng, int num_threads = 1);
 
   /// Re-evaluates KPT for a different size from cached widths (requires a
   /// prior Estimate call). Returns max(result, 1).
@@ -60,7 +61,7 @@ class KptEstimator {
 
  private:
   double MeanKappa(std::uint64_t s) const;
-  void SampleWidths(std::uint64_t target, Rng& rng);
+  void SampleWidths(std::uint64_t target, Rng& rng, int num_threads);
 
   RrSampler* sampler_ = nullptr;          // serial path
   ParallelRrBuilder* builder_ = nullptr;  // parallel path

@@ -10,29 +10,20 @@
 namespace tirm {
 
 ParallelRrBuilder::ParallelRrBuilder(const Graph& graph,
-                                     std::span<const float> edge_probs,
-                                     Options options)
-    : graph_(graph),
-      edge_probs_(edge_probs),
-      num_threads_(ResolveThreadCount(options.num_threads)),
-      min_parallel_batch_(options.min_parallel_batch) {
+                                     std::span<const float> edge_probs)
+    : graph_(graph), edge_probs_(edge_probs) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
-  samplers_.resize(static_cast<std::size_t>(num_threads_));
 }
 
 ParallelRrBuilder::ParallelRrBuilder(const Graph& graph,
                                      std::span<const float> edge_probs,
-                                     std::span<const float> node_ctps,
-                                     Options options)
+                                     std::span<const float> node_ctps)
     : graph_(graph),
       edge_probs_(edge_probs),
       node_ctps_(node_ctps),
-      with_ctp_(true),
-      num_threads_(ResolveThreadCount(options.num_threads)),
-      min_parallel_batch_(options.min_parallel_batch) {
+      with_ctp_(true) {
   TIRM_CHECK_EQ(edge_probs_.size(), graph_.num_edges());
   TIRM_CHECK_EQ(node_ctps_.size(), graph_.num_nodes());
-  samplers_.resize(static_cast<std::size_t>(num_threads_));
 }
 
 RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
@@ -46,14 +37,17 @@ RrSampler& ParallelRrBuilder::SamplerFor(int worker) {
 }
 
 std::vector<std::vector<ParallelRrBuilder::Batch>>
-ParallelRrBuilder::SampleChunks(std::uint64_t count, std::span<Rng> masters) {
-  return SampleParts(count, masters, /*keep_sets=*/true);
+ParallelRrBuilder::SampleChunks(std::uint64_t count, std::span<Rng> masters,
+                                int num_threads) {
+  return SampleParts(count, masters, num_threads, /*keep_sets=*/true);
 }
 
 std::vector<std::uint64_t> ParallelRrBuilder::SampleWidths(std::uint64_t count,
-                                                           Rng& master) {
+                                                           Rng& master,
+                                                           int num_threads) {
   const std::vector<std::vector<Batch>> chunks =
-      SampleParts(count, std::span<Rng>(&master, 1), /*keep_sets=*/false);
+      SampleParts(count, std::span<Rng>(&master, 1), num_threads,
+                  /*keep_sets=*/false);
   std::vector<std::uint64_t> widths;
   widths.reserve(count);
   for (const Batch& p : chunks.front()) {
@@ -65,15 +59,11 @@ std::vector<std::uint64_t> ParallelRrBuilder::SampleWidths(std::uint64_t count,
 
 std::vector<std::vector<ParallelRrBuilder::Batch>>
 ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
-                               bool keep_sets) {
+                               int num_threads, bool keep_sets) {
   // Fork every chunk's part streams sequentially on the calling thread, in
   // (chunk, part) order; task k is part k % parts of chunk k / parts, a pure
-  // function of its stream, independent of scheduling.
-  const std::size_t parts =
-      count < min_parallel_batch_
-          ? 1
-          : static_cast<std::size_t>(std::min<std::uint64_t>(
-                count, static_cast<std::uint64_t>(num_threads_)));
+  // function of its stream, independent of scheduling and thread count.
+  const std::size_t parts = PartsPerChunk(count);
   const std::size_t tasks = masters.size() * parts;
   std::vector<Rng> streams;
   streams.reserve(tasks);
@@ -88,8 +78,8 @@ ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
 
   const std::uint64_t base = count / parts;
   const std::uint64_t rem = count % parts;
-  const int threads = static_cast<int>(
-      std::min<std::size_t>(tasks, static_cast<std::size_t>(num_threads_)));
+  const int threads = static_cast<int>(std::min<std::size_t>(
+      tasks, static_cast<std::size_t>(ResolveThreadCount(num_threads))));
 
   auto run_task = [&](RrSampler& sampler, std::size_t k) {
     const std::size_t c = k / parts;
@@ -136,8 +126,11 @@ ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
     }
   };
 
-  // SamplerFor mutates samplers_: create every slot's sampler before any
-  // thread starts, so each thread only reads its own slot.
+  // SamplerFor mutates samplers_: grow the slots and create every slot's
+  // sampler before any thread starts, so each thread only reads its own.
+  if (samplers_.size() < static_cast<std::size_t>(threads)) {
+    samplers_.resize(static_cast<std::size_t>(threads));
+  }
   for (int slot = 0; slot < threads; ++slot) SamplerFor(slot);
   // Declared after everything the threads use: if a thread fails to start
   // or the calling thread's share throws, unwinding joins the started

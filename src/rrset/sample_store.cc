@@ -102,17 +102,26 @@ std::size_t RrSetPool::MemoryBytes() const {
   return bytes + TransposeBytes();
 }
 
+void SampleCacheStats::Add(const SampleCacheStats& other) {
+  reused_sets += other.reused_sets;
+  sampled_sets += other.sampled_sets;
+  top_ups += other.top_ups;
+  kpt_cache_hits += other.kpt_cache_hits;
+  kpt_estimations += other.kpt_estimations;
+  arena_bytes += other.arena_bytes;
+  view_bytes += other.view_bytes;
+  shared_store = shared_store || other.shared_store;
+  max_traversal = std::max(max_traversal, other.max_traversal);
+}
+
 // -------------------------------------------------------------- RrSampleStore
 
 RrSampleStore::AdPool::AdPool(const Graph& graph, std::uint64_t base_seed,
-                              std::span<const float> edge_probs,
-                              int num_threads)
+                              std::span<const float> edge_probs)
     : pool_(graph.num_nodes()),
       base_seed_(base_seed),
       edge_probs_(edge_probs),
-      builder_(std::make_unique<ParallelRrBuilder>(
-          graph, edge_probs,
-          ParallelRrBuilder::Options{.num_threads = num_threads})) {}
+      builder_(std::make_unique<ParallelRrBuilder>(graph, edge_probs)) {}
 
 RrSampleStore::AdPool::~AdPool() = default;
 
@@ -156,8 +165,7 @@ RrSampleStore::AdPool* RrSampleStore::Acquire(
     // the entry is published into the map — the immutable-after-creation
     // members (edge_probs_, builder_) therefore need no capability guard.
     auto entry = std::unique_ptr<AdPool>(
-        new AdPool(*graph_, MixHash(options_.seed, signature), edge_probs,
-                   options_.num_threads));
+        new AdPool(*graph_, MixHash(options_.seed, signature), edge_probs));
     it = entries_.emplace(signature, std::move(entry)).first;
   } else {
     // A warm acquire must describe the same probabilities the pool was
@@ -169,7 +177,8 @@ RrSampleStore::AdPool* RrSampleStore::Acquire(
 }
 
 RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
-    AdPool* entry, std::uint64_t min_sets, std::uint64_t already_attached) {
+    AdPool* entry, std::uint64_t min_sets, std::uint64_t already_attached,
+    int num_threads) {
   TIRM_CHECK(entry != nullptr);
   const int shards = options_.num_shards;
   const int shard = options_.shard_index;
@@ -206,10 +215,10 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
   masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
     // One independent substream per GLOBAL chunk index: chunk contents are
-    // a pure function of (seed, signature, chunk_sets, thread count) —
-    // never of how θ growth was split across EnsureSets calls, and never
-    // of the shard layout, so every K partitions the same global pool and
-    // K=1 reproduces it whole.
+    // a pure function of (seed, signature, chunk_sets) — never of how θ
+    // growth was split across EnsureSets calls, of the thread count, or of
+    // the shard layout, so every K partitions the same global pool and K=1
+    // reproduces it whole.
     const std::uint64_t c = t * k64 + static_cast<std::uint64_t>(shard);
     masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
   }
@@ -217,7 +226,7 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
   // each part's flattened buffer, wholesale, in chunk and part order (see
   // the file comment).
   std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
-      entry->builder_->SampleChunks(chunk, masters);
+      entry->builder_->SampleChunks(chunk, masters, num_threads);
   for (std::vector<ParallelRrBuilder::Batch>& parts : chunks) {
     std::uint64_t emitted = 0;
     for (ParallelRrBuilder::Batch& part : parts) {
@@ -252,7 +261,7 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
 
 const KptEstimator& RrSampleStore::EnsureKpt(
     AdPool* entry, const KptEstimator::Options& options, std::uint64_t s,
-    bool* cache_hit) {
+    bool* cache_hit, int num_threads) {
   TIRM_CHECK(entry != nullptr);
   MutexLock lock(entry->mutex_);
   kpt_estimations_.fetch_add(1, std::memory_order_relaxed);
@@ -275,7 +284,7 @@ const KptEstimator& RrSampleStore::EnsureKpt(
   slot.estimator = std::make_unique<KptEstimator>(entry->builder_.get(),
                                                   graph_->num_edges(), options);
   Rng kpt_rng(MixHash(entry->base_seed_, 0x1000));
-  slot.estimator->Estimate(s, kpt_rng);
+  slot.estimator->Estimate(s, kpt_rng, num_threads);
   entry->kpt_slots_.push_back(std::move(slot));
   if (cache_hit != nullptr) *cache_hit = false;
   return *entry->kpt_slots_.back().estimator;

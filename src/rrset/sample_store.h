@@ -14,8 +14,10 @@
 // its own RNG substream. Growing a pool to θ in one EnsureSets call or in
 // several therefore yields bit-identical pools (top-up granularity is the
 // chunk), and a run served from a warm pool is bit-identical to a run that
-// sampled the pool fresh. As with ParallelRrBuilder, pool contents are
-// deterministic for a fixed sampling-thread count.
+// sampled the pool fresh. ParallelRrBuilder splits every chunk into a fixed
+// part layout, so the sampling-thread count — an argument of each
+// EnsureSets/EnsureKpt call — never changes a pool: calls at different
+// thread counts share one pool, even while they race.
 //
 // Thread safety. Entry creation and top-up are internally synchronized
 // (store mutex for the key map, one mutex per entry for sampling), so
@@ -209,6 +211,10 @@ struct SampleCacheStats {
   /// indicator for θ sizing: sets are small on sparse instances, but one
   /// giant traversal dominates a batch's latency.
   std::uint64_t max_traversal = 0;
+
+  /// Adds `other` into this (max_traversal takes the larger, shared_store
+  /// is or'ed): the one way the stats of several stores are totalled.
+  void Add(const SampleCacheStats& other);
 };
 
 /// See file comment.
@@ -216,10 +222,11 @@ class RrSampleStore {
  public:
   struct Options {
     /// Sampling seed. Pool contents are a pure function of
-    /// (seed, signature, chunk_sets, sampling thread count).
+    /// (seed, signature, chunk_sets, shard coordinates).
     std::uint64_t seed = 0x5EEDD00DULL;
-    /// Sampling threads per top-up (ParallelRrBuilder semantics:
-    /// 0 = hardware concurrency; deterministic per fixed count).
+    /// Threads of the EnsureSets/EnsureKpt calls that pass no count (0 =
+    /// hardware concurrency); never changes a pool. The library passes a
+    /// count per call: only bench_suite/bench_suite.cc sets this field.
     int num_threads = 1;
     /// Top-up granularity: pools grow in whole chunks so the sampled
     /// prefix never depends on how θ growth was split across calls.
@@ -254,7 +261,7 @@ class RrSampleStore {
    private:
     friend class RrSampleStore;
     AdPool(const Graph& graph, std::uint64_t base_seed,
-           std::span<const float> edge_probs, int num_threads);
+           std::span<const float> edge_probs);
 
     Mutex mutex_;
     RrSetPool pool_ TIRM_GUARDED_BY(mutex_);
@@ -318,7 +325,8 @@ class RrSampleStore {
   /// only sets beyond it count toward the reuse statistics, so a run's
   /// incremental θ growth is not double-counted. Thread-safe; concurrent
   /// calls for one entry serialize and the pool content is independent of
-  /// how the growth was split across calls.
+  /// how the growth was split across calls and of how many threads
+  /// (`num_threads`, common/threading.h semantics) each call sampled on.
   ///
   /// Sharded stores (options().num_shards > 1): `min_sets` and
   /// `already_attached` stay GLOBAL watermarks — the call grows the local
@@ -326,18 +334,32 @@ class RrSampleStore {
   /// this shard owns (with their single-store substreams), and the counts
   /// in the result are local set counts.
   EnsureResult EnsureSets(AdPool* entry, std::uint64_t min_sets,
-                          std::uint64_t already_attached = 0)
+                          std::uint64_t already_attached, int num_threads)
       TIRM_EXCLUDES(entry->mutex_);
+  /// EnsureSets at options().num_threads threads.
+  EnsureResult EnsureSets(AdPool* entry, std::uint64_t min_sets,
+                          std::uint64_t already_attached = 0)
+      TIRM_EXCLUDES(entry->mutex_) {
+    return EnsureSets(entry, min_sets, already_attached, options_.num_threads);
+  }
 
   /// KPT estimation over `entry`'s sampling streams, cached: the geometric
   /// width sampling runs once per (options, s) and later calls reuse the
   /// cached widths (ReEstimate on the returned estimator answers any other
-  /// s without sampling). Thread-safe. `cache_hit` (optional) reports
-  /// whether sampling was skipped.
+  /// s without sampling). Thread-safe. `cache_hit` (may be null) reports
+  /// whether sampling was skipped. A miss samples on up to `num_threads`
+  /// threads; the widths do not depend on how many.
+  const KptEstimator& EnsureKpt(AdPool* entry,
+                                const KptEstimator::Options& options,
+                                std::uint64_t s, bool* cache_hit,
+                                int num_threads) TIRM_EXCLUDES(entry->mutex_);
+  /// EnsureKpt at options().num_threads threads.
   const KptEstimator& EnsureKpt(AdPool* entry,
                                 const KptEstimator::Options& options,
                                 std::uint64_t s, bool* cache_hit = nullptr)
-      TIRM_EXCLUDES(entry->mutex_);
+      TIRM_EXCLUDES(entry->mutex_) {
+    return EnsureKpt(entry, options, s, cache_hit, options_.num_threads);
+  }
 
   const Graph* graph() const { return graph_; }
   const Options& options() const { return options_; }

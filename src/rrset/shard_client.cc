@@ -95,8 +95,9 @@ ReducedGainSummary TreeReduceGainSummaries(
 RrShardClient::~RrShardClient() = default;
 
 LocalShardClient::LocalShardClient(RrSampleStore* store,
-                                   const ProblemInstance* instance)
-    : store_(store), instance_(instance) {
+                                   const ProblemInstance* instance,
+                                   int num_threads)
+    : store_(store), instance_(instance), num_threads_(num_threads) {
   TIRM_CHECK(store_ != nullptr);
   TIRM_CHECK(instance_ != nullptr);
   TIRM_CHECK(store_->graph() == &instance_->graph())
@@ -115,11 +116,10 @@ int LocalShardClient::num_shards() const {
 
 Status LocalShardClient::BeginRun(const ShardRunConfig& run) {
   const RrSampleStore::Options& opts = store_->options();
-  if (run.store_seed != opts.seed || run.num_threads != opts.num_threads ||
-      run.chunk_sets != opts.chunk_sets) {
+  if (run.store_seed != opts.seed || run.chunk_sets != opts.chunk_sets) {
     return Status::InvalidArgument(
-        "shard run config does not match this shard's store (seed, threads, "
-        "and chunking must agree or pools diverge)");
+        "shard run config does not match this shard's store (seed and "
+        "chunking must agree or pools diverge)");
   }
   if (run.num_ads < 0 || run.num_ads > instance_->num_ads()) {
     return Status::InvalidArgument("shard run num_ads out of range");
@@ -161,7 +161,8 @@ Result<RrSampleStore::EnsureResult> LocalShardClient::EnsureSets(
   span.Counter("shard", shard_index());
   span.Counter("ad", ad);
   const RrSampleStore::EnsureResult ensured =
-      store_->EnsureSets(slot.entry, global_min_sets, global_already_attached);
+      store_->EnsureSets(slot.entry, global_min_sets, global_already_attached,
+                         num_threads_);
   span.Counter("sampled", static_cast<double>(ensured.sampled));
   return ensured;
 }
@@ -173,7 +174,8 @@ Result<double> LocalShardClient::KptEstimate(AdId ad, std::uint64_t s,
   if (slot.kpt == nullptr) {
     const KptEstimator::Options kpt_options{
         .ell = run_.kpt_ell, .max_samples = run_.kpt_max_samples};
-    slot.kpt = &store_->EnsureKpt(slot.entry, kpt_options, s, cache_hit);
+    slot.kpt = &store_->EnsureKpt(slot.entry, kpt_options, s, cache_hit,
+                                  num_threads_);
   } else if (cache_hit != nullptr) {
     *cache_hit = true;
   }

@@ -53,15 +53,15 @@ namespace tirm {
 class ProblemInstance;  // topic/instance.h
 
 /// Per-run handshake. Everything a shard needs that is not derivable from
-/// its bundle/graph: the store identity (seed, threads, chunking — the
-/// pool contents are a pure function of all three) and the run's KPT
-/// knobs. A local client validates these against its
-/// store; a remote client ships them to the worker, which creates or
-/// reuses a matching shard store.
+/// its bundle/graph: the store identity (seed and chunking — with the
+/// shard coordinates, the pool contents are a pure function of both) and
+/// the run's KPT knobs. A local client validates these against its store;
+/// a remote client ships them to the worker, which creates or reuses a
+/// matching shard store. How many threads sample is the shard's own
+/// setting, never part of the handshake: it does not change a pool.
 struct ShardRunConfig {
   int num_ads = 0;
   std::uint64_t store_seed = 0;
-  int num_threads = 1;  ///< resolved sampling workers (never 0)
   std::uint64_t chunk_sets = 4096;
   double kpt_ell = 1.0;
   std::uint64_t kpt_max_samples = 1 << 17;
@@ -196,9 +196,13 @@ class RrShardClient {
 /// In-process shard client over one shard-configured RrSampleStore.
 /// `store` and `instance` must outlive the client; the instance is used
 /// only for query-independent data (ad signatures and edge probabilities).
+/// The client samples on up to `num_threads` threads (common/threading.h
+/// semantics): the run's count in process, the worker's own `--threads`
+/// behind a shard worker.
 class LocalShardClient final : public RrShardClient {
  public:
-  LocalShardClient(RrSampleStore* store, const ProblemInstance* instance);
+  LocalShardClient(RrSampleStore* store, const ProblemInstance* instance,
+                   int num_threads);
   ~LocalShardClient() override;
 
   int shard_index() const override;
@@ -237,6 +241,7 @@ class LocalShardClient final : public RrShardClient {
 
   RrSampleStore* store_;
   const ProblemInstance* instance_;
+  const int num_threads_;
   ShardRunConfig run_;
   bool run_active_ = false;
   std::vector<AdSlot> slots_;

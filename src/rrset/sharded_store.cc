@@ -1,7 +1,5 @@
 #include "rrset/sharded_store.h"
 
-#include <algorithm>
-
 namespace tirm {
 
 ShardedRrSampleStore::ShardedRrSampleStore(const Graph* graph,
@@ -21,16 +19,7 @@ ShardedRrSampleStore::ShardedRrSampleStore(const Graph* graph,
 
 SampleCacheStats ShardedRrSampleStore::LifetimeStats() const {
   SampleCacheStats total;
-  for (const auto& store : shards_) {
-    const SampleCacheStats s = store->LifetimeStats();
-    total.reused_sets += s.reused_sets;
-    total.sampled_sets += s.sampled_sets;
-    total.top_ups += s.top_ups;
-    total.kpt_cache_hits += s.kpt_cache_hits;
-    total.kpt_estimations += s.kpt_estimations;
-    total.arena_bytes += s.arena_bytes;
-    total.max_traversal = std::max(total.max_traversal, s.max_traversal);
-  }
+  for (const auto& store : shards_) total.Add(store->LifetimeStats());
   return total;
 }
 

@@ -167,17 +167,7 @@ SampleCacheStats AllocationService::StoreStats() const {
   SampleCacheStats total;
   MutexLock lock(lifecycle_mutex_);
   for (const std::unique_ptr<AdAllocEngine>& engine : engines_) {
-    const RrSampleStore* store = engine->sample_store();
-    if (store == nullptr) continue;
-    const SampleCacheStats s = store->LifetimeStats();
-    total.reused_sets += s.reused_sets;
-    total.sampled_sets += s.sampled_sets;
-    total.top_ups += s.top_ups;
-    total.kpt_cache_hits += s.kpt_cache_hits;
-    total.kpt_estimations += s.kpt_estimations;
-    total.arena_bytes += s.arena_bytes;
-    total.view_bytes += s.view_bytes;
-    total.shared_store = true;
+    total.Add(engine->StoreStats());
   }
   return total;
 }

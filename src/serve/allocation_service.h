@@ -187,7 +187,8 @@ class AllocationService {
   bool started() const TIRM_EXCLUDES(lifecycle_mutex_);
 
   /// Aggregated lifetime sample-cache stats over every worker engine's
-  /// store (arena bytes summed across the per-worker copies).
+  /// stores, sharded ones included (AdAllocEngine::StoreStats; arena bytes
+  /// summed across the per-worker copies).
   SampleCacheStats StoreStats() const TIRM_EXCLUDES(lifecycle_mutex_);
 
   /// This service's stats section — worker count, the ServiceMetrics

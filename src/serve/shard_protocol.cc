@@ -130,7 +130,6 @@ std::string FormatBeginRequest(const ShardRunConfig& run, int shard_index,
   w.Field("op", "begin");
   w.Field("num_ads", run.num_ads);
   w.Field("store_seed", EncodeHexU64(run.store_seed));
-  w.Field("num_threads", run.num_threads);
   w.Field("chunk_sets", run.chunk_sets);
   w.Field("kpt_ell", run.kpt_ell);
   w.Field("kpt_max_samples", run.kpt_max_samples);
@@ -273,9 +272,8 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   if (request.op == "begin") {
     static const std::set<std::string> kKeys = {
-        "op",         "num_ads", "store_seed",      "num_threads",
-        "chunk_sets", "kpt_ell", "kpt_max_samples", "shard_index",
-        "num_shards"};
+        "op",      "num_ads",         "store_seed",  "chunk_sets",
+        "kpt_ell", "kpt_max_samples", "shard_index", "num_shards"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     Result<std::int64_t> num_ads = RequireInt(root, "num_ads", 0, 1 << 20);
     if (!num_ads.ok()) return num_ads.status();
@@ -283,9 +281,6 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     Result<std::uint64_t> seed = RequireHexU64(root, "store_seed");
     if (!seed.ok()) return seed.status();
     request.run.store_seed = *seed;
-    Result<std::int64_t> threads = RequireInt(root, "num_threads", 1, 1 << 10);
-    if (!threads.ok()) return threads.status();
-    request.run.num_threads = static_cast<int>(*threads);
     Result<std::int64_t> chunk = RequireInt(root, "chunk_sets", 1, kMaxCount);
     if (!chunk.ok()) return chunk.status();
     request.run.chunk_sets = static_cast<std::uint64_t>(*chunk);

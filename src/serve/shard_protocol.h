@@ -11,9 +11,8 @@
 //
 // Request lines (router -> worker):
 //
-//   {"op":"begin","num_ads":2,"store_seed":"0x1f2e...","num_threads":1,
-//    "chunk_sets":4096,"kpt_ell":1.0,"kpt_max_samples":131072,
-//    "shard_index":0,"num_shards":2}
+//   {"op":"begin","num_ads":2,"store_seed":"0x1f2e...","chunk_sets":4096,
+//    "kpt_ell":1.0,"kpt_max_samples":131072,"shard_index":0,"num_shards":2}
 //   {"op":"ensure","ad":0,"min_sets":8192,"attached":0}
 //   {"op":"kpt","ad":0,"s":1}
 //   {"op":"attach","ad":0,"count":8192}

@@ -9,24 +9,25 @@ namespace tirm {
 namespace serve {
 
 ShardWorkerContext::ShardWorkerContext(const ProblemInstance* instance,
-                                       int shard_index, int num_shards)
+                                       int shard_index, int num_shards,
+                                       int num_threads)
     : instance_(instance),
       shard_index_(shard_index),
-      num_shards_(num_shards) {
+      num_shards_(num_shards),
+      num_threads_(num_threads) {
   TIRM_CHECK(instance_ != nullptr);
   TIRM_CHECK(num_shards_ >= 1 && num_shards_ <= 64);
   TIRM_CHECK(shard_index_ >= 0 && shard_index_ < num_shards_);
 }
 
 RrSampleStore* ShardWorkerContext::GetOrCreateStore(const ShardRunConfig& run) {
-  const StoreKey key{run.store_seed, run.num_threads, run.chunk_sets};
+  const StoreKey key{run.store_seed, run.chunk_sets};
   MutexLock lock(mutex_);
   std::unique_ptr<RrSampleStore>& store = stores_[key];
   if (store == nullptr) {
     store = std::make_unique<RrSampleStore>(
         &instance_->graph(),
         RrSampleStore::Options{.seed = run.store_seed,
-                               .num_threads = run.num_threads,
                                .chunk_sets = run.chunk_sets,
                                .num_shards = num_shards_,
                                .shard_index = shard_index_});
@@ -61,7 +62,8 @@ Result<std::string> ShardWorkerSession::Dispatch(std::string_view line) {
           std::to_string(request.num_shards));
     }
     auto client = std::make_unique<LocalShardClient>(
-        context_->GetOrCreateStore(request.run), &context_->instance());
+        context_->GetOrCreateStore(request.run), &context_->instance(),
+        context_->num_threads());
     TIRM_RETURN_NOT_OK(client->BeginRun(request.run));
     client_ = std::move(client);
     return FormatBeginResponse(context_->shard_index(),

@@ -3,14 +3,15 @@
 // A `tirm_server --mode=shard_worker --shard_index=k --num_shards=K`
 // process owns the shard-k slice of the global RR-sample pool for one
 // mmap'ed bundle. ShardWorkerContext holds what outlives any connection:
-// the query-independent base instance and a cache of shard-configured
-// RrSampleStores keyed by the full store identity, so consecutive runs
-// (and router reconnects) reuse warm pools exactly like the in-process
-// engine does. ShardWorkerSession is one coordinator conversation: it
-// turns each NDJSON request line into a response line by driving a
-// LocalShardClient, with every failure reported in-band
-// (serve/shard_protocol.h) — a worker never kills the connection over a
-// bad request.
+// the query-independent base instance, the worker's sampling thread count
+// (its own `--threads`, a deployment setting that never changes a pool),
+// and a cache of shard-configured RrSampleStores keyed by the store
+// identity, so consecutive runs (and router reconnects) reuse warm pools
+// exactly like the in-process engine does. ShardWorkerSession is one
+// coordinator conversation: it turns each NDJSON request line into a
+// response line by driving a LocalShardClient, with every failure reported
+// in-band (serve/shard_protocol.h) — a worker never kills the connection
+// over a bad request.
 //
 // Thread safety: the context is shared across sessions and its store
 // cache is mutex-guarded, but one RrSampleStore must not serve two
@@ -26,7 +27,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <tuple>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -43,8 +44,10 @@ namespace serve {
 /// signatures, edge probabilities) — no query knob ever reaches a worker.
 class ShardWorkerContext {
  public:
+  /// `num_threads` is how many threads the worker samples on
+  /// (common/threading.h semantics).
   ShardWorkerContext(const ProblemInstance* instance, int shard_index,
-                     int num_shards);
+                     int num_shards, int num_threads);
 
   ShardWorkerContext(const ShardWorkerContext&) = delete;
   ShardWorkerContext& operator=(const ShardWorkerContext&) = delete;
@@ -52,20 +55,22 @@ class ShardWorkerContext {
   const ProblemInstance& instance() const { return *instance_; }
   int shard_index() const { return shard_index_; }
   int num_shards() const { return num_shards_; }
+  int num_threads() const { return num_threads_; }
 
   /// The shard store for `run`'s store identity, created on first use.
-  /// Pools are a pure function of (seed, threads, chunking, shard
-  /// coordinates), so keying the cache by the first three (the coordinates
-  /// are fixed per worker) keeps reuse bit-safe across runs.
+  /// Pools are a pure function of (seed, chunking, shard coordinates), so
+  /// keying the cache by the first two (the coordinates are fixed per
+  /// worker) keeps reuse bit-safe across runs.
   [[nodiscard]] RrSampleStore* GetOrCreateStore(const ShardRunConfig& run)
       TIRM_EXCLUDES(mutex_);
 
  private:
-  using StoreKey = std::tuple<std::uint64_t, int, std::uint64_t>;
+  using StoreKey = std::pair<std::uint64_t, std::uint64_t>;
 
   const ProblemInstance* instance_;
   const int shard_index_;
   const int num_shards_;
+  const int num_threads_;
   mutable Mutex mutex_;
   std::map<StoreKey, std::unique_ptr<RrSampleStore>> stores_
       TIRM_GUARDED_BY(mutex_);

@@ -356,7 +356,10 @@ struct GoldenRun {
 
 // Runs each allocator once (λ = 0.1, κ = 1, rng seed 99) and compares its
 // HashRun with the constant, which was recorded when a scalar postings
-// kernel still ran beside the bitmap one and both gave these values.
+// kernel still ran beside the bitmap one and both gave these values. The
+// tirm constants were re-recorded when a chunk's part layout stopped
+// depending on the thread count: they are the values the same runs gave
+// at 4 threads, whose layout became the fixed one.
 void ExpectGoldenRuns(const BuiltInstance& built,
                       const std::vector<GoldenRun>& runs,
                       bool ctp_aware = false) {
@@ -392,14 +395,14 @@ TEST(CoverageKernelGoldenTest, AllFiveAllocatorsOnFigure1) {
                     {"greedy-mc", 0x8d1e34af84f42c5bULL},
                     {"myopic", 0x4c9143744baf3e19ULL},
                     {"myopic+", 0x0142737761f5a0ccULL},
-                    {"tirm", 0x6d9b8b9b4198f1d7ULL}});
+                    {"tirm", 0x090d79896fd0b1c9ULL}});
 }
 
 TEST(CoverageKernelGoldenTest, SamplingAllocatorsOnPerTopic) {
   Rng rng(2015);
   const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
   // greedy-mc is excluded: it is the small-graph MC reference oracle.
-  ExpectGoldenRuns(built, {{"tirm", 0xe9d62c9d928dc1a0ULL},
+  ExpectGoldenRuns(built, {{"tirm", 0x2d51617f880b2e4eULL},
                            {"myopic", 0x7742535de895c58bULL},
                            {"myopic+", 0x134f973d3e3e8d53ULL},
                            {"greedy-irie", 0x73f1edb1086db470ULL}});
@@ -410,7 +413,7 @@ TEST(CoverageKernelGoldenTest, WeightedTirmOnPerTopic) {
   const BuiltInstance built = BuildDataset(FlixsterLike(0.003), rng);
   // The survival-weighted backend's bit-identity rests on the gather
   // argument in the file comment of weighted_rr_collection.h.
-  ExpectGoldenRuns(built, {{"tirm", 0xbd4cea5e08af0451ULL}},
+  ExpectGoldenRuns(built, {{"tirm", 0x37a776544e7b8bafULL}},
                    /*ctp_aware=*/true);
 }
 

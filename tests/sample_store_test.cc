@@ -1,13 +1,14 @@
 // RrSampleStore: pooled-sample reuse. Covers the pool/view split
 // (RrSetPool + borrowing RrCollection/WeightedRrCollection), chunked
-// top-up determinism (θ grown in one step vs several, at 1 and more
-// threads), one sampling fan-out per top-up, concurrency of
-// EnsureSets/Acquire (run under TSan in CI), the arena-direct top-up (a
-// pool holds exactly the sets of its sampled parts, byte for byte), the
-// max-traversal statistic, golden equivalence of pooled-store vs
-// fresh-sampling runs for all five allocators, engine-level sweep reuse
-// (samples drawn at most once per (ad, max-θ)), and pool contents, RunTim
-// and TIRM seeds pinned to recorded constants.
+// top-up determinism (θ grown in one step vs several, at any mix of
+// thread counts), one sampling fan-out per top-up, concurrency of
+// EnsureSets/Acquire at mixed thread counts (run under TSan in CI), the
+// arena-direct top-up (a pool holds exactly the sets of its sampled parts,
+// byte for byte), the max-traversal statistic, golden equivalence of
+// pooled-store vs fresh-sampling runs for all five allocators,
+// engine-level sweep reuse (samples drawn at most once per (ad, max-θ),
+// one store for every thread count), and pool contents, RunTim and TIRM
+// seeds pinned to recorded constants at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -167,22 +168,22 @@ TEST_F(SampleStoreTest, EnsureSetsRoundsUpToChunks) {
 
 // Growing to θ in one step or in several yields bit-identical pools — the
 // property that lets a warm pool serve a run that would have sampled in a
-// different batch pattern. At T > 1 the one step is a single 8-chunk
-// fan-out, compared against several smaller ones.
+// different batch pattern, at a different thread count. The one step is a
+// single 4-chunk fan-out at T threads, compared against several smaller
+// ones at other counts.
 TEST_F(SampleStoreTest, TopUpDeterminismOneStepVsSeveral) {
+  const RrSampleStore::Options options{.seed = 42, .chunk_sets = 256};
   for (const int threads : {1, 3, 4}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const RrSampleStore::Options options{
-        .seed = 42, .num_threads = threads, .chunk_sets = 128};
     RrSampleStore one(&graph_, options);
     RrSampleStore many(&graph_, options);
     RrSampleStore::AdPool* a = one.Acquire(9, probs_);
     RrSampleStore::AdPool* b = many.Acquire(9, probs_);
-    one.EnsureSets(a, 1000);
-    many.EnsureSets(b, 100);
-    many.EnsureSets(b, 500);
-    many.EnsureSets(b, 130);  // no-op
-    many.EnsureSets(b, 1000);
+    one.EnsureSets(a, 1000, 0, threads);
+    many.EnsureSets(b, 100, 0, 2);
+    many.EnsureSets(b, 500, 0, 1);
+    many.EnsureSets(b, 130, 0, 8);  // no-op
+    many.EnsureSets(b, 1000, 0, threads);
     ASSERT_EQ(a->sets().NumSets(), b->sets().NumSets());
     EXPECT_EQ(SetsOf(a->sets()), SetsOf(b->sets()));
   }
@@ -194,13 +195,12 @@ TEST_F(SampleStoreTest, TopUpDeterminismOneStepVsSeveral) {
 // trace buffer for the life of the process, so this also bounds what a
 // traced multi-threaded run holds.
 TEST_F(SampleStoreTest, TopUpSamplesAllChunksOnAtMostNumThreadsThreads) {
-  RrSampleStore store(&graph_,
-                      {.seed = 8, .num_threads = 4, .chunk_sets = 256});
+  RrSampleStore store(&graph_, {.seed = 8, .chunk_sets = 256});
   RrSampleStore::AdPool* entry = store.Acquire(1, probs_);
   obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
   recorder.Clear();
   recorder.Enable();
-  EXPECT_EQ(store.EnsureSets(entry, 8 * 256).sampled, 8u * 256);
+  EXPECT_EQ(store.EnsureSets(entry, 8 * 256, 0, 4).sampled, 8u * 256);
   recorder.Disable();
   std::size_t batches = 0;
   std::set<std::int32_t> tids;
@@ -270,36 +270,43 @@ TEST_F(SampleStoreTest, KptCacheHitsOnRepeat) {
   EXPECT_EQ(stats.kpt_cache_hits, 1u);
 }
 
-// Concurrent top-ups — same entry and different entries — must be safe
-// (run under ThreadSanitizer in CI) and leave the same pools as a serial
-// reference store with the same thread count. At 4 threads every racing
-// top-up runs its own sampling fan-out.
+// Concurrent top-ups — same entry and different entries, each racing
+// thread sampling at its own thread count — must be safe (run under
+// ThreadSanitizer in CI) and leave the pools a one-thread reference store
+// samples. The 256-set chunks split into parts, so every racing top-up at
+// more than one thread runs its own multi-threaded fan-out.
 TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
-  for (const int num_threads : {1, 4}) {
-    SCOPED_TRACE(testing::Message() << "num_threads=" << num_threads);
-    const RrSampleStore::Options options{
-        .seed = 99, .num_threads = num_threads, .chunk_sets = 64};
-    RrSampleStore store(&graph_, options);
-    RrSampleStore::AdPool* shared = store.Acquire(77, probs_);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t) {
-      threads.emplace_back([&store, shared, t, this] {
-        // Same entry, racing targets...
-        store.EnsureSets(shared, 64 * (t + 1));
-        // ...plus a per-thread entry created under the store lock.
-        RrSampleStore::AdPool* own =
-            store.Acquire(1000 + static_cast<std::uint64_t>(t), probs_);
-        store.EnsureSets(own, 128);
-      });
-    }
-    for (auto& th : threads) th.join();
-    EXPECT_EQ(shared->sets().NumSets(), 64u * 8);
-    EXPECT_EQ(store.NumEntries(), 9u);
+  constexpr std::uint64_t kChunk = 256;
+  const RrSampleStore::Options options{.seed = 99, .chunk_sets = kChunk};
+  RrSampleStore store(&graph_, options);
+  RrSampleStore::AdPool* shared = store.Acquire(77, probs_);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&store, shared, t, this] {
+      const int num_threads = 1 + t % 4;
+      // Same entry, racing targets...
+      store.EnsureSets(shared, kChunk * static_cast<std::uint64_t>(t + 1), 0,
+                       num_threads);
+      // ...plus a per-thread entry created under the store lock.
+      RrSampleStore::AdPool* own =
+          store.Acquire(1000 + static_cast<std::uint64_t>(t), probs_);
+      store.EnsureSets(own, 2 * kChunk, 0, num_threads);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(shared->sets().NumSets(), kChunk * 8);
+  EXPECT_EQ(store.NumEntries(), 9u);
 
-    RrSampleStore reference(&graph_, options);
-    RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
-    reference.EnsureSets(ref, 64 * 8);
-    EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
+  RrSampleStore reference(&graph_, options);
+  RrSampleStore::AdPool* ref = reference.Acquire(77, probs_);
+  reference.EnsureSets(ref, kChunk * 8, 0, 1);
+  EXPECT_EQ(SetsOf(shared->sets()), SetsOf(ref->sets()));
+  for (std::uint64_t t = 0; t < 8; ++t) {
+    RrSampleStore::AdPool* ref_own = reference.Acquire(1000 + t, probs_);
+    reference.EnsureSets(ref_own, 2 * kChunk, 0, 1);
+    EXPECT_EQ(SetsOf(store.Acquire(1000 + t, probs_)->sets()),
+              SetsOf(ref_own->sets()))
+        << "entry " << 1000 + t;
   }
 }
 
@@ -307,7 +314,8 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
 
 // Golden gate for the arena-direct top-up: a store pool must hold exactly
 // the sets of the parts its builder samples, replayed by hand from the
-// same per-chunk substreams — ids, members, and transpose rows.
+// same per-chunk substreams — ids, members, and transpose rows — whatever
+// thread count the store top-up and the replay sample at.
 TEST(ArenaDirectGoldenTest, StoreTopUpMatchesSampledParts) {
   Rng grng(7);
   const Graph g = ErdosRenyiGraph(60, 300, grng);
@@ -316,33 +324,34 @@ TEST(ArenaDirectGoldenTest, StoreTopUpMatchesSampledParts) {
   constexpr std::uint64_t kSignature = 7;
   constexpr std::uint64_t kChunk = 256;
 
-  RrSampleStore store(&g, {.seed = kStoreSeed, .num_threads = 3,
-                           .chunk_sets = kChunk});
-  RrSampleStore::AdPool* entry = store.Acquire(kSignature, probs);
-  const auto ensured = store.EnsureSets(entry, 600);  // 3 chunks
-  EXPECT_EQ(ensured.sampled, 3 * kChunk);
-  EXPECT_GT(ensured.max_traversal, 0u);
-
-  // Replay: same builder configuration and substreams, one chunk per
-  // call, parts kept as sets.
-  ParallelRrBuilder builder(g, probs, {.num_threads = 3});
+  // Replay: the store's substreams, one chunk per call, parts kept as
+  // sets — the fixed layout of 4 parts per chunk at every thread count.
+  ParallelRrBuilder builder(g, probs);
   const std::uint64_t base_seed = MixHash(kStoreSeed, kSignature);
   std::vector<std::vector<NodeId>> sampled;
   for (std::uint64_t c = 0; c < 3; ++c) {
     Rng master(MixHash(base_seed, 0x2000 + c));
-    const std::vector<std::vector<Batch>> chunks =
-        builder.SampleChunks(kChunk, {&master, 1});
-    EXPECT_EQ(chunks[0].size(), 3u);  // one part per thread
+    const std::vector<std::vector<Batch>> chunks = builder.SampleChunks(
+        kChunk, {&master, 1}, /*num_threads=*/1 + static_cast<int>(c));
+    EXPECT_EQ(chunks[0].size(), 4u);
     for (std::vector<NodeId>& set : SetsOf(chunks)) {
       sampled.push_back(std::move(set));
     }
   }
 
-  const RrSetPool& pool = entry->sets();
-  ASSERT_EQ(pool.NumSets(), sampled.size());
-  EXPECT_EQ(SetsOf(pool), sampled);
-  const auto count = static_cast<std::uint32_t>(sampled.size());
-  ExpectRowsMatch(pool.EnsureTranspose(count), sampled);
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RrSampleStore store(&g, {.seed = kStoreSeed, .chunk_sets = kChunk});
+    RrSampleStore::AdPool* entry = store.Acquire(kSignature, probs);
+    const auto ensured = store.EnsureSets(entry, 600, 0, threads);  // 3 chunks
+    EXPECT_EQ(ensured.sampled, 3 * kChunk);
+    EXPECT_GT(ensured.max_traversal, 0u);
+    const RrSetPool& pool = entry->sets();
+    ASSERT_EQ(pool.NumSets(), sampled.size());
+    EXPECT_EQ(SetsOf(pool), sampled);
+    const auto count = static_cast<std::uint32_t>(sampled.size());
+    ExpectRowsMatch(pool.EnsureTranspose(count), sampled);
+  }
 }
 
 // ------------------------------------------------------ traversal telemetry
@@ -352,11 +361,10 @@ TEST(MaxTraversalStatTest, SurfacesThroughBatchStoreAndLifetimeStats) {
   const Graph g = ErdosRenyiGraph(60, 300, grng);
   const std::vector<float> probs(g.num_edges(), 0.2f);
 
-  ParallelRrBuilder builder(g, probs, {.num_threads = 2,
-                                       .min_parallel_batch = 1});
+  ParallelRrBuilder builder(g, probs);
   Rng rng(5);
   const std::vector<std::vector<Batch>> chunks =
-      builder.SampleChunks(200, {&rng, 1});
+      builder.SampleChunks(300, {&rng, 1}, 2);
   for (const Batch& part : chunks[0]) {
     EXPECT_GT(part.max_traversal, 0u);  // every traversal visits >= the root
     EXPECT_LE(part.max_traversal, static_cast<std::uint64_t>(g.num_nodes()));
@@ -484,6 +492,29 @@ TEST(AdAllocEngineReuseTest, LambdaSweepSamplesAtMostOncePerAdTheta) {
             sampled_after_sweep);
 }
 
+// One engine keeps one store for every thread count: a threads=4 run after
+// a threads=1 run returns the same allocation from the warm pools and
+// samples nothing.
+TEST(AdAllocEngineReuseTest, OneStoreServesEveryThreadCount) {
+  Rng build_rng(77);
+  AdAllocEngine engine(BuildDataset(FlixsterLike(0.01), build_rng),
+                       {.eval_sims = 50, .seed = kSeed});
+  AllocatorConfig config = SmallConfig("tirm");
+  config.num_threads = 1;
+  Result<EngineRun> serial = engine.Run(config, {.kappa = 2});
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_GT(serial->result.cache.sampled_sets, 0u);
+  config.num_threads = 4;
+  Result<EngineRun> parallel = engine.Run(config, {.kappa = 2});
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_EQ(parallel->result.allocation.seeds, serial->result.allocation.seeds);
+  EXPECT_EQ(parallel->result.estimated_revenue,
+            serial->result.estimated_revenue);
+  EXPECT_EQ(parallel->result.cache.sampled_sets, 0u);
+  EXPECT_EQ(engine.sample_store()->LifetimeStats().sampled_sets,
+            serial->result.cache.sampled_sets);
+}
+
 // ------------------------------------------------ pinned across commits
 
 // The goldens above compare two paths inside one binary. These pin what
@@ -529,40 +560,43 @@ std::string Hex(std::uint64_t value) {
   return buf;
 }
 
+constexpr int kThreadCounts[] = {1, 2, 3, 4, 8};
+
 // Ad 0's pool of a K=1 store: θ = 3500 spans four 1024-set chunks and is
-// reached in two top-ups; at 4 threads every chunk is adopted in 4 parts.
+// reached in two top-ups at `threads` threads; every chunk is adopted in 4
+// parts.
 std::uint64_t PinnedPoolHash(const DatasetSpec& spec, int threads) {
   Rng build_rng(kSeed);
   const BuiltInstance built = BuildDataset(spec, build_rng);
   const ProblemInstance inst = built.MakeInstance(1, 0.0);
-  RrSampleStore store(&inst.graph(), {.seed = kSeed,
-                                      .num_threads = threads,
-                                      .chunk_sets = 1024});
+  RrSampleStore store(&inst.graph(), {.seed = kSeed, .chunk_sets = 1024});
   RrSampleStore::AdPool* entry =
       store.Acquire(store.SignatureForAd(inst, 0), inst.EdgeProbsForAd(0));
-  EXPECT_EQ(store.EnsureSets(entry, 1500).sampled, 2048u);
-  EXPECT_EQ(store.EnsureSets(entry, 3500).sampled, 2048u);
+  EXPECT_EQ(store.EnsureSets(entry, 1500, 0, threads).sampled, 2048u);
+  EXPECT_EQ(store.EnsureSets(entry, 3500, 0, threads).sampled, 2048u);
   EXPECT_EQ(entry->sets().NumSets(), 4096u);
   return HashPool(entry->sets());
 }
 
+// One pool per dataset, whatever the thread count. The constants were
+// recorded at 4 threads, when a chunk still split into one part per
+// thread; that layout is now the fixed one.
 TEST(PinnedGoldenTest, PoolContents) {
   struct Case {
     const char* name;
     DatasetSpec spec;
-    int threads;
     std::uint64_t hash;
   };
   const Case cases[] = {
-      {"flixster", FlixsterLike(0.003), 1, 0x36ae5e480a82550eULL},
-      {"flixster", FlixsterLike(0.003), 4, 0xd52bd1fa418459e5ULL},
-      {"dblp_wc", DblpLike(0.001), 1, 0x0d906ddefc78d639ULL},
-      {"dblp_wc", DblpLike(0.001), 4, 0xf14bda640f1aa594ULL},
+      {"flixster", FlixsterLike(0.003), 0xd52bd1fa418459e5ULL},
+      {"dblp_wc", DblpLike(0.001), 0xf14bda640f1aa594ULL},
   };
   for (const Case& c : cases) {
-    const std::uint64_t hash = PinnedPoolHash(c.spec, c.threads);
-    EXPECT_EQ(hash, c.hash) << c.name << " threads=" << c.threads
-                            << " got " << Hex(hash);
+    for (const int threads : kThreadCounts) {
+      const std::uint64_t hash = PinnedPoolHash(c.spec, threads);
+      EXPECT_EQ(hash, c.hash) << c.name << " threads=" << threads
+                              << " got " << Hex(hash);
+    }
   }
 }
 
@@ -580,13 +614,13 @@ TEST(PinnedGoldenTest, RunTimSeedsAndTheta) {
   EXPECT_EQ(tim.seeds, (std::vector<NodeId>{0, 4, 1, 32, 2}));
 }
 
+// Recorded at 4 threads, like the pool constants above.
 TEST(PinnedGoldenTest, TirmAllocationSeeds) {
   Rng build_rng(kSeed);
   const BuiltInstance built = BuildDataset(FlixsterLike(0.003), build_rng);
   const ProblemInstance inst = built.MakeInstance(2, 0.0);
-  for (const auto& [threads, expected] :
-       {std::pair<int, std::uint64_t>{1, 0x58c39dd4690ca86dULL},
-        {4, 0xb738b5d4c393e556ULL}}) {
+  constexpr std::uint64_t kExpected = 0xb738b5d4c393e556ULL;
+  for (const int threads : kThreadCounts) {
     TirmOptions options;
     options.theta.epsilon = 0.25;
     options.theta.theta_cap = 1 << 15;
@@ -595,7 +629,7 @@ TEST(PinnedGoldenTest, TirmAllocationSeeds) {
     Rng rng(kSeed);
     const TirmResult result = RunTirm(inst, options, rng);
     const std::uint64_t hash = HashSeeds(result.allocation.seeds);
-    EXPECT_EQ(hash, expected) << "threads=" << threads << " got "
+    EXPECT_EQ(hash, kExpected) << "threads=" << threads << " got "
                               << Hex(hash) << ", "
                               << result.allocation.TotalSeeds() << " seeds";
   }

@@ -277,11 +277,13 @@ TEST(ProtocolTest, ErrorResponsesRoundTripTyped) {
   EXPECT_EQ(reparsed->status.code(), StatusCode::kDeadlineExceeded);
 }
 
-// A removed config key is an unknown key at both wire boundaries: the
-// client request codec and the shard plane's begin op answer it with a
-// typed error naming the key, never by ignoring it.
-TEST(ProtocolTest, RemovedKernelKeysAreTypedErrorsAtBothBoundaries) {
-  for (const std::string key : {"coverage_kernel", "sampler_kernel"}) {
+// A removed key is an unknown key at both wire boundaries: the client
+// request codec and the shard plane's begin op answer it with a typed error
+// naming the key, never by ignoring it. `num_threads` left the begin op
+// when the thread count stopped being part of a shard store's identity.
+TEST(ProtocolTest, RemovedKeysAreTypedErrorsAtBothBoundaries) {
+  for (const std::string key :
+       {"coverage_kernel", "sampler_kernel", "num_threads"}) {
     SCOPED_TRACE(key);
     Result<AllocationRequest> request = ParseRequest(
         R"({"id":"k1","allocator":"tirm","config":{")" + key +
@@ -544,6 +546,34 @@ TEST(AllocationServiceTest, RepeatSweepsReuseWarmStores) {
   EXPECT_EQ(after_warm.sampled_sets, after_cold.sampled_sets);
   // ...and serves strictly more pooled sets.
   EXPECT_GT(after_warm.reused_sets, after_cold.reused_sets);
+}
+
+// A sharded request samples into its worker engine's sharded store, and the
+// store stats count that store too: after one K=2 TIRM request they equal a
+// K=1 service's, sampled sets and max traversal included (the K shard pools
+// partition the same global pool).
+TEST(AllocationServiceTest, StoreStatsCountShardedStores) {
+  const auto stats_after_one_request = [](int num_shards) {
+    AllocationService service(Fig1Factory(),
+                              {.num_workers = 1,
+                               .engine = TestEngineOptions()});
+    AllocationRequest request;
+    request.id = "k" + std::to_string(num_shards);
+    request.config.allocator = "tirm";
+    request.config.num_shards = num_shards;
+    Result<std::future<AllocationResponse>> submitted =
+        service.Submit(request);
+    EXPECT_TRUE(submitted.ok());
+    const AllocationResponse response = submitted->get();
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    return service.StoreStats();
+  };
+  const SampleCacheStats single = stats_after_one_request(1);
+  const SampleCacheStats sharded = stats_after_one_request(2);
+  EXPECT_GT(single.sampled_sets, 0u);
+  EXPECT_GT(single.max_traversal, 0u);
+  EXPECT_EQ(sharded.sampled_sets, single.sampled_sets);
+  EXPECT_EQ(sharded.max_traversal, single.max_traversal);
 }
 
 }  // namespace

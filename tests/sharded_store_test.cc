@@ -319,9 +319,10 @@ TEST(ShardedGoldenTest, EngineReportsTheShardedStoreItSampled) {
   ASSERT_TRUE(single.Run(ShardConfig("tirm", 1)).ok());
   ASSERT_TRUE(sharded.Run(ShardConfig("tirm", 2)).ok());
 
-  EXPECT_EQ(single.sharded_sample_store(), nullptr);
+  EXPECT_EQ(single.sharded_sample_store(2), nullptr);
+  EXPECT_EQ(sharded.sharded_sample_store(4), nullptr);
   const RrSampleStore* store = single.sample_store();
-  const ShardedRrSampleStore* shards = sharded.sharded_sample_store();
+  const ShardedRrSampleStore* shards = sharded.sharded_sample_store(2);
   ASSERT_NE(store, nullptr);
   ASSERT_NE(shards, nullptr);
   ASSERT_EQ(shards->num_shards(), 2);
@@ -333,6 +334,9 @@ TEST(ShardedGoldenTest, EngineReportsTheShardedStoreItSampled) {
   EXPECT_GT(store->NumEntries(), 0u);
   EXPECT_EQ(shards->shard(0).NumEntries(), store->NumEntries());
   EXPECT_EQ(shards->shard(1).NumEntries(), store->NumEntries());
+  // The engine's totals count its sharded store.
+  EXPECT_EQ(sharded.StoreStats().sampled_sets, sampled);
+  EXPECT_EQ(single.StoreStats().sampled_sets, sampled);
 }
 
 // Direct RunTirm on a generated graph (bigger than fig1, kappa = 2): the
@@ -379,7 +383,8 @@ TEST(ShardedGoldenTest, TirmOnGeneratedGraphMatchesAcrossK) {
 // sockets: RemoteShardClients speak through InProcessTransports to
 // ShardWorkerSessions, and the resulting allocation must equal the
 // unsharded run bit for bit — the unit-test twin of the CI multi-process
-// smoke.
+// smoke. Each worker samples at its own thread count (1 and 2), which must
+// not matter.
 TEST(ShardProtocolTest, RemoteClientsOverInProcessTransportMatchSingle) {
   Rng build_rng(77);
   const BuiltInstance built = BuildDataset(FlixsterLike(0.01), build_rng);
@@ -399,7 +404,7 @@ TEST(ShardProtocolTest, RemoteClientsOverInProcessTransportMatchSingle) {
   std::vector<std::unique_ptr<serve::RemoteShardClient>> remotes;
   for (int k = 0; k < num_shards; ++k) {
     contexts.push_back(std::make_unique<serve::ShardWorkerContext>(
-        &inst, k, num_shards));
+        &inst, k, num_shards, /*num_threads=*/k + 1));
     sessions.push_back(
         std::make_unique<serve::ShardWorkerSession>(contexts.back().get()));
     remotes.push_back(std::make_unique<serve::RemoteShardClient>(
@@ -429,7 +434,7 @@ TEST(ShardProtocolTest, ShardIdentityMismatchFailsLoudly) {
   const ProblemInstance inst = built.MakeInstance(1, 0.0);
 
   serve::ShardWorkerContext context(&inst, /*shard_index=*/1,
-                                    /*num_shards=*/2);
+                                    /*num_shards=*/2, /*num_threads=*/1);
   serve::ShardWorkerSession session(&context);
   // The router believes this endpoint is shard 0.
   serve::RemoteShardClient client(

@@ -1,12 +1,8 @@
-// Shared test fixtures for the sampling / allocation statistical tests.
+// Shared test fixtures for the sampling / allocation tests.
 //
-// Extracted from parallel_rr_test.cc so every suite that compares two
-// equally-valid sampling configurations (serial vs parallel threads) builds
-// the same weighted-cascade RMat instance, runs TIRM with the same fast
-// options, and applies the same evaluator-based tolerance discipline:
-// evaluate both allocations under an IDENTICAL Monte-Carlo stream and
-// compare ground-truth revenue / regret, never the (legitimately
-// different) seed picks themselves.
+// The weighted-cascade RMat instance and the fast TIRM options that
+// parallel_rr_test.cc runs at every thread count (the allocations must be
+// identical: a pool does not depend on how many threads sampled it).
 //
 // Also the one way tests build an RR-set pool from explicit sets (MakePool:
 // a single RrSetPool::AdoptChunk, the pool's only write path; PooledView:
@@ -118,7 +114,8 @@ inline TestInstance MakeRMatInstance(int num_ads, double budget) {
   return s;
 }
 
-/// TIRM options tuned for test runtime: looser ε, capped θ and KPT budget.
+/// TIRM options tuned for test runtime: looser ε, capped θ and KPT budget,
+/// sampling on `threads` threads.
 inline TirmOptions FastOptions(int threads) {
   TirmOptions o;
   o.theta.epsilon = 0.2;
