@@ -131,7 +131,7 @@ const RrSetPool& SharedCoveragePool(int num_sets) {
       offsets.push_back(nodes.size());
     }
     auto pool = std::make_unique<RrSetPool>(f.graph.num_nodes());
-    pool->AdoptChunk(std::move(nodes), offsets);
+    pool->AdoptChunk(std::move(nodes), std::move(offsets));
     it = pools->emplace(num_sets, std::move(pool)).first;
   }
   return *it->second;
@@ -283,8 +283,9 @@ void BM_SamplingStoreWrite(benchmark::State& state) {
     std::vector<ParallelRrBuilder::Batch> clone = parts;
     state.ResumeTiming();
     RrSetPool pool(f.graph.num_nodes());
-    pool.ReserveSets(static_cast<std::size_t>(num_sets));
-    for (auto& p : clone) pool.AdoptChunk(std::move(p.nodes), p.offsets);
+    for (auto& p : clone) {
+      pool.AdoptChunk(std::move(p.nodes), std::move(p.offsets));
+    }
     benchmark::DoNotOptimize(pool.NumSets());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -4,7 +4,8 @@
 // Workload: a mixed allocator x lambda x kappa request grid on the
 // FLIXSTER-shaped instance, repeated for several passes. Three sections:
 //   1. Cold vs warm store: the first pass pays RR sampling, repeat passes
-//      serve from warm per-worker pools — same allocations, less time.
+//      serve from the warm pools every worker shares — same allocations,
+//      less time.
 //   2. Worker scaling: sustained QPS and p50/p95/p99 queue/serve latency
 //      at 1..N workers (fresh service per point). On a single-core
 //      container the sweep plateaus at ~1x by construction.
@@ -206,7 +207,7 @@ int main(int argc, char** argv) {
       double startup_seconds = 0.0;
       {
         ScopedTimer startup_timer(startup_seconds);
-        service.Start();  // builds one engine per worker
+        service.Start();  // builds the one engine all workers share
       }
       service.SubmitSweep(workload);  // warm-up pass, not measured
       service.ResetMetrics();  // keep warm-up out of the latency quantiles

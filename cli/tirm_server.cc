@@ -9,8 +9,8 @@
 //   tirm_server --dataset=fig1 --port=7077
 //
 //   # serve a prebuilt bundle: the file is mmap'ed and verified ONCE at
-//   # startup and every worker borrows the same read-only mapping —
-//   # N workers, one physical copy, millisecond warm-up per worker
+//   # startup and the engine borrows the read-only mapping — one physical
+//   # copy, millisecond warm-up, shared by all N workers
 //   tirm_server --bundle=flixster.tirm --workers=8
 //
 // Flags: --dataset={fig1,flixster,epinions,dblp,livejournal,
@@ -37,8 +37,9 @@
 //               --shards=127.0.0.1:7101,127.0.0.1:7102
 //
 // A shard worker speaks the shard op line protocol (stdin or --port) and
-// serves ONE coordinator at a time; --mode=router forces --workers=1 for
-// the same reason (the shard connections are single-coordinator). Each
+// serves ONE coordinator at a time, one connection each; --mode=router
+// forces --workers=1 for the same reason (concurrent requests would
+// interleave ops on the single-coordinator shard connections). Each
 // worker samples on its own --threads; no thread count, the router's or a
 // worker's, changes an allocation.
 //
@@ -186,19 +187,39 @@ class StreamSession {
   std::deque<Pending> pending_;
 };
 
-/// Serves the line protocol on a readable fd: polls for input with a
-/// short timeout and, while the client is quiet, flushes responses the
-/// moment their futures resolve — an interactive client sees its answer
-/// without having to send another line or close the stream, and a
-/// pipelining client still gets batched throughput.
-template <typename WriteLine>
-void ServeFd(int fd, serve::AllocationService* service,
-             const serve::AllocationRequest& defaults,
-             const WriteLine& write_line, const bool& write_failed) {
-  StreamSession session(service, defaults);
+// ---- Line I/O shared by both protocols.
+
+/// Writes one response line to stdout.
+bool WriteStdoutLine(const std::string& line) {
+  std::fwrite(line.data(), 1, line.size(), stdout);
+  std::fputc('\n', stdout);
+  std::fflush(stdout);
+  return true;
+}
+
+/// Writes one response line to socket `fd`, all of it; false once the
+/// client has gone away.
+bool SendLine(int fd, const std::string& line) {
+  const std::string out = line + '\n';
+  for (std::size_t sent = 0; sent < out.size();) {
+    const ssize_t n =
+        send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads newline-delimited lines from `fd` until EOF and hands each to
+/// `on_line` (a trailing '\r' stripped, an unterminated final line
+/// included). Polls with a short timeout and calls `on_idle` while the
+/// input is quiet. Stops early when either callback returns false: the
+/// output side has failed.
+template <typename OnLine, typename OnIdle>
+void ReadLines(int fd, const OnLine& on_line, const OnIdle& on_idle) {
   std::string buffer;
   char chunk[4096];
-  while (!write_failed) {
+  for (;;) {
     pollfd p{};
     p.fd = fd;
     p.events = POLLIN;
@@ -207,11 +228,12 @@ void ServeFd(int fd, serve::AllocationService* service,
       if (errno == EINTR) continue;  // e.g. SIGTSTP/SIGCONT: not EOF
       break;
     }
-    if (ready == 0) {  // input idle: deliver whatever finished serving
-      session.DrainReady(write_line);
+    if (ready == 0) {
+      if (!on_idle()) return;
       continue;
     }
     const ssize_t n = read(fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or error
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
@@ -219,56 +241,21 @@ void ServeFd(int fd, serve::AllocationService* service,
          nl = buffer.find('\n', start)) {
       std::string line = buffer.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      session.HandleLine(line, write_line);
+      if (!on_line(line)) return;
       start = nl + 1;
     }
     buffer.erase(0, start);
   }
-  if (!buffer.empty() && !write_failed) {
-    session.HandleLine(buffer, write_line);  // unterminated final line
-  }
-  session.Finish(write_line);
+  if (!buffer.empty()) on_line(buffer);
 }
 
-void ServeStdin(serve::AllocationService* service,
-                const serve::AllocationRequest& defaults) {
-  const bool write_failed = false;
-  const auto write_line = [](const std::string& response) {
-    std::fwrite(response.data(), 1, response.size(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  };
-  ServeFd(/*fd=*/0, service, defaults, write_line, write_failed);
-}
-
-// ---- Optional TCP listener (POSIX): one thread per connection, the same
-// line protocol per stream. Concurrency across connections comes from the
-// shared service's worker pool.
-
-void ServeConnection(int fd, serve::AllocationService* service,
-                     const serve::AllocationRequest& defaults) {
-  bool write_failed = false;
-  const auto write_line = [fd, &write_failed](const std::string& response) {
-    if (write_failed) return;
-    std::string out = response;
-    out += '\n';
-    std::size_t sent = 0;
-    while (sent < out.size()) {
-      const ssize_t n = send(fd, out.data() + sent, out.size() - sent,
-                             MSG_NOSIGNAL);
-      if (n <= 0) {
-        write_failed = true;  // client went away; drop the rest
-        return;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-  };
-  ServeFd(fd, service, defaults, write_line, write_failed);
-  close(fd);
-}
-
-int ServeTcp(int port, serve::AllocationService* service,
-             const serve::AllocationRequest& defaults) {
+/// Opens a TCP listener on `port` and hands every accepted connection's fd
+/// to `serve`, which owns it from then on. Transient fd exhaustion
+/// (EMFILE/ENFILE) sheds load — sleep, then accept again — instead of
+/// shutting down. Returns the process exit code once accept fails for
+/// good.
+template <typename Serve>
+int Listen(int port, const char* role, const Serve& serve) {
   const int listener = socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) return Fail(Status::IOError("socket() failed"));
   const int one = 1;
@@ -285,18 +272,12 @@ int ServeTcp(int port, serve::AllocationService* service,
     close(listener);
     return Fail(Status::IOError("listen() failed"));
   }
-  std::fprintf(stderr, "tirm_server: listening on port %d\n", port);
-  // Detached connection threads: a joinable thread per closed connection
-  // would leak its stack until some future join. The counter lets the
-  // accept loop wait for live connections before the service (which the
-  // threads point into) is destroyed.
-  auto active_connections = std::make_shared<std::atomic<int>>(0);
+  std::fprintf(stderr, "tirm_server: %s listening on port %d\n", role, port);
   while (true) {
     const int fd = accept(listener, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno == EMFILE || errno == ENFILE) {
-        // Transient fd exhaustion: shed load instead of shutting down.
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
         continue;
       }
@@ -304,108 +285,89 @@ int ServeTcp(int port, serve::AllocationService* service,
                    std::strerror(errno));
       break;
     }
-    active_connections->fetch_add(1);
-    std::thread([fd, service, defaults, active_connections] {
-      ServeConnection(fd, service, defaults);
-      active_connections->fetch_sub(1);
-    }).detach();
+    serve(fd);
   }
   close(listener);
+  return 0;
+}
+
+// ---- Allocation serving: requests ride the service's queue, and while
+// the client is quiet, responses are flushed the moment their futures
+// resolve — an interactive client sees its answer without having to send
+// another line or close the stream, and a pipelining client still gets
+// batched throughput.
+
+template <typename WriteLine>
+void ServeFd(int fd, serve::AllocationService* service,
+             const serve::AllocationRequest& defaults,
+             const WriteLine& write_line) {
+  StreamSession session(service, defaults);
+  bool write_ok = true;
+  const auto write = [&](const std::string& line) {
+    write_ok = write_ok && write_line(line);  // drop the rest once it fails
+  };
+  ReadLines(
+      fd,
+      [&](const std::string& line) {
+        session.HandleLine(line, write);
+        return write_ok;
+      },
+      [&] {
+        session.DrainReady(write);
+        return write_ok;
+      });
+  session.Finish(write);
+}
+
+// TCP: one detached thread per connection, the same line protocol per
+// stream. Concurrency across connections comes from the shared service's
+// worker pool.
+int ServeTcp(int port, serve::AllocationService* service,
+             const serve::AllocationRequest& defaults) {
+  // A joinable thread per closed connection would leak its stack until
+  // some future join. The counter lets the caller wait for live
+  // connections before the service (which the threads point into) is
+  // destroyed.
+  auto active_connections = std::make_shared<std::atomic<int>>(0);
+  const int code = Listen(port, "allocation server", [&](int fd) {
+    active_connections->fetch_add(1);
+    std::thread([fd, service, defaults, active_connections] {
+      ServeFd(fd, service, defaults,
+              [fd](const std::string& line) { return SendLine(fd, line); });
+      close(fd);
+      active_connections->fetch_sub(1);
+    }).detach();
+  });
   while (active_connections->load() > 0) {  // no use-after-free of service
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  return 0;
+  return code;
 }
 
 // ---- Shard-worker serving: the shard op line protocol
 // (serve/shard_protocol.h), synchronous — one response line per request
-// line, in order. A worker serves ONE coordinator at a time (two sessions
-// must not drive one shard store concurrently), so the TCP variant
-// accepts connections sequentially; the shared context keeps pools warm
-// across connections and runs.
+// line, in order. Each coordinator session owns its connection, so the
+// TCP variant serves connections one at a time (serve/shard_worker.h);
+// the shared context keeps pools warm across connections and runs.
 
 template <typename WriteLine>
 void ServeShardFd(int fd, serve::ShardWorkerContext* context,
                   const WriteLine& write_line) {
   serve::ShardWorkerSession session(context);
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;  // EOF or error
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty()) write_line(session.HandleLine(line));
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-  }
-  if (!buffer.empty()) {
-    write_line(session.HandleLine(buffer));  // unterminated final line
-  }
-}
-
-void ServeShardStdin(serve::ShardWorkerContext* context) {
-  ServeShardFd(/*fd=*/0, context, [](const std::string& response) {
-    std::fwrite(response.data(), 1, response.size(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  });
+  ReadLines(
+      fd,
+      [&](const std::string& line) {
+        return line.empty() || write_line(session.HandleLine(line));
+      },
+      [] { return true; });
 }
 
 int ServeShardTcp(int port, serve::ShardWorkerContext* context) {
-  const int listener = socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) return Fail(Status::IOError("socket() failed"));
-  const int one = 1;
-  setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(listener);
-    return Fail(Status::IOError("cannot bind port " + std::to_string(port)));
-  }
-  if (listen(listener, 4) != 0) {
-    close(listener);
-    return Fail(Status::IOError("listen() failed"));
-  }
-  std::fprintf(stderr, "tirm_server: shard worker listening on port %d\n",
-               port);
-  while (true) {
-    const int fd = accept(listener, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      std::fprintf(stderr, "tirm_server: accept failed: %s\n",
-                   std::strerror(errno));
-      break;
-    }
-    bool write_failed = false;
+  return Listen(port, "shard worker", [context](int fd) {
     ServeShardFd(fd, context,
-                 [fd, &write_failed](const std::string& response) {
-                   if (write_failed) return;
-                   std::string out = response;
-                   out += '\n';
-                   std::size_t sent = 0;
-                   while (sent < out.size()) {
-                     const ssize_t n = send(fd, out.data() + sent,
-                                            out.size() - sent, MSG_NOSIGNAL);
-                     if (n <= 0) {
-                       write_failed = true;
-                       return;
-                     }
-                     sent += static_cast<std::size_t>(n);
-                   }
-                 });
+                 [fd](const std::string& line) { return SendLine(fd, line); });
     close(fd);
-  }
-  close(listener);
-  return 0;
+  });
 }
 
 /// Parses "host:port,host:port,..." into endpoints; K = list size.
@@ -546,7 +508,7 @@ int main(int argc, char** argv) {
     bundle_path = dataset.substr(7);
   }
 
-  // A name typo must fail before N worker engines try to build the
+  // A name typo must fail before the service engine tries to build the
   // dataset — and without paying for a throwaway build. Prefixed names
   // (file:/bundle:) are probed by actually loading once below.
   const bool prefixed_dataset = dataset.starts_with("file:") ||
@@ -569,10 +531,9 @@ int main(int argc, char** argv) {
   std::function<BuiltInstance()> build_instance;
   std::string source = dataset;
   if (!bundle_path.empty()) {
-    // Pre-map and fully verify the bundle ONCE at startup; the worker
-    // engines then assemble their zero-copy views from the same shared
-    // read-only mapping with verification off — per-worker warm-up is
-    // just span bookkeeping, and all workers share one physical copy.
+    // Pre-map and fully verify the bundle ONCE at startup; the engine then
+    // assembles its zero-copy views from the shared read-only mapping with
+    // verification off — warm-up is just span bookkeeping.
     Result<MappedFile> mapped = MappedFile::Open(bundle_path);
     if (!mapped.ok()) return Fail(mapped.status());
     auto mapping = std::make_shared<const MappedFile>(mapped.MoveValue());
@@ -594,8 +555,8 @@ int main(int argc, char** argv) {
       if (!probe.ok()) return Fail(probe.status());
     }
     build_instance = [dataset, build_scale, build_seed] {
-      // Deterministic per call: the per-worker engines must be identical
-      // (this is the service's response-purity contract).
+      // Deterministic: served answers must equal a direct run on the same
+      // dataset and seed.
       Rng build_rng(build_seed);
       return BuildNamedDataset(dataset, build_scale, build_rng).MoveValue();
     };
@@ -619,7 +580,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tirm_server: shard worker %d/%d dataset=%s\n",
                  index, num_shards, source.c_str());
     if (*port > 0) return ServeShardTcp(static_cast<int>(*port), &context);
-    ServeShardStdin(&context);
+    ServeShardFd(/*fd=*/0, &context, WriteStdoutLine);
     return 0;
   }
 
@@ -653,8 +614,8 @@ int main(int argc, char** argv) {
       defaults.config.shard_clients.push_back(shard_clients.back().get());
     }
     if (options.num_workers != 1) {
-      // The shard connections are single-coordinator: concurrent worker
-      // engines would interleave ops on one wire.
+      // The shard connections are single-coordinator: concurrent workers
+      // would interleave ops on one wire.
       std::fprintf(stderr,
                    "tirm_server: router mode forces --workers=1\n");
       options.num_workers = 1;
@@ -673,7 +634,7 @@ int main(int argc, char** argv) {
                *reuse_samples ? "on" : "off");
 
   if (*port > 0) return ServeTcp(static_cast<int>(*port), &service, defaults);
-  ServeStdin(&service, defaults);
+  ServeFd(/*fd=*/0, &service, defaults, WriteStdoutLine);
 
   const serve::MetricsSnapshot m = service.Metrics();
   std::fprintf(stderr,

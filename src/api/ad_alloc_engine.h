@@ -10,22 +10,17 @@
 // fronts; tirm_cli is a thin shell around it and serve/allocation_service.h
 // is the concurrent front.
 //
-// Thread safety. Engine-internal state is synchronized: concurrent Run()
-// calls never race on the engine itself (the lazily created sharded-store
-// map is mutex-guarded), and sample_store() / sharded_sample_store() /
-// StoreStats() may poll from any thread.
-// What is NOT safe is two concurrent *sampling* runs (tirm / greedy-mc
-// with reuse enabled) on ONE engine: they borrow the same pooled
-// RrSampleStore, and while the store serializes pool growth internally, a
-// reader of a pool must not overlap a top-up of that pool (arena
-// relocation — see rrset/sample_store.h).
-// Concurrent Run() on one engine is therefore safe when (a) the allocators
-// are sampling-free (myopic/myopic+/greedy-irie), or (b) reuse_samples is
-// false (each run samples a private store), or (c) callers serialize
-// sampling runs externally. For full concurrency WITH warm-pool reuse,
-// give each thread its own engine built from the same instance and options
-// — identical engines answer identically (the seed policy is pure), which
-// is exactly what AllocationService does with its per-worker engines.
+// Thread safety. Run() is safe to call concurrently from any number of
+// threads, with any allocators and thread counts: concurrent runs share
+// the engine's stores, whose pools guard their own growth — a run may read
+// a pool while another tops it up (rrset/sample_store.h) — and everything
+// else a run touches is its own or read-only (the probability cache fills
+// each slot once, under its own lock). The lazily created sharded-store
+// map is mutex-guarded, and sample_store() / sharded_sample_store() /
+// StoreStats() may poll from any thread. AllocationService runs all of its
+// workers on one engine this way. Shard clients a caller injects through
+// AllocatorConfig::shard_clients stay the caller's: one client must not
+// serve two runs at once.
 //
 //   AdAllocEngine engine(BuildFigure1Instance(), {.eval_sims = 2000});
 //   AllocatorConfig config;            // or AllocatorConfig::FromFlags(...)
@@ -126,7 +121,9 @@ class AdAllocEngine {
 
   /// Runs the allocator named by `config.allocator` on the `query`-derived
   /// instance and (unless disabled) evaluates it. Errors: unknown
-  /// allocator, invalid config, or an invalid produced allocation.
+  /// allocator, invalid config, or an invalid produced allocation. Safe to
+  /// call concurrently (see the file comment); the answer does not depend
+  /// on what else runs.
   Result<EngineRun> Run(const AllocatorConfig& config,
                         const EngineQuery& query = {})
       TIRM_EXCLUDES(store_mutex_);

@@ -115,6 +115,9 @@ ParallelRrBuilder::SampleParts(std::uint64_t count, std::span<Rng> masters,
       }
     }
     span.Counter("max_traversal", static_cast<double>(part.max_traversal));
+    // `nodes` grew by doubling, and the pool keeps the buffer as it is:
+    // hand it over exact-size, trimmed here on the sampling thread.
+    part.nodes.shrink_to_fit();
     chunks[c][p] = std::move(part);
   };
   // Thread `slot` runs tasks slot, slot + threads, ... on its own sampler.

@@ -25,10 +25,10 @@
 //    and one call over M masters equals M one-master calls.
 //
 // Two outputs, one per consumer: SampleChunks returns each part's flattened
-// sets, which RrSampleStore top-up moves into the pool arena wholesale
-// (RrSetPool::AdoptChunk — no merge copy); SampleWidths, the one-chunk case
-// of the same fan-out, returns only the TIM widths w(R) (sum of in-degrees
-// over the traversal) that KPT estimation needs.
+// sets in exact-size buffers, which RrSampleStore top-up moves into the pool
+// as they are (RrSetPool::AdoptChunk — no merge copy); SampleWidths, the
+// one-chunk case of the same fan-out, returns only the TIM widths w(R) (sum
+// of in-degrees over the traversal) that KPT estimation needs.
 
 #ifndef TIRM_RRSET_PARALLEL_RR_BUILDER_H_
 #define TIRM_RRSET_PARALLEL_RR_BUILDER_H_
@@ -97,7 +97,8 @@ class ParallelRrBuilder {
   /// semantics: <= 0 selects the hardware concurrency). Returns the parts
   /// grouped by chunk — result[c] holds chunk c's PartsPerChunk(count)
   /// parts in part order — without a concatenation copy: callers move each
-  /// part's `nodes` buffer straight into RrSetPool::AdoptChunk. Chunk c
+  /// part's `nodes` and `offsets`, both exact-size, straight into
+  /// RrSetPool::AdoptChunk. Chunk c
   /// consumes one fork of masters[c] per part, so a master's advancement
   /// depends on the chunk size, never on the thread count. Part sizes
   /// differ by at most one.

@@ -13,7 +13,7 @@ void RrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_LE(count, pool_->NumSets());
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
-  transpose_ = &pool_->EnsureTranspose(count);
+  transpose_ = pool_->EnsureTranspose(count);
   covered_words_.resize(CoverageWordsFor(count), 0);
   attached_ = count;
 }
@@ -29,15 +29,15 @@ std::uint32_t RrCollection::CoverageOf(NodeId v) const {
   // Counts v's covered sets and subtracts: one load and one bit per id.
   std::size_t sets = 0;
   std::uint64_t covered = 0;
-  transpose_->ForEachRun(v, 0, attached_,
-                         [&](std::span<const std::uint32_t> ids) {
-                           sets += ids.size();
-                           for (const std::uint32_t id : ids) {
-                             covered += (cov[id / kCoverageWordBits] >>
-                                         (id % kCoverageWordBits)) &
-                                        1u;
-                           }
-                         });
+  transpose_.ForEachRun(v, 0, attached_,
+                        [&](std::span<const std::uint32_t> ids) {
+                          sets += ids.size();
+                          for (const std::uint32_t id : ids) {
+                            covered += (cov[id / kCoverageWordBits] >>
+                                        (id % kCoverageWordBits)) &
+                                       1u;
+                          }
+                        });
   return static_cast<std::uint32_t>(sets - covered);
 }
 
@@ -47,16 +47,16 @@ std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
   if (first_set >= attached_) return 0;
   std::uint64_t* cov = covered_words_.data();
   std::uint32_t newly = 0;
-  transpose_->ForEachRun(v, first_set, attached_,
-                         [&](std::span<const std::uint32_t> ids) {
-                           for (const std::uint32_t id : ids) {
-                             std::uint64_t& word = cov[id / kCoverageWordBits];
-                             const std::uint64_t bit =
-                                 std::uint64_t{1} << (id % kCoverageWordBits);
-                             newly += (word & bit) == 0 ? 1u : 0u;
-                             word |= bit;
-                           }
-                         });
+  transpose_.ForEachRun(v, first_set, attached_,
+                        [&](std::span<const std::uint32_t> ids) {
+                          for (const std::uint32_t id : ids) {
+                            std::uint64_t& word = cov[id / kCoverageWordBits];
+                            const std::uint64_t bit =
+                                std::uint64_t{1} << (id % kCoverageWordBits);
+                            newly += (word & bit) == 0 ? 1u : 0u;
+                            word |= bit;
+                          }
+                        });
   num_covered_ += newly;
   return newly;
 }
@@ -67,7 +67,7 @@ CoveredWordDelta RrCollection::UncoveredWords(NodeId v,
   CoveredWordDelta delta;
   if (first_set >= attached_) return delta;
   // Ids arrive ascending, so the words they touch do too.
-  transpose_->ForEachRun(
+  transpose_.ForEachRun(
       v, first_set, attached_, [&](std::span<const std::uint32_t> ids) {
         for (const std::uint32_t id : ids) {
           if (IsCovered(id)) continue;

@@ -15,8 +15,11 @@
 // The view reads membership from the pool's lazily built CSR node -> set
 // index (rrset/coverage_bitmap.h) and keeps covered state as a bitmap, one
 // bit per attached set: a recount counts the uncovered ids of a node's
-// row, a commit sets their bits. tests/coverage_oracle.h keeps a
-// counter-decrement reference that the tests check it against.
+// row, a commit sets their bits. AttachUpTo takes the view's own list of
+// the index segments from the pool; every other call walks that list
+// without a lock, and may run while other threads top the same pool up or
+// extend its index. tests/coverage_oracle.h keeps a counter-decrement
+// reference that the tests check it against.
 
 #ifndef TIRM_RRSET_RR_COLLECTION_H_
 #define TIRM_RRSET_RR_COLLECTION_H_
@@ -122,9 +125,10 @@ class RrCollection {
   std::uint32_t attached_ = 0;
   std::size_t num_covered_ = 0;
 
-  // The pool's index object is stable; another view may extend it past
-  // attached_, so every walk stops at attached_.
-  const CoverageTranspose* transpose_ = nullptr;
+  // This view's copy of the pool's index segments covering its prefix. A
+  // listed segment may run past attached_ (another view extended the
+  // index), so every walk stops at attached_.
+  CoverageTranspose transpose_;
   std::vector<std::uint64_t> covered_words_;  // one bit per attached set
 };
 

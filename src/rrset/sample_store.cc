@@ -42,64 +42,131 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
 
 // ------------------------------------------------------------------ RrSetPool
 
-RrSetPool::RrSetPool(NodeId num_nodes) : num_nodes_(num_nodes) {
-  set_offsets_.push_back(0);
-}
+RrSetPool::RrSetPool(NodeId num_nodes) : num_nodes_(num_nodes) {}
 
 RrSetPool::~RrSetPool() = default;
 
-void RrSetPool::ReserveSets(std::size_t num_sets) {
-  set_begin_.reserve(num_sets);
-  set_offsets_.reserve(num_sets + 1);
-}
-
-std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId>&& nodes,
-                                    std::span<const std::size_t> offsets) {
+std::uint32_t RrSetPool::AdoptChunk(std::vector<NodeId> nodes,
+                                    std::vector<std::size_t> offsets) {
   TIRM_CHECK(!offsets.empty());
   TIRM_CHECK_EQ(offsets.front(), 0u);
   TIRM_CHECK_EQ(offsets.back(), nodes.size());
-  const auto first = static_cast<std::uint32_t>(NumSets());
   const std::size_t num_sets = offsets.size() - 1;
-  if (num_sets == 0) return first;
   obs::TraceSpan span("adopt_chunk");
   span.Counter("sets", static_cast<double>(num_sets));
   span.Counter("nodes", static_cast<double>(nodes.size()));
-  chunks_.push_back(std::move(nodes));
-  const std::vector<NodeId>& chunk = chunks_.back();
-  const std::size_t base = set_offsets_.back();
-  // No reserve here: an exact per-part reserve re-copies both arrays on
-  // every adopted part. Producers size them once (ReserveSets).
-  for (std::size_t k = 0; k < num_sets; ++k) {
-    set_begin_.push_back(chunk.data() + offsets[k]);
-    set_offsets_.push_back(base + offsets[k + 1]);
-  }
+  MutexLock lock(mutex_);
+  const std::uint32_t first = num_sets_;
+  if (num_sets == 0) return first;
+  parts_.push_back({first, std::move(nodes), std::move(offsets)});
+  num_sets_ += static_cast<std::uint32_t>(num_sets);
   return first;
 }
 
-const CoverageTranspose& RrSetPool::EnsureTranspose(std::uint32_t up_to) const {
-  MutexLock lock(transpose_mutex_);
+std::size_t RrSetPool::NumSets() const {
+  MutexLock lock(mutex_);
+  return num_sets_;
+}
+
+std::size_t RrSetPool::PartOf(std::uint32_t id) const {
+  TIRM_DCHECK(id < num_sets_);
+  const auto after = std::upper_bound(
+      parts_.begin(), parts_.end(), id,
+      [](std::uint32_t set, const Part& part) { return set < part.first_set; });
+  return static_cast<std::size_t>(after - parts_.begin()) - 1;
+}
+
+std::span<const NodeId> RrSetPool::SetMembers(std::uint32_t id) const {
+  MutexLock lock(mutex_);
+  const Part& part = parts_[PartOf(id)];
+  const std::size_t k = id - part.first_set;
+  return {part.nodes.data() + part.offsets[k],
+          part.offsets[k + 1] - part.offsets[k]};
+}
+
+std::unique_ptr<const CoverageSegment> RrSetPool::BuildSegment(
+    std::uint32_t first, std::uint32_t end) const {
+  auto segment = std::make_unique<CoverageSegment>();
+  segment->first_set = first;
+  segment->end_set = end;
+  // The parts holding [first, end), each with the part-local set range
+  // [lo, hi) that falls inside it.
+  struct Range {
+    const Part* part;
+    std::size_t lo, hi;
+  };
+  std::vector<Range> ranges;
+  for (std::size_t p = PartOf(first);
+       p < parts_.size() && parts_[p].first_set < end; ++p) {
+    const Part& part = parts_[p];
+    ranges.push_back({&part, std::max(first, part.first_set) - part.first_set,
+                      std::min<std::size_t>(end - part.first_set,
+                                            part.offsets.size() - 1)});
+  }
+  // Counting sort by node: count each node's members into offsets[v + 1]
+  // (a walk over whole member runs — the count needs no set boundaries),
+  // prefix-sum, then place the set ids in ascending id order.
+  std::vector<std::size_t>& offsets = segment->offsets;
+  offsets.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
+  for (const Range& r : ranges) {
+    const std::vector<NodeId>& nodes = r.part->nodes;
+    for (std::size_t i = r.part->offsets[r.lo]; i < r.part->offsets[r.hi];
+         ++i) {
+      ++offsets[nodes[i] + 1];
+    }
+  }
+  for (NodeId v = 0; v < num_nodes_; ++v) offsets[v + 1] += offsets[v];
+  segment->ids.resize(offsets.back());
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const Range& r : ranges) {
+    const Part& part = *r.part;
+    for (std::size_t k = r.lo; k < r.hi; ++k) {
+      const auto id = static_cast<std::uint32_t>(part.first_set + k);
+      for (std::size_t i = part.offsets[k]; i < part.offsets[k + 1]; ++i) {
+        segment->ids[cursor[part.nodes[i]]++] = id;
+      }
+    }
+  }
+  return segment;
+}
+
+CoverageTranspose RrSetPool::EnsureTranspose(std::uint32_t up_to) const {
+  MutexLock lock(mutex_);
+  TIRM_CHECK_LE(up_to, num_sets_);
   obs::TraceSpan span("transpose_build");
   span.Counter("up_to", static_cast<double>(up_to));
-  if (transpose_ == nullptr) {
-    transpose_ = std::make_unique<CoverageTranspose>(num_nodes_);
+  const std::uint32_t built =
+      segments_.empty() ? 0 : segments_.back()->end_set;
+  if (up_to > built) segments_.push_back(BuildSegment(built, up_to));
+  std::vector<const CoverageSegment*> covering;
+  for (const std::unique_ptr<const CoverageSegment>& segment : segments_) {
+    if (segment->first_set >= up_to) break;
+    covering.push_back(segment.get());
   }
-  transpose_->ExtendFromPool(*this, up_to);
-  return *transpose_;
+  return CoverageTranspose(num_nodes_, std::move(covering));
+}
+
+std::size_t RrSetPool::TransposeBytesLocked() const {
+  std::size_t bytes = 0;
+  for (const std::unique_ptr<const CoverageSegment>& segment : segments_) {
+    bytes += segment->MemoryBytes();
+  }
+  return bytes;
 }
 
 std::size_t RrSetPool::TransposeBytes() const {
-  MutexLock lock(transpose_mutex_);
-  return transpose_ == nullptr ? 0 : transpose_->MemoryBytes();
+  MutexLock lock(mutex_);
+  return TransposeBytesLocked();
 }
 
 std::size_t RrSetPool::MemoryBytes() const {
-  std::size_t bytes = set_offsets_.capacity() * sizeof(std::size_t) +
-                      set_begin_.capacity() * sizeof(const NodeId*) +
-                      chunks_.capacity() * sizeof(std::vector<NodeId>);
-  for (const auto& chunk : chunks_) {
-    bytes += chunk.capacity() * sizeof(NodeId);
+  MutexLock lock(mutex_);
+  std::size_t bytes = TransposeBytesLocked();
+  for (const Part& part : parts_) {
+    bytes += part.nodes.capacity() * sizeof(NodeId) +
+             part.offsets.capacity() * sizeof(std::size_t);
   }
-  return bytes + TransposeBytes();
+  return bytes;
 }
 
 void SampleCacheStats::Add(const SampleCacheStats& other) {
@@ -208,9 +275,6 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
           : 0;
   span.Counter("chunks",
                static_cast<double>(target_chunks - entry->chunks_sampled_));
-  // Every local chunk holds exactly `chunk` sets, so the call's final set
-  // count is known before sampling: size the per-set arrays once.
-  entry->pool_.ReserveSets(target_chunks * chunk);
   std::vector<Rng> masters;
   masters.reserve(target_chunks - entry->chunks_sampled_);
   for (std::uint64_t t = entry->chunks_sampled_; t < target_chunks; ++t) {
@@ -223,8 +287,7 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
     masters.emplace_back(MixHash(entry->base_seed_, 0x2000 + c));
   }
   // Every chunk of the top-up in one fan-out; then arena-direct adoption of
-  // each part's flattened buffer, wholesale, in chunk and part order (see
-  // the file comment).
+  // each part as it is, in chunk and part order (see the file comment).
   std::vector<std::vector<ParallelRrBuilder::Batch>> chunks =
       entry->builder_->SampleChunks(chunk, masters, num_threads);
   for (std::vector<ParallelRrBuilder::Batch>& parts : chunks) {
@@ -233,7 +296,7 @@ RrSampleStore::EnsureResult RrSampleStore::EnsureSets(
       emitted += part.size();
       result.max_traversal = std::max(result.max_traversal,
                                       part.max_traversal);
-      entry->pool_.AdoptChunk(std::move(part.nodes), part.offsets);
+      entry->pool_.AdoptChunk(std::move(part.nodes), std::move(part.offsets));
     }
     TIRM_CHECK_EQ(emitted, chunk);
   }
@@ -298,15 +361,7 @@ std::size_t RrSampleStore::NumEntries() const {
 std::size_t RrSampleStore::TotalArenaBytes() const {
   MutexLock lock(mutex_);
   std::size_t bytes = 0;
-  for (const auto& kv : entries_) {
-    // The per-entry mutex orders this read against concurrent top-up
-    // growth (metrics pollers call this from other threads); the store
-    // mutex alone only protects the entry map. Lock order store -> entry
-    // matches every other path.
-    AdPool* const entry = kv.second.get();
-    MutexLock entry_lock(entry->mutex_);
-    bytes += entry->pool_.MemoryBytes();
-  }
+  for (const auto& kv : entries_) bytes += kv.second->pool_.MemoryBytes();
   return bytes;
 }
 

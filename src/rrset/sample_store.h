@@ -19,35 +19,33 @@
 // EnsureSets/EnsureKpt call — never changes a pool: calls at different
 // thread counts share one pool, even while they race.
 //
-// Thread safety. Entry creation and top-up are internally synchronized
-// (store mutex for the key map, one mutex per entry for sampling), so
-// concurrent EnsureSets/EnsureKpt calls — same ad or different ads — are
-// safe. Reading a pool prefix returned by a completed EnsureSets call from
-// the same thread, or from a thread synchronized with it, is safe; do not
-// read a pool *while* another thread may be topping up the same entry
-// (member spans are stable — the arena is chunked, never relocated — but
-// the per-set bookkeeping still grows).
+// Thread safety. Everything is internally synchronized, reads included.
+// The store mutex guards the key map; one mutex per entry serializes its
+// top-ups and KPT estimation, so concurrent EnsureSets/EnsureKpt calls —
+// same ad or different ads — are safe; and each pool guards its own parts
+// and index with a mutex of its own (RrSetPool below). Any thread may
+// therefore read a pool prefix that a completed EnsureSets call returned
+// while other threads top up the same pool or extend its index: what a
+// reader gets — member spans and index segments — is never written or
+// moved again. Lock order is store, then entry, then pool.
 //
 // Arena-direct top-up. Sets enter a pool one way only: EnsureSets builds
 // the master Rng of every chunk the top-up needs and samples them all in
 // one ParallelRrBuilder::SampleChunks call — one fan-out per top-up, so the
-// sampling threads start once, not once per chunk. Each part's flattened
-// node buffer is then *adopted* by the pool wholesale
-// (RrSetPool::AdoptChunk — a move, no per-set copy), in chunk and part
-// order. The per-set bookkeeping is reserved once per top-up
-// (RrSetPool::ReserveSets), so adopting a part never re-copies it. The
-// pool's one node -> set index is the CSR transpose
+// sampling threads start once, not once per chunk. Each part the builder
+// returns is then *adopted* by the pool as it is (RrSetPool::AdoptChunk —
+// its node buffer and its offsets move in, no per-set copy), in chunk and
+// part order. The pool's one node -> set index is the CSR transpose
 // (rrset/coverage_bitmap.h), built lazily from the members on first
 // coverage use.
 //
-// Memory accounting is byte-accurate from container capacities (arena +
-// bookkeeping + transpose), not process RSS — this is what the Table 4
-// experiment reports.
+// Memory accounting is byte-accurate from container capacities (members +
+// offsets + index), not process RSS — this is what the Table 4 experiment
+// reports.
 
 #ifndef TIRM_RRSET_SAMPLE_STORE_H_
 #define TIRM_RRSET_SAMPLE_STORE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -61,6 +59,7 @@
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "graph/graph.h"
+#include "rrset/coverage_bitmap.h"
 #include "rrset/kpt_estimator.h"
 
 namespace tirm {
@@ -73,7 +72,6 @@ constexpr SamplerKernel ResolveSamplerKernel(SamplerKernel kernel) {
   return kernel;
 }
 
-class CoverageTranspose;  // rrset/coverage_bitmap.h
 class ParallelRrBuilder;  // rrset/parallel_rr_builder.h
 class ProblemInstance;    // topic/instance.h
 
@@ -95,96 +93,76 @@ std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
                                       std::uint64_t chunk_sets,
                                       int num_shards, int shard);
 
-/// Append-only flattened storage of RR sets. Sets already appended are
-/// immutable; coverage views (RrCollection / WeightedRrCollection) borrow
-/// member spans and the CSR node -> set transpose from here instead of
-/// copying nodes. The transpose is the pool's only node -> set index,
-/// built lazily on first use (EnsureTranspose).
+/// Append-only storage of RR sets, and the one module that decides who may
+/// read it while it grows. Each adopted part stays as ParallelRrBuilder
+/// made it — its flattened members and its own offsets — and a set is
+/// found by a binary search over the parts' first ids. One mutex guards the
+/// parts and the CSR node -> set index, and every accessor takes it, so
+/// reads may overlap adoption and index extension: a member span or an
+/// index segment, once handed out, is never written or moved again.
+/// Coverage views (RrCollection / WeightedRrCollection) borrow both
+/// instead of copying nodes.
 class RrSetPool {
  public:
   explicit RrSetPool(NodeId num_nodes);
   ~RrSetPool();
 
-  /// Adopts a flattened multi-set buffer (ParallelRrBuilder chunk layout:
-  /// set k occupies nodes[offsets[k] .. offsets[k+1]), offsets.front() == 0,
-  /// offsets.back() == nodes.size()) as one arena chunk — a move, no per-set
-  /// copy. The sets get the next dense ids in order. Returns the id of the
-  /// first adopted set. The only way sets enter a pool.
-  std::uint32_t AdoptChunk(std::vector<NodeId>&& nodes,
-                           std::span<const std::size_t> offsets);
+  /// Adopts one part in the ParallelRrBuilder layout (set k occupies
+  /// nodes[offsets[k] .. offsets[k+1]), offsets.front() == 0,
+  /// offsets.back() == nodes.size()): both buffers move in as they are, no
+  /// per-set copy. The sets get the next dense ids in order. Returns the id
+  /// of the first adopted set. The only way sets enter a pool.
+  std::uint32_t AdoptChunk(std::vector<NodeId> nodes,
+                           std::vector<std::size_t> offsets)
+      TIRM_EXCLUDES(mutex_);
 
-  /// Reserves the per-set bookkeeping for a pool of `num_sets` sets in
-  /// total. A producer that knows its final size calls this once before
-  /// adopting, so adoption never reallocates it and MemoryBytes() carries
-  /// no growth slack.
-  void ReserveSets(std::size_t num_sets);
-
-  std::size_t NumSets() const { return set_offsets_.size() - 1; }
+  std::size_t NumSets() const TIRM_EXCLUDES(mutex_);
   NodeId num_nodes() const { return num_nodes_; }
 
-  /// Members of set `id`. The span is stable for the pool's lifetime: the
-  /// arena is chunked and chunks never relocate once written.
-  std::span<const NodeId> SetMembers(std::uint32_t id) const {
-    TIRM_DCHECK(id < NumSets());
-    return {set_begin_[id], set_offsets_[id + 1] - set_offsets_[id]};
-  }
+  /// Members of set `id`. The span is stable for the pool's lifetime: a
+  /// part's node buffer never moves once adopted.
+  std::span<const NodeId> SetMembers(std::uint32_t id) const
+      TIRM_EXCLUDES(mutex_);
 
-  /// Calls `visit(members)` with the members of sets [first, end) as
-  /// contiguous arena spans, one per chunk the range touches, in set
-  /// order: a walk over whole chunks for callers that need the members
-  /// but not their set boundaries.
-  template <typename Visit>
-  void ForEachMemberRun(std::uint32_t first, std::uint32_t end,
-                        Visit&& visit) const {
-    TIRM_DCHECK(first <= end && end <= NumSets());
-    const std::size_t lo = set_offsets_[first];
-    const std::size_t hi = set_offsets_[end];
-    std::size_t base = 0;  // global position of the chunk's first member
-    for (const std::vector<NodeId>& chunk : chunks_) {
-      if (base >= hi) break;
-      const std::size_t next = base + chunk.size();
-      const std::size_t from = std::max(lo, base);
-      const std::size_t to = std::min(hi, next);
-      if (from < to) {
-        visit(std::span<const NodeId>(chunk.data() + (from - base), to - from));
-      }
-      base = next;
-    }
-  }
+  /// The index segments covering the first `up_to` sets, after indexing
+  /// those of them not yet indexed as one new segment. The list is the
+  /// caller's; the segments live as long as the pool.
+  CoverageTranspose EnsureTranspose(std::uint32_t up_to) const
+      TIRM_EXCLUDES(mutex_);
 
-  /// CSR node -> set transpose covering at least the first `up_to` sets,
-  /// built/extended lazily on first call (concurrent calls serialize on an
-  /// internal mutex). Reading the returned transpose while a *later*
-  /// EnsureTranspose extends it follows the same discipline as the arena:
-  /// don't read while another thread may be growing the pool.
-  const CoverageTranspose& EnsureTranspose(std::uint32_t up_to) const
-      TIRM_EXCLUDES(transpose_mutex_);
+  /// Bytes of the index (0 until first EnsureTranspose); included in
+  /// MemoryBytes().
+  std::size_t TransposeBytes() const TIRM_EXCLUDES(mutex_);
 
-  /// Bytes of the lazily built transpose (0 until first EnsureTranspose);
-  /// included in MemoryBytes().
-  std::size_t TransposeBytes() const TIRM_EXCLUDES(transpose_mutex_);
-
-  /// Exact bytes held (arena + transpose + bookkeeping), from container
-  /// capacities.
-  std::size_t MemoryBytes() const TIRM_EXCLUDES(transpose_mutex_);
+  /// Exact bytes of the members, the offsets and the index, from container
+  /// capacities: 4 B per member and 8 B per set and per part, plus the
+  /// index. The part directory, a few dozen bytes per part, is left out.
+  std::size_t MemoryBytes() const TIRM_EXCLUDES(mutex_);
 
  private:
-  NodeId num_nodes_;
-  // The arena members below are deliberately NOT capability-guarded: a
-  // pool is mutated only through its owning AdPool (whose entry mutex
-  // serializes top-ups) and read by coverage views under the documented
-  // "no reads during a top-up" discipline (see the file comment) — an
-  // external contract the analysis cannot see from here.
-  std::vector<std::size_t> set_offsets_;    // size #sets+1, global node count
-  std::vector<const NodeId*> set_begin_;    // per set, into a chunk buffer
-  // The arena: adopted buffers, immutable once adopted. Moving a buffer in
-  // keeps its data(), so SetMembers spans are stable across growth.
-  std::vector<std::vector<NodeId>> chunks_;
-  // Lazy CSR transpose, the node -> set index of every coverage view —
-  // logically const derived state, hence buildable through const accessors.
-  mutable Mutex transpose_mutex_;
-  mutable std::unique_ptr<CoverageTranspose> transpose_
-      TIRM_GUARDED_BY(transpose_mutex_);
+  struct Part {
+    std::uint32_t first_set = 0;       // id of the part's first set
+    std::vector<NodeId> nodes;         // flattened members
+    std::vector<std::size_t> offsets;  // part-local, one per set plus one
+  };
+
+  /// Index into parts_ of the part holding set `id`.
+  std::size_t PartOf(std::uint32_t id) const TIRM_REQUIRES(mutex_);
+  /// Builds the index segment of sets [first, end) by a counting sort over
+  /// their members.
+  std::unique_ptr<const CoverageSegment> BuildSegment(std::uint32_t first,
+                                                      std::uint32_t end) const
+      TIRM_REQUIRES(mutex_);
+  std::size_t TransposeBytesLocked() const TIRM_REQUIRES(mutex_);
+
+  const NodeId num_nodes_;
+  mutable Mutex mutex_;
+  std::uint32_t num_sets_ TIRM_GUARDED_BY(mutex_) = 0;
+  std::vector<Part> parts_ TIRM_GUARDED_BY(mutex_);
+  // The lazily built index — logically const derived state, hence
+  // buildable through const accessors.
+  mutable std::vector<std::unique_ptr<const CoverageSegment>> segments_
+      TIRM_GUARDED_BY(mutex_);
 };
 
 /// Sample-reuse diagnostics of one allocator run (surfaced through
@@ -248,14 +226,9 @@ class RrSampleStore {
   /// except for read access to the pool.
   class AdPool {
    public:
-    /// Read access to the pooled sets. Deliberately outside the capability
-    /// analysis (the pool is mutex-guarded for *growth*): a completed
-    /// EnsureSets call hands the caller a stable prefix to read without
-    /// the entry mutex, under the file-comment discipline that no reader
-    /// overlaps a top-up of the same entry.
-    const RrSetPool& sets() const TIRM_NO_THREAD_SAFETY_ANALYSIS {
-      return pool_;
-    }
+    /// The pooled sets. The pool guards its own growth, so the caller may
+    /// read them while another thread tops this entry up.
+    const RrSetPool& sets() const { return pool_; }
     ~AdPool();
 
    private:
@@ -263,8 +236,8 @@ class RrSampleStore {
     AdPool(const Graph& graph, std::uint64_t base_seed,
            std::span<const float> edge_probs);
 
-    Mutex mutex_;
-    RrSetPool pool_ TIRM_GUARDED_BY(mutex_);
+    Mutex mutex_;  // serializes top-ups and KPT estimation
+    RrSetPool pool_;
     std::uint64_t chunks_sampled_ TIRM_GUARDED_BY(mutex_) = 0;
 
     // Immutable after the constructor (set before the entry is published
@@ -366,8 +339,7 @@ class RrSampleStore {
 
   std::size_t NumEntries() const TIRM_EXCLUDES(mutex_);
   /// Exact bytes across every pooled entry. Safe to call concurrently
-  /// with top-ups (takes each entry's mutex), so metrics pollers may read
-  /// from any thread.
+  /// with top-ups, so metrics pollers may read from any thread.
   std::size_t TotalArenaBytes() const TIRM_EXCLUDES(mutex_);
   /// Store-lifetime counters (reused/sampled/top-ups/KPT hits). Same
   /// thread-safety as TotalArenaBytes.

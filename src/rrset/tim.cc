@@ -57,8 +57,7 @@ TimResult RunTim(const Graph& graph, std::span<const float> edge_probs,
       nodes.insert(nodes.end(), scratch.begin(), scratch.end());
       offsets.push_back(nodes.size());
     }
-    pool.ReserveSets(result.theta);
-    pool.AdoptChunk(std::move(nodes), offsets);
+    pool.AdoptChunk(std::move(nodes), std::move(offsets));
   }
   std::uint64_t covered = 0;
   {

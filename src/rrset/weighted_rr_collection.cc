@@ -12,7 +12,7 @@ void WeightedRrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
   survival_.resize(count, 1.0f);
-  transpose_ = &pool_->EnsureTranspose(count);
+  transpose_ = pool_->EnsureTranspose(count);
   attached_ = count;
 }
 
@@ -20,12 +20,12 @@ double WeightedRrCollection::CoverageOf(NodeId v) const {
   TIRM_DCHECK(v < num_nodes_);
   if (attached_ == 0) return 0.0;
   double cov = 0.0;
-  transpose_->ForEachRun(v, 0, attached_,
-                         [&](std::span<const std::uint32_t> ids) {
-                           for (const std::uint32_t id : ids) {
-                             cov += static_cast<double>(survival_[id]);
-                           }
-                         });
+  transpose_.ForEachRun(v, 0, attached_,
+                        [&](std::span<const std::uint32_t> ids) {
+                          for (const std::uint32_t id : ids) {
+                            cov += static_cast<double>(survival_[id]);
+                          }
+                        });
   return cov;
 }
 
@@ -39,7 +39,7 @@ double WeightedRrCollection::CommitSeedOnRange(NodeId v, double accept_prob,
   TIRM_CHECK(accept_prob >= 0.0 && accept_prob <= 1.0);
   if (first_set >= attached_) return 0.0;
   double covered_before = 0.0;
-  transpose_->ForEachRun(
+  transpose_.ForEachRun(
       v, first_set, attached_, [&](std::span<const std::uint32_t> ids) {
         for (const std::uint32_t id : ids) {
           const double s_old = survival_[id];

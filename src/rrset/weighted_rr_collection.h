@@ -20,7 +20,9 @@
 // Like RrCollection, this is a mutable coverage *view*: the flattened sets
 // and their CSR node -> set index are borrowed from an RrSetPool
 // (rrset/sample_store.h) — shared with every other consumer of the same
-// samples — while survival weights are per-view state. Marginal coverage is
+// samples — while survival weights are per-view state. The view walks its
+// own copy of the index's segment list without a lock, so it may run while
+// other threads top the pool up or extend its index. Marginal coverage is
 // a deterministic *gather* of survival over v's index row, in ascending
 // set order (rrset/coverage_bitmap.h) — the order of the scalar reference
 // in tests/coverage_oracle.h, so the doubles match it bit for bit. A dead
@@ -114,8 +116,9 @@ class WeightedRrCollection {
   std::uint32_t attached_ = 0;
   double covered_mass_ = 0.0;
   std::vector<float> survival_;  // per attached set
-  // See rr_collection.h: walks stop at attached_.
-  const CoverageTranspose* transpose_ = nullptr;
+  // See rr_collection.h: this view's own segment list; walks stop at
+  // attached_.
+  CoverageTranspose transpose_;
 };
 
 /// CELF-style lazy max-heap over weighted coverages, mirroring

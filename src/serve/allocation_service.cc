@@ -55,15 +55,9 @@ void AllocationService::Start() {
   MutexLock lock(lifecycle_mutex_);
   if (started_ || stopped_) return;
   started_ = true;
-  // Build the per-worker engines sequentially: the factory need not be
-  // thread-safe, and identical construction order keeps startup
-  // deterministic. Engine construction is the service's warm-up cost;
-  // queries never pay it.
-  engines_.reserve(static_cast<std::size_t>(num_workers_));
-  for (int w = 0; w < num_workers_; ++w) {
-    engines_.push_back(
-        std::make_unique<AdAllocEngine>(factory_(), options_.engine));
-  }
+  // Engine construction is the service's warm-up cost; queries never pay
+  // it.
+  engine_ = std::make_unique<AdAllocEngine>(factory_(), options_.engine);
   threads_.reserve(static_cast<std::size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     threads_.emplace_back([this, w] { WorkerLoop(w); });
@@ -73,7 +67,7 @@ void AllocationService::Start() {
 void AllocationService::Stop() {
   // Claim the worker threads under the lock, then close and join without
   // it: joining must not hold lifecycle_mutex_ (workers briefly take it to
-  // resolve their engine), and handing the vector out of the guarded state
+  // resolve the engine), and handing the vector out of the guarded state
   // keeps the capability analysis exact about who may touch threads_.
   std::vector<std::thread> workers;
   {
@@ -164,12 +158,8 @@ std::vector<AllocationResponse> AllocationService::SubmitSweep(
 }
 
 SampleCacheStats AllocationService::StoreStats() const {
-  SampleCacheStats total;
   MutexLock lock(lifecycle_mutex_);
-  for (const std::unique_ptr<AdAllocEngine>& engine : engines_) {
-    total.Add(engine->StoreStats());
-  }
-  return total;
+  return engine_ == nullptr ? SampleCacheStats{} : engine_->StoreStats();
 }
 
 JsonValue AllocationService::StatsJson() const {
@@ -199,19 +189,19 @@ JsonValue AllocationService::StatsJson() const {
 
 const AdAllocEngine& AllocationService::engine(int w) const {
   MutexLock lock(lifecycle_mutex_);
-  TIRM_CHECK(w >= 0 && static_cast<std::size_t>(w) < engines_.size())
+  TIRM_CHECK(engine_ != nullptr && w >= 0 && w < num_workers_)
       << "engine(" << w << "): service not started or index out of range";
-  return *engines_[static_cast<std::size_t>(w)];
+  return *engine_;
 }
 
 void AllocationService::WorkerLoop(int worker_index) {
-  // Resolve this worker's engine under the lifecycle lock; the pointee is
-  // stable for the service's lifetime (engines_ is append-only in Start()
-  // and never shrunk), so the loop below runs lock-free on it.
+  // Resolve the engine under the lifecycle lock; it is set once in Start()
+  // and lives as long as the service, so the loop below runs lock-free on
+  // it, concurrently with the other workers.
   AdAllocEngine* engine_ptr = nullptr;
   {
     MutexLock lock(lifecycle_mutex_);
-    engine_ptr = engines_[static_cast<std::size_t>(worker_index)].get();
+    engine_ptr = engine_.get();
   }
   AdAllocEngine& engine = *engine_ptr;
   while (std::optional<Job> job = queue_.Pop()) {

@@ -1,23 +1,23 @@
 // AllocationService — the concurrent query-serving layer over AdAllocEngine.
 //
 // One service owns a fixed pool of worker threads, a bounded request queue
-// with admission control, and one AdAllocEngine per worker. Clients submit
-// AllocationRequests (allocator name + config knobs + an EngineQuery) and
-// receive AllocationResponses (the EngineRun plus queue/serve timings and
-// the run's sample-cache stats) through futures, or fan a whole
-// lambda/kappa/beta/budget grid through SubmitSweep and get ordered
-// results back.
+// with admission control, and one AdAllocEngine that every worker runs
+// on. Clients submit AllocationRequests (allocator name + config knobs + an
+// EngineQuery) and receive AllocationResponses (the EngineRun plus
+// queue/serve timings and the run's sample-cache stats) through futures,
+// or fan a whole lambda/kappa/beta/budget grid through SubmitSweep and get
+// ordered results back.
 //
-// Concurrency model: engine-per-worker sharding. Every worker builds its
-// own engine from the same deterministic instance factory and engine
-// options, so the engines are identical and a request's response is a pure
-// function of the request — bit-identical to a direct engine.Run() no
-// matter which worker serves it, how warm that worker's RR-sample store
-// is (pooled == fresh is the store's own guarantee), or what else is being
-// served concurrently. Sharding also keeps each pooled store
-// single-consumer, which is what the store's read-vs-top-up contract
-// requires (see api/ad_alloc_engine.h); the price is one instance + store
-// copy per worker, the classic memory-for-throughput trade.
+// Concurrency model: one engine, many workers. Start() builds the engine
+// from the instance factory, once, and the workers call its Run()
+// concurrently (api/ad_alloc_engine.h). A served instance therefore holds
+// one instance and one RR-sample store, whatever the worker count: an ad's
+// pool is sampled once and read by every request, which is the host model
+// of the paper's §5 (one network, many advertisers' queries over it). A
+// response is a pure function of the request — bit-identical to a direct
+// engine.Run() on an engine built from the same instance, no matter which
+// worker serves it, how warm the store is (pooled == fresh is the store's
+// own guarantee), or what else is being served concurrently.
 //
 // Admission control: Submit() rejects with Status::Unavailable the moment
 // the queue is full (overload shedding); SubmitWait()/SubmitSweep() apply
@@ -124,20 +124,19 @@ struct SweepRequest {
 /// See file comment.
 class AllocationService {
  public:
-  /// Produces the problem instance every worker engine is built from.
-  /// MUST be deterministic (identical BuiltInstance on every call — e.g.
-  /// rebuild from a spec with a fixed seed): the service's response-purity
-  /// guarantee is exactly the guarantee that the factory's output does not
-  /// vary. Called sequentially from Start(), once per worker.
+  /// Produces the problem instance the service's engine is built from.
+  /// Called once, from Start(). Responses equal direct engine.Run() answers
+  /// on an engine built from the same instance.
   using InstanceFactory = std::function<BuiltInstance()>;
 
   struct Options {
-    /// Worker threads == engines (common/threading.h semantics: <= 0
-    /// selects hardware concurrency; clamped to kMaxSamplingThreads).
+    /// Worker threads, all running on the one engine (common/threading.h
+    /// semantics: <= 0 selects hardware concurrency; clamped to
+    /// kMaxSamplingThreads).
     int num_workers = 0;
     /// Bounded request-queue capacity (admission control beyond it).
     std::size_t queue_capacity = 256;
-    /// Engine knobs shared by every worker engine (seed policy, eval_sims,
+    /// Knobs of the service's engine (seed policy, eval_sims,
     /// reuse_samples).
     EngineOptions engine;
     /// Start() from the constructor. Tests defer (autostart = false) to
@@ -151,8 +150,8 @@ class AllocationService {
   AllocationService(const AllocationService&) = delete;
   AllocationService& operator=(const AllocationService&) = delete;
 
-  /// Builds the worker engines (sequentially, one factory call each) and
-  /// launches the workers. Idempotent.
+  /// Builds the engine (the one factory call) and launches the workers.
+  /// Idempotent.
   void Start() TIRM_EXCLUDES(lifecycle_mutex_);
 
   /// Graceful shutdown: closes admission, serves everything already
@@ -186,9 +185,8 @@ class AllocationService {
   int num_workers() const { return num_workers_; }
   bool started() const TIRM_EXCLUDES(lifecycle_mutex_);
 
-  /// Aggregated lifetime sample-cache stats over every worker engine's
-  /// stores, sharded ones included (AdAllocEngine::StoreStats; arena bytes
-  /// summed across the per-worker copies).
+  /// Lifetime sample-cache stats of the engine's stores, sharded ones
+  /// included (AdAllocEngine::StoreStats); all zero before Start().
   SampleCacheStats StoreStats() const TIRM_EXCLUDES(lifecycle_mutex_);
 
   /// This service's stats section — worker count, the ServiceMetrics
@@ -198,7 +196,8 @@ class AllocationService {
   /// request returns.
   JsonValue StatsJson() const TIRM_EXCLUDES(lifecycle_mutex_);
 
-  /// Worker `w`'s engine (for goldens and stats; valid after Start()).
+  /// The engine worker `w` runs on — the same one for every w in
+  /// [0, num_workers()) (for goldens and stats; valid after Start()).
   const AdAllocEngine& engine(int w) const TIRM_EXCLUDES(lifecycle_mutex_);
 
  private:
@@ -223,12 +222,11 @@ class AllocationService {
   mutable Mutex lifecycle_mutex_;
   bool started_ TIRM_GUARDED_BY(lifecycle_mutex_) = false;
   bool stopped_ TIRM_GUARDED_BY(lifecycle_mutex_) = false;
-  std::vector<std::unique_ptr<AdAllocEngine>> engines_
-      TIRM_GUARDED_BY(lifecycle_mutex_);
+  std::unique_ptr<AdAllocEngine> engine_ TIRM_GUARDED_BY(lifecycle_mutex_);
   std::vector<std::thread> threads_ TIRM_GUARDED_BY(lifecycle_mutex_);
 
   // Last member: destroyed first, so the registry provider (which reads
-  // metrics_ and the engines) unregisters before anything it captures dies.
+  // metrics_ and the engine) unregisters before anything it captures dies.
   obs::MetricsRegistry::ProviderHandle registry_handle_;
 };
 

@@ -13,11 +13,12 @@
 // in-band (serve/shard_protocol.h) — a worker never kills the connection
 // over a bad request.
 //
-// Thread safety: the context is shared across sessions and its store
-// cache is mutex-guarded, but one RrSampleStore must not serve two
-// sessions concurrently (pool reads must not overlap top-ups — see
-// rrset/sample_store.h). A worker process therefore serves one
-// coordinator at a time; the session itself is single-threaded.
+// Thread safety: the context is shared across sessions, its store cache is
+// mutex-guarded, and its stores are safe to share (rrset/sample_store.h).
+// A session is single-threaded: it is one coordinator's conversation over
+// one wire, a synchronous request/response line stream whose state (the
+// bound LocalShardClient and its views) belongs to that coordinator alone.
+// A worker process therefore serves one coordinator at a time.
 
 #ifndef TIRM_SERVE_SHARD_WORKER_H_
 #define TIRM_SERVE_SHARD_WORKER_H_

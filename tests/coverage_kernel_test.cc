@@ -12,11 +12,12 @@
 //  * CoverageHeap tie-break regression (equal coverages pop lowest id,
 //    matching ArgMaxCoverage and the oracle);
 //  * transpose laziness + byte accounting, transpose extensions against a
-//    member scatter, and concurrent EnsureTranspose (exercised under TSan
-//    in CI).
+//    member scatter, and concurrent EnsureTranspose with reads of the
+//    returned segments (exercised under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -289,15 +290,29 @@ TEST(CoverageTransposeTest, BuiltLazilyAndCountedInMemoryBytes) {
   EXPECT_GE(bitmap.MemoryBytes(), CoverageWordsFor(70) * sizeof(std::uint64_t));
 }
 
+// Concurrent extensions serialize on the pool mutex, and each thread reads
+// its own segment list while the others extend the index.
 TEST(CoverageTransposeTest, ConcurrentEnsureIsSerialized) {
   Rng rng(13);
   std::unique_ptr<RrSetPool> pool = RandomPool(60, 128, 3, rng);
+  const std::vector<std::vector<NodeId>> sets = SetsOf(*pool);
   std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&pool, i] {
-      // Build only — reading the returned transpose here would race with
-      // another thread's extension (the documented arena discipline).
-      pool->EnsureTranspose(32u * static_cast<std::uint32_t>(i + 1));
+    threads.emplace_back([&pool, &sets, i] {
+      const std::uint32_t up_to = 32u * static_cast<std::uint32_t>(i + 1);
+      const CoverageTranspose t = pool->EnsureTranspose(up_to);
+      for (NodeId v = 0; v < t.num_nodes(); ++v) {
+        std::size_t ids = 0;
+        t.ForEachRun(v, 0, up_to, [&ids](std::span<const std::uint32_t> run) {
+          ids += run.size();
+        });
+        std::size_t expected = 0;
+        for (std::uint32_t id = 0; id < up_to; ++id) {
+          expected += static_cast<std::size_t>(
+              std::count(sets[id].begin(), sets[id].end(), v));
+        }
+        EXPECT_EQ(ids, expected) << "node " << v << " up_to " << up_to;
+      }
     });
   }
   for (std::thread& t : threads) t.join();

@@ -2,17 +2,19 @@
 // (RrSetPool + borrowing RrCollection/WeightedRrCollection), chunked
 // top-up determinism (θ grown in one step vs several, at any mix of
 // thread counts), one sampling fan-out per top-up, concurrency of
-// EnsureSets/Acquire at mixed thread counts (run under TSan in CI), the
-// arena-direct top-up (a pool holds exactly the sets of its sampled parts,
-// byte for byte), the max-traversal statistic, golden equivalence of
-// pooled-store vs fresh-sampling runs for all five allocators,
-// engine-level sweep reuse (samples drawn at most once per (ad, max-θ),
+// EnsureSets/Acquire at mixed thread counts and TIRM reading a prefix of
+// pools another run grows (both run under TSan in CI), the arena-direct
+// top-up (a pool holds exactly the sets of its sampled parts, byte for
+// byte, in exact-size buffers), the max-traversal statistic, golden
+// equivalence of pooled-store vs fresh-sampling runs for all five
+// allocators, engine-level sweep reuse (samples drawn at most once per (ad, max-θ),
 // one store for every thread count), and pool contents, RunTim and TIRM
 // seeds pinned to recorded constants at every thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -80,26 +82,19 @@ TEST(RrSetPoolTest, AdoptedChunksKeepIdsRowsAndSpans) {
   EXPECT_GT(pool.MemoryBytes(), 0u);
 }
 
-// ForEachMemberRun hands out a set range's members chunk by chunk, clipped
-// to the range at both ends.
-TEST(RrSetPoolTest, MemberRunsClipToTheSetRange) {
+// An index extension may start and stop inside a part and span several:
+// each segment holds exactly the ids of its own set range.
+TEST(RrSetPoolTest, IndexSegmentsClipToTheirSetRangeAcrossParts) {
   RrSetPool pool(6);
-  pool.AdoptChunk({0, 1, 2, 3}, std::vector<std::size_t>{0, 2, 4});
-  pool.AdoptChunk({4, 5, 0, 1, 2}, std::vector<std::size_t>{0, 1, 3, 5});
-  using Runs = std::vector<std::vector<NodeId>>;
-  const auto runs = [&pool](std::uint32_t first, std::uint32_t end) {
-    Runs out;
-    pool.ForEachMemberRun(first, end, [&out](std::span<const NodeId> m) {
-      out.emplace_back(m.begin(), m.end());
-    });
-    return out;
-  };
-  EXPECT_EQ(runs(0, 5), (Runs{{0, 1, 2, 3}, {4, 5, 0, 1, 2}}));
-  EXPECT_EQ(runs(1, 4), (Runs{{2, 3}, {4, 5, 0}}));
-  EXPECT_EQ(runs(3, 4), (Runs{{5, 0}}));
-  EXPECT_EQ(runs(0, 2), (Runs{{0, 1, 2, 3}}));
-  EXPECT_EQ(runs(2, 2), Runs{});
-  EXPECT_EQ(runs(1, 1), Runs{});
+  pool.AdoptChunk({0, 1, 2, 3}, {0, 2, 4});        // sets 0-1
+  pool.AdoptChunk({4, 5, 0, 1, 2}, {0, 1, 3, 5});  // sets 2-4
+  pool.AdoptChunk({3, 5}, {0, 2});                 // set 5
+  const std::vector<std::vector<NodeId>> sets = SetsOf(pool);
+  ASSERT_EQ(sets.size(), 6u);
+  for (const std::uint32_t up_to : {1u, 3u, 6u}) {
+    SCOPED_TRACE(testing::Message() << "up_to=" << up_to);
+    ExpectRowsMatch(pool.EnsureTranspose(up_to), std::span(sets).first(up_to));
+  }
 }
 
 // Two views over one pool: independent coverage, one physical copy.
@@ -270,6 +265,28 @@ TEST_F(SampleStoreTest, KptCacheHitsOnRepeat) {
   EXPECT_EQ(stats.kpt_cache_hits, 1u);
 }
 
+// Part buffers are exact-size: after top-ups at one thread and at four, a
+// pool holds 4 B per member and 8 B per set and per part, with no slack.
+TEST_F(SampleStoreTest, PoolBytesAreMembersAndOffsetsWithoutSlack) {
+  constexpr std::uint64_t kChunk = 256;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RrSampleStore store(&graph_, {.seed = 3, .chunk_sets = kChunk});
+    RrSampleStore::AdPool* entry = store.Acquire(1, probs_);
+    store.EnsureSets(entry, 600, 0, threads);  // 3 chunks
+    store.EnsureSets(entry, 1000, 0, threads);  // and 1 more
+    const RrSetPool& pool = entry->sets();
+    ASSERT_EQ(pool.NumSets(), 4 * kChunk);
+    std::size_t members = 0;
+    for (std::uint32_t id = 0; id < pool.NumSets(); ++id) {
+      members += pool.SetMembers(id).size();
+    }
+    const std::size_t parts = 4 * ParallelRrBuilder::PartsPerChunk(kChunk);
+    EXPECT_EQ(pool.TransposeBytes(), 0u);
+    EXPECT_EQ(pool.MemoryBytes(), 4 * members + 8 * (pool.NumSets() + parts));
+  }
+}
+
 // Concurrent top-ups — same entry and different entries, each racing
 // thread sampling at its own thread count — must be safe (run under
 // ThreadSanitizer in CI) and leave the pools a one-thread reference store
@@ -307,6 +324,57 @@ TEST_F(SampleStoreTest, ConcurrentEnsureSetsIsSafeAndDeterministic) {
     EXPECT_EQ(SetsOf(store.Acquire(1000 + t, probs_)->sets()),
               SetsOf(ref_own->sets()))
         << "entry " << 1000 + t;
+  }
+}
+
+// The pool guards its own growth: one thread runs TIRM over a prefix of a
+// shared store's pools, again and again, while another runs TIRM at a
+// larger θ on the same store, topping the same pools up past that prefix
+// and extending their index. Clean under TSan in CI; every allocation
+// equals its one-thread golden, at sampling threads 1 and 4.
+TEST(SharedPoolRaceTest, TirmReadsAPrefixWhileAnotherRunGrowsThePools) {
+  Rng build_rng(kSeed);
+  const BuiltInstance built = BuildDataset(FlixsterLike(0.003), build_rng);
+  const ProblemInstance inst = built.MakeInstance(2, 0.0);
+  TirmOptions prefix;
+  prefix.theta.epsilon = 0.4;
+  prefix.theta.theta_cap = 1 << 13;
+  prefix.sample_store_seed = kSeed;
+  TirmOptions grower = prefix;
+  grower.theta.epsilon = 0.25;
+  grower.theta.theta_cap = 1 << 15;
+  const auto run = [&inst](TirmOptions options, int threads,
+                           RrSampleStore* store) {
+    options.num_threads = threads;
+    options.sample_store = store;
+    Rng rng(kSeed);
+    return RunTirm(inst, options, rng);
+  };
+  const TirmResult prefix_golden = run(prefix, 1, nullptr);
+  const TirmResult grower_golden = run(grower, 1, nullptr);
+  ASSERT_GT(grower_golden.total_rr_sets, prefix_golden.total_rr_sets);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    RrSampleStore store(&inst.graph(), {.seed = kSeed});
+    // The prefix is pooled before the race, so the reader samples nothing.
+    EXPECT_EQ(run(prefix, threads, &store).allocation.seeds,
+              prefix_golden.allocation.seeds);
+    std::atomic<bool> grown{false};
+    std::vector<std::vector<std::vector<NodeId>>> read;
+    std::thread reader([&] {
+      do {
+        read.push_back(run(prefix, threads, &store).allocation.seeds);
+      } while (!grown.load());
+    });
+    const TirmResult grower_run = run(grower, threads, &store);
+    grown.store(true);
+    reader.join();
+    EXPECT_GT(grower_run.cache.sampled_sets, 0u);
+    EXPECT_EQ(grower_run.allocation.seeds, grower_golden.allocation.seeds);
+    for (const auto& seeds : read) {
+      EXPECT_EQ(seeds, prefix_golden.allocation.seeds);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the serving subsystem (src/serve/): bounded queue admission,
 // sweep-grid expansion, the NDJSON protocol codecs, service metrics
 // identities, and — the core contract — bit-identical responses under
-// concurrent mixed load vs direct single-threaded engine runs.
+// concurrent mixed load, every worker on one shared engine, vs direct
+// single-threaded engine runs.
 //
 // Runs under ThreadSanitizer in CI alongside sample_store_test.
 
@@ -521,12 +522,12 @@ TEST(AllocationServiceTest, StopWithoutStartAnswersUnavailable) {
 }
 
 // Warm stores accumulate across requests, and repeat sweeps reuse instead
-// of resampling — the serving-side restatement of the PR 3 store contract.
+// of resampling — the serving-side restatement of the store contract. The
+// workers share one store, so a repeat samples nothing whichever worker
+// serves it.
 TEST(AllocationServiceTest, RepeatSweepsReuseWarmStores) {
-  // One worker so "nothing new sampled on repeat" is exact; with N workers
-  // a repeat may land on a colder worker (its store warms independently).
   AllocationService service(Fig1Factory(),
-                            {.num_workers = 1,
+                            {.num_workers = 3,
                              .engine = TestEngineOptions()});
   SweepRequest sweep;
   sweep.config.allocator = "tirm";
@@ -548,7 +549,29 @@ TEST(AllocationServiceTest, RepeatSweepsReuseWarmStores) {
   EXPECT_GT(after_warm.reused_sets, after_cold.reused_sets);
 }
 
-// A sharded request samples into its worker engine's sharded store, and the
+// The service builds one engine and every worker runs on it: after a
+// 3-worker sweep the store has sampled exactly what a direct engine samples
+// for the same grid, not one copy per worker.
+TEST(AllocationServiceTest, WorkersShareOneEngineAndItsStore) {
+  AllocationService service(Fig1Factory(),
+                            {.num_workers = 3,
+                             .engine = TestEngineOptions()});
+  for (const AllocationResponse& response :
+       service.SubmitSweep(TestWorkload())) {
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  EXPECT_EQ(&service.engine(0), &service.engine(2));
+
+  AdAllocEngine direct(BuildFigure1Instance(), TestEngineOptions());
+  for (const AllocationRequest& r : TestWorkload().Grid()) {
+    ASSERT_TRUE(direct.Run(r.config, r.query).ok()) << r.id;
+  }
+  EXPECT_GT(direct.StoreStats().sampled_sets, 0u);
+  EXPECT_EQ(service.StoreStats().sampled_sets,
+            direct.StoreStats().sampled_sets);
+}
+
+// A sharded request samples into the service engine's sharded store, and the
 // store stats count that store too: after one K=2 TIRM request they equal a
 // K=1 service's, sampled sets and max traversal included (the K shard pools
 // partition the same global pool).
