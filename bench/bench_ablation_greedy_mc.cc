@@ -22,10 +22,15 @@ int main(int argc, char** argv) {
   // Deliberately tiny default: GREEDY-MC cost is O(n * sims) *per seed*.
   BenchConfig config = BenchConfig::FromFlags(flags, /*default_scale=*/0.002,
                                               /*default_eps=*/0.2);
+  const Result<std::int64_t> mc_sims = flags.GetIntStrict("mc_sims", 200);
+  if (!mc_sims.ok() || *mc_sims < 1) {
+    std::fprintf(stderr, "bench_ablation_greedy_mc: %s\n",
+                 mc_sims.ok() ? "flag --mc_sims must be >= 1"
+                              : mc_sims.status().message().c_str());
+    return 1;
+  }
   config.Print("bench_ablation_greedy_mc: Algorithm 1 (MC oracle) vs TIRM",
                /*supports_bundle=*/true);
-  const std::size_t mc_sims =
-      static_cast<std::size_t>(flags.GetInt("mc_sims", 200));
 
   Rng rng(config.seed);
   BuiltInstance built = BuildBenchInstance(config, FlixsterLike(config.scale), rng);
@@ -39,7 +44,7 @@ int main(int argc, char** argv) {
 
   {
     AllocatorConfig algo_config = config.MakeAllocatorConfig("greedy-mc");
-    algo_config.mc_sims = mc_sims;
+    algo_config.mc_sims = static_cast<std::size_t>(*mc_sims);
     AllocationResult r = RunConfigured(algo_config, inst, config.seed + 5);
     RegretReport report = EvaluateChecked(inst, r.allocation, config, 1);
     t.AddRow({"greedy-mc (Alg. 1 reference)",

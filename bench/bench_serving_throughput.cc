@@ -25,11 +25,15 @@
 // on. Results land in BENCH_serving.json (--json_out to move/disable).
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/threading.h"
 #include "common/timer.h"
 #include "obs/trace.h"
 #include "serve/allocation_service.h"
@@ -47,6 +51,11 @@ serve::SweepRequest MakeWorkload(const BenchConfig& config) {
   sweep.lambdas = {0.0, 0.1, 0.5};
   sweep.id_prefix = "load";
   return sweep;
+}
+
+int BadFlag(const std::string& message) {
+  std::fprintf(stderr, "bench_serving_throughput: %s\n", message.c_str());
+  return 1;
 }
 
 JsonValue LatencyJson(const serve::MetricsSnapshot& m) {
@@ -73,14 +82,34 @@ int main(int argc, char** argv) {
                                               /*default_eps=*/0.3,
                                               /*default_json_out=*/
                                               "BENCH_serving.json");
+  // This bench's own knobs; a malformed or out-of-range value exits 1.
+  // --threads doubles as the worker count here, where it defaults to 4.
+  const Result<bool> serve_eval_flag = flags.GetBoolStrict("serve_eval", false);
+  const Result<std::int64_t> threads = flags.GetIntStrict("threads", 4);
+  const Result<std::int64_t> passes_flag = flags.GetIntStrict("passes", 3);
+  const Result<double> deadline_flag =
+      flags.GetDoubleStrict("deadline_ms", 0.0);
+  for (const Status& s : {serve_eval_flag.status(), threads.status(),
+                          passes_flag.status(), deadline_flag.status()}) {
+    if (!s.ok()) return BadFlag(s.message());
+  }
+  if (*threads < 0 || *threads > kMaxSamplingThreads) {
+    return BadFlag("flag --threads must be in [0, " +
+                   std::to_string(kMaxSamplingThreads) + "]");
+  }
+  if (*passes_flag < 1 || *passes_flag > std::numeric_limits<int>::max()) {
+    return BadFlag("flag --passes must be a positive int");
+  }
+  if (!(*deadline_flag >= 0.0) || !std::isfinite(*deadline_flag)) {
+    return BadFlag("flag --deadline_ms must be finite and >= 0");
+  }
+  const bool serve_eval = *serve_eval_flag;
+  const int max_workers = ResolveThreadCount(static_cast<int>(*threads));
+  const int passes = static_cast<int>(*passes_flag);
+  const double deadline_ms = *deadline_flag;
+
   config.Print("bench_serving_throughput: AllocationService QPS + latency");
   JsonReport report("bench_serving_throughput", config);
-
-  const bool serve_eval = flags.GetBool("serve_eval", false);
-  const int max_workers = flags.GetThreads(/*default_value=*/4);
-  const int passes =
-      std::max(1, static_cast<int>(flags.GetInt("passes", 3)));
-  const double deadline_ms = flags.GetDouble("deadline_ms", 0.0);
 
   serve::AllocationService::Options service_options;
   service_options.engine.seed = config.seed;

@@ -1,4 +1,4 @@
-// tirm_data — builds, inspects, and converts ".tirm" instance bundles
+// tirm_data — builds and inspects ".tirm" instance bundles
 // (the mmap-backed data plane; see io/bundle_format.h).
 //
 //   # generate a stand-in (or ingest a SNAP edge list) and save the bundle
@@ -8,12 +8,8 @@
 //   # inspect: header, meta counts, section table, checksum verification
 //   tirm_data info --bundle=flix.tirm
 //
-//   # convert a legacy TIRMIN01 instance file (topic/instance_io.h)
-//   tirm_data convert --in=old_instance.bin --out=new.tirm
-//
 // Flags: build: --dataset= --scale= --seed= --num_ads= --out=
 //        info:  --bundle= --verify={true,false}
-//        convert: --in= --out= --name=
 // Every command validates strictly and exits 1 with a typed error on
 // malformed inputs; nothing is ever half-written (the writer renames a
 // temp file into place).
@@ -31,7 +27,6 @@
 #include "graph/graph_stats.h"
 #include "io/bundle_reader.h"
 #include "io/bundle_writer.h"
-#include "topic/instance_io.h"
 
 namespace {
 
@@ -44,11 +39,10 @@ int Fail(const Status& status) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: tirm_data <build|info|convert> [--flags]\n"
+               "usage: tirm_data <build|info> [--flags]\n"
                "  build   --dataset=<name|file:path> [--scale=] [--seed=] "
                "[--num_ads=] --out=<path.tirm>\n"
-               "  info    --bundle=<path.tirm> [--verify=true]\n"
-               "  convert --in=<legacy TIRMIN01> --out=<path.tirm> [--name=]\n");
+               "  info    --bundle=<path.tirm> [--verify=true]\n");
   return 1;
 }
 
@@ -173,29 +167,6 @@ int RunInfo(const Flags& flags) {
   return 0;
 }
 
-int RunConvert(const Flags& flags) {
-  if (Status s = CheckKnownFlags(flags, {"in", "out", "name"}); !s.ok()) {
-    return Fail(s);
-  }
-  const std::string in = flags.GetString("in", "");
-  const std::string out = flags.GetString("out", "");
-  if (in.empty() || out.empty()) {
-    return Fail(Status::InvalidArgument(
-        "convert requires --in=<legacy instance> and --out=<path.tirm>"));
-  }
-  Result<InstanceBundle> legacy = LoadInstanceBundle(in);
-  if (!legacy.ok()) return Fail(legacy.status());
-  const std::string name = flags.GetString("name", "converted:" + in);
-  if (Status s = WriteBundle(*legacy->graph, *legacy->edge_probs,
-                             *legacy->ctps, legacy->advertisers, name, out);
-      !s.ok()) {
-    return Fail(s);
-  }
-  std::printf("converted %s (legacy TIRMIN01) -> %s\n", in.c_str(),
-              out.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -207,6 +178,5 @@ int main(int argc, char** argv) {
 
   if (command == "build") return RunBuild(flags);
   if (command == "info") return RunInfo(flags);
-  if (command == "convert") return RunConvert(flags);
   return Usage();
 }

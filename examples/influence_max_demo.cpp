@@ -10,6 +10,8 @@
 //   ./influence_max_demo [--nodes_scale=11] [--edges=40000] [--k=20]
 //                        [--eps=0.2] [--seed=7]
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <set>
 #include <vector>
@@ -31,12 +33,33 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  const int scale = static_cast<int>(flags.GetInt("nodes_scale", 11));
-  const std::size_t edges =
-      static_cast<std::size_t>(flags.GetInt("edges", 40000));
-  const std::uint64_t k = static_cast<std::uint64_t>(flags.GetInt("k", 20));
-  const double eps = flags.GetDouble("eps", 0.2);
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7));
+  const Result<std::int64_t> scale_flag = flags.GetIntStrict("nodes_scale", 11);
+  const Result<std::int64_t> edges_flag = flags.GetIntStrict("edges", 40000);
+  const Result<std::int64_t> k_flag = flags.GetIntStrict("k", 20);
+  const Result<double> eps_flag = flags.GetDoubleStrict("eps", 0.2);
+  const Result<std::int64_t> seed_flag = flags.GetIntStrict("seed", 7);
+  for (const Status& s : {scale_flag.status(), edges_flag.status(),
+                          k_flag.status(), eps_flag.status(),
+                          seed_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
+  if (*scale_flag < 1 || *scale_flag > 24 || *edges_flag < 0 ||
+      *k_flag < 1 || *k_flag > (std::int64_t{1} << *scale_flag) ||
+      !(*eps_flag > 0.0 && *eps_flag < 1.0) || *seed_flag < 0) {
+    std::fprintf(stderr,
+                 "flags out of range: need 1 <= nodes_scale <= 24, "
+                 "edges >= 0, 1 <= k <= 2^nodes_scale, 0 < eps < 1, "
+                 "seed >= 0\n");
+    return 1;
+  }
+  const int scale = static_cast<int>(*scale_flag);
+  const auto edges = static_cast<std::size_t>(*edges_flag);
+  const auto k = static_cast<std::uint64_t>(*k_flag);
+  const double eps = *eps_flag;
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
 
   Rng rng(seed);
   Graph g = RMatGraph(scale, edges, rng);

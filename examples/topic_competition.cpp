@@ -9,6 +9,7 @@
 //
 //   ./topic_competition [--scale=0.015] [--seed=11] [--eval_sims=3000]
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -28,10 +29,26 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  const double scale = flags.GetDouble("scale", 0.015);
-  const std::uint64_t seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
-  const std::size_t eval_sims =
-      static_cast<std::size_t>(flags.GetInt("eval_sims", 3000));
+  const Result<double> scale_flag = flags.GetDoubleStrict("scale", 0.015);
+  const Result<std::int64_t> seed_flag = flags.GetIntStrict("seed", 11);
+  const Result<std::int64_t> sims_flag = flags.GetIntStrict("eval_sims", 3000);
+  for (const Status& s :
+       {scale_flag.status(), seed_flag.status(), sims_flag.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
+  if (!(*scale_flag > 0.0 && *scale_flag <= 1.0) || *seed_flag < 0 ||
+      *sims_flag < 1) {
+    std::fprintf(stderr,
+                 "flags out of range: need 0 < scale <= 1, seed >= 0, "
+                 "eval_sims >= 1\n");
+    return 1;
+  }
+  const double scale = *scale_flag;
+  const auto seed = static_cast<std::uint64_t>(*seed_flag);
+  const auto eval_sims = static_cast<std::size_t>(*sims_flag);
 
   // Build a 2-topic world: generate the graph per the Flixster recipe but
   // with K = 2 and hand-crafted advertisers.

@@ -1,14 +1,11 @@
 #include "common/flags.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
-
-#include "common/threading.h"
 
 namespace tirm {
 namespace {
@@ -68,29 +65,6 @@ std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
   if (auto v = RawValue(key)) return *v;
   return default_value;
-}
-
-double Flags::GetDouble(const std::string& key, double default_value) const {
-  std::string s = GetString(key, "");
-  if (s.empty()) return default_value;
-  char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  return (end == s.c_str()) ? default_value : v;
-}
-
-std::int64_t Flags::GetInt(const std::string& key,
-                           std::int64_t default_value) const {
-  std::string s = GetString(key, "");
-  if (s.empty()) return default_value;
-  char* end = nullptr;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  return (end == s.c_str()) ? default_value : v;
-}
-
-bool Flags::GetBool(const std::string& key, bool default_value) const {
-  std::string s = GetString(key, "");
-  if (s.empty()) return default_value;
-  return s == "1" || s == "true" || s == "yes" || s == "on";
 }
 
 // Raw present-or-absent lookup for the strict getters: command line, then
@@ -163,13 +137,6 @@ Result<bool> Flags::GetBoolStrict(const std::string& key,
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
   return Status::InvalidArgument("flag --" + key +
                                  ": expected a boolean, got \"" + s + "\"");
-}
-
-int Flags::GetThreads(int default_value) const {
-  const std::int64_t v = GetInt("threads", default_value);
-  if (v < 0) return default_value;
-  return ResolveThreadCount(static_cast<int>(
-      std::min<std::int64_t>(v, kMaxSamplingThreads)));
 }
 
 }  // namespace tirm

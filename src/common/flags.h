@@ -48,26 +48,16 @@ class Flags {
   /// then `default_value`.
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
-  double GetDouble(const std::string& key, double default_value) const;
-  std::int64_t GetInt(const std::string& key, std::int64_t default_value) const;
-  bool GetBool(const std::string& key, bool default_value) const;
 
-  /// Strict variants: same lookup order, but a value that is present and
-  /// malformed (`--threads=abc`, `--eps=0.1x`, trailing junk) is an
-  /// InvalidArgument error naming the flag, instead of silently falling
-  /// back to the default. AllocatorConfig::FromFlags parses through these.
+  /// Typed getters, same lookup order. A value that is present and
+  /// malformed (`--threads=abc`, `--eps=0.1x`, trailing junk, `--eps=`) is
+  /// an InvalidArgument error naming the flag, never a silent default.
   [[nodiscard]] Result<double> GetDoubleStrict(const std::string& key,
                                                double default_value) const;
   [[nodiscard]] Result<std::int64_t> GetIntStrict(
       const std::string& key, std::int64_t default_value) const;
   [[nodiscard]] Result<bool> GetBoolStrict(const std::string& key,
                                            bool default_value) const;
-
-  /// Resolves the shared `--threads` flag (env `TIRM_THREADS`): values >= 1
-  /// are clamped to kMaxSamplingThreads, 0 maps to the hardware
-  /// concurrency, and negative / unparsable values fall back to
-  /// `default_value` (see common/threading.h for the shared policy).
-  int GetThreads(int default_value = 1) const;
 
   /// Environment variable name used for `key` ("eval_sims" -> "TIRM_EVAL_SIMS").
   static std::string EnvName(const std::string& key);

@@ -1,9 +1,9 @@
 // Shared thread-count policy for sampling fan-out.
 //
-// Both the --threads flag layer (common/flags.cc) and ParallelRrBuilder
-// resolve requested worker counts through this single helper so the two
-// can never diverge: 0 means "hardware concurrency", and every request is
-// clamped to kMaxSamplingThreads.
+// The --threads flag readers (the benches' BenchConfig::FromFlags), the
+// serving worker pool and ParallelRrBuilder resolve requested worker counts
+// through this single helper so they can never diverge: 0 means "hardware
+// concurrency", and every request is clamped to kMaxSamplingThreads.
 
 #ifndef TIRM_COMMON_THREADING_H_
 #define TIRM_COMMON_THREADING_H_

@@ -2,17 +2,12 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <limits>
 #include <unordered_map>
-#include <vector>
 
 #include "graph/graph_builder.h"
 
 namespace tirm {
 namespace {
-
-constexpr char kBinaryMagic[8] = {'T', 'I', 'R', 'M', 'G', 'R', '0', '1'};
 
 class FileCloser {
  public:
@@ -80,102 +75,6 @@ Status SaveEdgeList(const Graph& graph, const std::string& path) {
     std::fprintf(f, "%u %u\n", graph.edge_source(e), graph.edge_target(e));
   }
   return Status::OK();
-}
-
-// Format limit shared by SaveBinary and LoadBinary: the binary graph
-// stores only edges, so the loader bounds the O(n) CSR allocation by the
-// edge endpoints (plus an allowance for isolated trailing ids) to keep a
-// corrupt header from triggering a multi-GB allocation. The writer
-// enforces the SAME bound, so everything SaveBinary accepts is guaranteed
-// to reload — graphs sparser than this belong in a .tirm bundle
-// (io/bundle_writer.h), whose offset arrays live in the file itself.
-constexpr std::uint64_t kIsolatedNodeAllowance = 1ull << 26;
-
-Status SaveBinary(const Graph& graph, const std::string& path) {
-  if (graph.num_nodes() >
-      2 * static_cast<std::uint64_t>(graph.num_edges()) +
-          kIsolatedNodeAllowance) {
-    return Status::InvalidArgument(
-        "binary graph format: node count far exceeds edge endpoints; "
-        "use a .tirm bundle for graphs this sparse");
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot open " + path + " for write");
-  FileCloser closer(f);
-  std::fwrite(kBinaryMagic, 1, sizeof(kBinaryMagic), f);
-  std::uint64_t n = graph.num_nodes();
-  std::uint64_t m = graph.num_edges();
-  std::fwrite(&n, sizeof(n), 1, f);
-  std::fwrite(&m, sizeof(m), 1, f);
-  std::vector<NodeId> buf(2 * m);
-  for (EdgeId e = 0; e < m; ++e) {
-    buf[2 * e] = graph.edge_source(e);
-    buf[2 * e + 1] = graph.edge_target(e);
-  }
-  if (m > 0 && std::fwrite(buf.data(), sizeof(NodeId), buf.size(), f) != buf.size()) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Result<Graph> LoadBinary(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot open " + path);
-  FileCloser closer(f);
-  char magic[8];
-  if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
-      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return Status::IOError(path + ": not a tirm binary graph");
-  }
-  std::uint64_t n = 0;
-  std::uint64_t m = 0;
-  if (std::fread(&n, sizeof(n), 1, f) != 1 || std::fread(&m, sizeof(m), 1, f) != 1) {
-    return Status::IOError(path + ": truncated header");
-  }
-  // Sanity-check declared counts against the id ranges and the actual
-  // file size BEFORE allocating: a corrupt header must produce a typed
-  // error, not a multi-terabyte allocation attempt or an id-range abort.
-  if (n > std::numeric_limits<NodeId>::max()) {
-    return Status::IOError(path + ": corrupt header (node count exceeds NodeId)");
-  }
-  if (m > std::numeric_limits<EdgeId>::max()) {
-    return Status::IOError(path + ": corrupt header (edge count exceeds EdgeId)");
-  }
-  // The CSR build allocates O(n) offset arrays, so n itself must be
-  // bounded too — by the same limit SaveBinary enforces (see above), so
-  // this can only trip on headers the writer never produced.
-  if (n > 2 * m + kIsolatedNodeAllowance) {
-    return Status::IOError(
-        path + ": corrupt header (node count far exceeds edge endpoints)");
-  }
-  const long data_start = std::ftell(f);
-  if (data_start < 0 || std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError(path + ": cannot determine file size");
-  }
-  const long file_end = std::ftell(f);
-  if (file_end < 0 || std::fseek(f, data_start, SEEK_SET) != 0) {
-    return Status::IOError(path + ": cannot determine file size");
-  }
-  const std::uint64_t available =
-      static_cast<std::uint64_t>(file_end - data_start);
-  if (available != m * 2 * sizeof(NodeId)) {
-    return Status::IOError(path +
-                           ": edge data size mismatches declared edge count");
-  }
-  std::vector<NodeId> buf(2 * m);
-  if (m > 0 && std::fread(buf.data(), sizeof(NodeId), buf.size(), f) != buf.size()) {
-    return Status::IOError(path + ": truncated edge data");
-  }
-  std::vector<std::pair<NodeId, NodeId>> edges(m);
-  for (std::uint64_t e = 0; e < m; ++e) {
-    // Range-check here: Graph::FromEdges CHECK-aborts on bad ids, and a
-    // corrupt file must never crash the loader.
-    if (buf[2 * e] >= n || buf[2 * e + 1] >= n) {
-      return Status::IOError(path + ": edge endpoint out of range");
-    }
-    edges[e] = {buf[2 * e], buf[2 * e + 1]};
-  }
-  return Graph::FromEdges(static_cast<NodeId>(n), std::move(edges));
 }
 
 }  // namespace tirm

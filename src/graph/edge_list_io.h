@@ -1,4 +1,4 @@
-// SNAP-style edge-list text I/O and a compact binary graph format.
+// SNAP-style edge-list text I/O.
 //
 // Text format (as used by snap.stanford.edu dumps):
 //   # comment lines start with '#'
@@ -30,10 +30,6 @@ Result<Graph> LoadEdgeList(const std::string& path,
 
 /// Writes `graph` as "<src> <dst>" lines with a header comment.
 Status SaveEdgeList(const Graph& graph, const std::string& path);
-
-/// Binary round-trip format ("TIRMGR01"): node count + canonical edge arrays.
-Status SaveBinary(const Graph& graph, const std::string& path);
-Result<Graph> LoadBinary(const std::string& path);
 
 }  // namespace tirm
 

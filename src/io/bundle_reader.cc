@@ -417,19 +417,21 @@ Result<BuiltInstance> LoadBundleInstanceOwned(
       Parse(mapped->bytes(), path, options.verify);
   if (!parsed.ok()) return parsed.status();
 
+  // The zero-copy path's graph checks, element ranges included even with
+  // options.verify off: FromEdges below CHECK-aborts on a bad endpoint.
+  const auto& meta = parsed->meta;
+  Result<Graph> checked =
+      Graph::FromParts(static_cast<NodeId>(meta.num_nodes),
+                       parsed->graph_parts, /*validate_elements=*/true);
+  if (!checked.ok()) return Corrupt(path, checked.status().message());
   // Rebuild the graph from the canonical edge arrays — FromEdges on an
   // already-canonical edge list reproduces the exact CSR arrays — and
   // deep-copy every other section into owned storage.
-  const auto& meta = parsed->meta;
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(static_cast<std::size_t>(meta.num_edges));
   for (std::size_t e = 0; e < meta.num_edges; ++e) {
-    const NodeId src = parsed->graph_parts.edge_source[e];
-    const NodeId dst = parsed->graph_parts.edge_target[e];
-    if (src >= meta.num_nodes || dst >= meta.num_nodes) {
-      return Corrupt(path, "edge endpoint out of range");
-    }
-    edges.emplace_back(src, dst);
+    edges.emplace_back(parsed->graph_parts.edge_source[e],
+                       parsed->graph_parts.edge_target[e]);
   }
 
   BuiltInstance built;

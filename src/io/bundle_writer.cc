@@ -84,10 +84,16 @@ Status ValidateShapes(const Graph& graph, const EdgeProbabilities& edge_probs,
 
 }  // namespace
 
-Status WriteBundle(const Graph& graph, const EdgeProbabilities& edge_probs,
-                   const ClickProbabilities& ctps,
-                   const std::vector<Advertiser>& advertisers,
-                   const std::string& name, const std::string& path) {
+Status WriteBundle(const BuiltInstance& built, const std::string& path) {
+  if (built.graph == nullptr || built.edge_probs == nullptr ||
+      built.ctps == nullptr) {
+    return Status::InvalidArgument("bundle: incomplete BuiltInstance");
+  }
+  const Graph& graph = *built.graph;
+  const EdgeProbabilities& edge_probs = *built.edge_probs;
+  const ClickProbabilities& ctps = *built.ctps;
+  const std::vector<Advertiser>& advertisers = built.advertisers;
+  const std::string& name = built.name;
   TIRM_RETURN_NOT_OK(ValidateShapes(graph, edge_probs, ctps, advertisers));
   if (name.size() > bundle::kMaxNameLen) {
     return Status::InvalidArgument("bundle: dataset name too long");
@@ -227,15 +233,6 @@ Status WriteBundle(const Graph& graph, const EdgeProbabilities& edge_probs,
     return Status::IOError("cannot rename " + tmp_path + " to " + path);
   }
   return Status::OK();
-}
-
-Status WriteBundle(const BuiltInstance& built, const std::string& path) {
-  if (built.graph == nullptr || built.edge_probs == nullptr ||
-      built.ctps == nullptr) {
-    return Status::InvalidArgument("bundle: incomplete BuiltInstance");
-  }
-  return WriteBundle(*built.graph, *built.edge_probs, *built.ctps,
-                     built.advertisers, built.name, path);
 }
 
 }  // namespace tirm

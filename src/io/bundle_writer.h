@@ -10,29 +10,16 @@
 #define TIRM_IO_BUNDLE_WRITER_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "graph/graph.h"
-#include "topic/ctp_model.h"
-#include "topic/edge_probabilities.h"
-#include "topic/instance.h"
 
 namespace tirm {
 
 struct BuiltInstance;  // datasets/dataset.h
 
-/// Writes one bundle. `name` is stored in the meta section and becomes
-/// BuiltInstance::name on load. Validates component shape consistency
-/// before touching the filesystem.
-[[nodiscard]] Status WriteBundle(const Graph& graph,
-                                 const EdgeProbabilities& edge_probs,
-                                 const ClickProbabilities& ctps,
-                                 const std::vector<Advertiser>& advertisers,
-                                 const std::string& name,
-                                 const std::string& path);
-
-/// Convenience: writes `built` (its name included) to `path`.
+/// Writes `built` to `path` as one bundle. `built.name` is stored in the
+/// meta section and becomes BuiltInstance::name on load. Validates
+/// component shape consistency before touching the filesystem.
 [[nodiscard]] Status WriteBundle(const BuiltInstance& built,
                                  const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "rrset/rr_collection.h"
 
 #include <algorithm>
+#include <span>
 
 namespace tirm {
 

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -75,12 +74,6 @@ class RrCollection {
   /// `first_set` containing v, as bits of their covered words, in
   /// ascending word order, zero words skipped.
   CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const;
-
-  /// Members of attached set `id` (borrowed from the pool).
-  std::span<const NodeId> SetMembers(std::uint32_t id) const {
-    TIRM_DCHECK(id < attached_);
-    return pool_->SetMembers(id);
-  }
 
   bool IsCovered(std::uint32_t id) const {
     TIRM_DCHECK(id < attached_);

@@ -1,11 +1,14 @@
 // Strict-JSON field helpers shared by the two NDJSON codecs of serve/
 // (protocol.cc for client requests, shard_protocol.cc for the shard-worker
-// plane). Internal to serve/: both codecs reject unknown keys and prefix a
-// malformed value's error with its field name, in the same words.
+// plane). Internal to serve/: both codecs reject unknown keys, read and
+// range-check integer fields through one reader, and prefix a malformed
+// value's error with its field name, in the same words.
 
 #ifndef TIRM_SERVE_JSON_FIELDS_H_
 #define TIRM_SERVE_JSON_FIELDS_H_
 
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -35,6 +38,25 @@ inline Status CheckKnownKeys(const JsonValue& object,
     }
   }
   return Status::OK();
+}
+
+/// Integer field `key` of `object`, range-checked to [lo, hi]. An absent
+/// key yields `absent` when one is given, else a "missing field" error.
+inline Result<std::int64_t> IntField(
+    const JsonValue& object, const std::string& key, std::int64_t lo,
+    std::int64_t hi, std::optional<std::int64_t> absent = std::nullopt) {
+  const JsonValue* v = object.Find(key);
+  if (v == nullptr) {
+    if (absent.has_value()) return *absent;
+    return Status::InvalidArgument("missing field \"" + key + "\"");
+  }
+  Result<std::int64_t> i = v->AsInt();
+  if (!i.ok()) return FieldError(key, i.status());
+  if (*i < lo || *i > hi) {
+    return Status::InvalidArgument("field \"" + key +
+                                   "\" out of range: " + std::to_string(*i));
+  }
+  return i;
 }
 
 }  // namespace serve

@@ -1,7 +1,10 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -116,15 +119,6 @@ Result<double> MemberDouble(const JsonValue& obj, const std::string& key,
   Result<double> d = v->AsDouble();
   if (!d.ok()) return FieldError(key, d.status());
   return d;
-}
-
-Result<std::int64_t> MemberInt(const JsonValue& obj, const std::string& key,
-                               std::int64_t def) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return def;
-  Result<std::int64_t> i = v->AsInt();
-  if (!i.ok()) return FieldError(key, i.status());
-  return i;
 }
 
 Result<std::string> MemberString(const JsonValue& obj, const std::string& key,
@@ -350,6 +344,11 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
     return Status::InvalidArgument("response must be a JSON object");
   }
 
+  // Counts FormatResponse writes from unsigned fields; absent reads as 0.
+  const auto read_count = [](const JsonValue& obj, const std::string& key) {
+    return IntField(obj, key, 0, std::numeric_limits<std::int64_t>::max(), 0);
+  };
+
   AllocationResponse response;
   Result<std::string> id = MemberString(root, "id", "");
   if (!id.ok()) return id.status();
@@ -359,7 +358,8 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
   if (ok == nullptr || !ok->is_bool()) {
     return Status::InvalidArgument("response missing boolean \"ok\"");
   }
-  Result<std::int64_t> worker = MemberInt(root, "worker", -1);
+  Result<std::int64_t> worker =
+      IntField(root, "worker", -1, std::numeric_limits<int>::max(), -1);
   if (!worker.ok()) return worker.status();
   response.worker = static_cast<int>(*worker);
   Result<double> queue_ms = MemberDouble(root, "queue_ms", 0.0);
@@ -397,13 +397,13 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
     Result<double> seconds = MemberDouble(*result, "seconds", 0.0);
     if (!seconds.ok()) return seconds.status();
     response.run.result.seconds = *seconds;
-    Result<std::int64_t> iterations = MemberInt(*result, "iterations", 0);
+    Result<std::int64_t> iterations = read_count(*result, "iterations");
     if (!iterations.ok()) return iterations.status();
     response.run.result.iterations = static_cast<std::size_t>(*iterations);
-    Result<std::int64_t> rr = MemberInt(*result, "total_rr_sets", 0);
+    Result<std::int64_t> rr = read_count(*result, "total_rr_sets");
     if (!rr.ok()) return rr.status();
     response.run.result.total_rr_sets = static_cast<std::uint64_t>(*rr);
-    Result<std::int64_t> bytes = MemberInt(*result, "rr_memory_bytes", 0);
+    Result<std::int64_t> bytes = read_count(*result, "rr_memory_bytes");
     if (!bytes.ok()) return bytes.status();
     response.run.result.rr_memory_bytes = static_cast<std::size_t>(*bytes);
   }
@@ -455,10 +455,10 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
     v = MemberDouble(*report, "total_budget", 0.0);
     if (!v.ok()) return v.status();
     r.total_budget = *v;
-    Result<std::int64_t> n = MemberInt(*report, "total_seeds", 0);
+    Result<std::int64_t> n = read_count(*report, "total_seeds");
     if (!n.ok()) return n.status();
     r.total_seeds = static_cast<std::size_t>(*n);
-    n = MemberInt(*report, "distinct_targeted", 0);
+    n = read_count(*report, "distinct_targeted");
     if (!n.ok()) return n.status();
     r.distinct_targeted = static_cast<std::size_t>(*n);
   }
@@ -477,7 +477,7 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
       Result<std::string> name = MemberString(entry, "name", "");
       if (!name.ok()) return name.status();
       stage.name = *name;
-      Result<std::int64_t> count = MemberInt(entry, "count", 0);
+      Result<std::int64_t> count = read_count(entry, "count");
       if (!count.ok()) return count.status();
       stage.count = static_cast<std::uint64_t>(*count);
       Result<double> total_ms = MemberDouble(entry, "total_ms", 0.0);
@@ -492,28 +492,28 @@ Result<AllocationResponse> ParseResponse(std::string_view line) {
       return Status::InvalidArgument("\"cache\" must be an object");
     }
     SampleCacheStats& c = response.run.result.cache;
-    Result<std::int64_t> n = MemberInt(*cache, "reused_sets", 0);
+    Result<std::int64_t> n = read_count(*cache, "reused_sets");
     if (!n.ok()) return n.status();
     c.reused_sets = static_cast<std::uint64_t>(*n);
-    n = MemberInt(*cache, "sampled_sets", 0);
+    n = read_count(*cache, "sampled_sets");
     if (!n.ok()) return n.status();
     c.sampled_sets = static_cast<std::uint64_t>(*n);
-    n = MemberInt(*cache, "top_ups", 0);
+    n = read_count(*cache, "top_ups");
     if (!n.ok()) return n.status();
     c.top_ups = static_cast<std::uint64_t>(*n);
-    n = MemberInt(*cache, "kpt_cache_hits", 0);
+    n = read_count(*cache, "kpt_cache_hits");
     if (!n.ok()) return n.status();
     c.kpt_cache_hits = static_cast<std::uint64_t>(*n);
-    n = MemberInt(*cache, "kpt_estimations", 0);
+    n = read_count(*cache, "kpt_estimations");
     if (!n.ok()) return n.status();
     c.kpt_estimations = static_cast<std::uint64_t>(*n);
-    n = MemberInt(*cache, "arena_bytes", 0);
+    n = read_count(*cache, "arena_bytes");
     if (!n.ok()) return n.status();
     c.arena_bytes = static_cast<std::size_t>(*n);
-    n = MemberInt(*cache, "view_bytes", 0);
+    n = read_count(*cache, "view_bytes");
     if (!n.ok()) return n.status();
     c.view_bytes = static_cast<std::size_t>(*n);
-    n = MemberInt(*cache, "max_traversal", 0);
+    n = read_count(*cache, "max_traversal");
     if (!n.ok()) return n.status();
     c.max_traversal = static_cast<std::uint64_t>(*n);
     const JsonValue* shared = cache->Find("shared_store");

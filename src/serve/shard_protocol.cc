@@ -11,22 +11,6 @@ namespace tirm {
 namespace serve {
 namespace {
 
-Result<std::int64_t> RequireInt(const JsonValue& root, const char* key,
-                                std::int64_t lo, std::int64_t hi) {
-  const JsonValue* v = root.Find(key);
-  if (v == nullptr) {
-    return Status::InvalidArgument(std::string("missing field \"") + key +
-                                   "\"");
-  }
-  Result<std::int64_t> i = v->AsInt();
-  if (!i.ok()) return FieldError(key, i.status());
-  if (*i < lo || *i > hi) {
-    return Status::InvalidArgument(std::string("field \"") + key +
-                                   "\" out of range: " + std::to_string(*i));
-  }
-  return i;
-}
-
 Result<std::uint64_t> RequireHexU64(const JsonValue& root, const char* key) {
   const JsonValue* v = root.Find(key);
   if (v == nullptr) {
@@ -257,14 +241,14 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
 
   const auto require_ad = [&root, &request]() -> Status {
     Result<std::int64_t> ad =
-        RequireInt(root, "ad", 0, std::numeric_limits<AdId>::max());
+        IntField(root, "ad", 0, std::numeric_limits<AdId>::max());
     if (!ad.ok()) return ad.status();
     request.ad = static_cast<AdId>(*ad);
     return Status::OK();
   };
   const auto require_node = [&root, &request]() -> Status {
     Result<std::int64_t> node =
-        RequireInt(root, "node", 0, std::numeric_limits<NodeId>::max());
+        IntField(root, "node", 0, std::numeric_limits<NodeId>::max());
     if (!node.ok()) return node.status();
     request.node = static_cast<NodeId>(*node);
     return Status::OK();
@@ -275,13 +259,13 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
         "op",      "num_ads",         "store_seed",  "chunk_sets",
         "kpt_ell", "kpt_max_samples", "shard_index", "num_shards"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
-    Result<std::int64_t> num_ads = RequireInt(root, "num_ads", 0, 1 << 20);
+    Result<std::int64_t> num_ads = IntField(root, "num_ads", 0, 1 << 20);
     if (!num_ads.ok()) return num_ads.status();
     request.run.num_ads = static_cast<int>(*num_ads);
     Result<std::uint64_t> seed = RequireHexU64(root, "store_seed");
     if (!seed.ok()) return seed.status();
     request.run.store_seed = *seed;
-    Result<std::int64_t> chunk = RequireInt(root, "chunk_sets", 1, kMaxCount);
+    Result<std::int64_t> chunk = IntField(root, "chunk_sets", 1, kMaxCount);
     if (!chunk.ok()) return chunk.status();
     request.run.chunk_sets = static_cast<std::uint64_t>(*chunk);
     const JsonValue* ell = root.Find("kpt_ell");
@@ -292,13 +276,13 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     if (!ell_value.ok()) return FieldError("kpt_ell", ell_value.status());
     request.run.kpt_ell = *ell_value;
     Result<std::int64_t> kpt_max =
-        RequireInt(root, "kpt_max_samples", 1, kMaxCount);
+        IntField(root, "kpt_max_samples", 1, kMaxCount);
     if (!kpt_max.ok()) return kpt_max.status();
     request.run.kpt_max_samples = static_cast<std::uint64_t>(*kpt_max);
-    Result<std::int64_t> shard = RequireInt(root, "shard_index", 0, 63);
+    Result<std::int64_t> shard = IntField(root, "shard_index", 0, 63);
     if (!shard.ok()) return shard.status();
     request.shard_index = static_cast<int>(*shard);
-    Result<std::int64_t> shards = RequireInt(root, "num_shards", 1, 64);
+    Result<std::int64_t> shards = IntField(root, "num_shards", 1, 64);
     if (!shards.ok()) return shards.status();
     request.num_shards = static_cast<int>(*shards);
     if (request.shard_index >= request.num_shards) {
@@ -311,10 +295,10 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
                                                 "attached"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
-    Result<std::int64_t> min_sets = RequireInt(root, "min_sets", 0, kMaxCount);
+    Result<std::int64_t> min_sets = IntField(root, "min_sets", 0, kMaxCount);
     if (!min_sets.ok()) return min_sets.status();
     request.min_sets = static_cast<std::uint64_t>(*min_sets);
-    Result<std::int64_t> attached = RequireInt(root, "attached", 0, kMaxCount);
+    Result<std::int64_t> attached = IntField(root, "attached", 0, kMaxCount);
     if (!attached.ok()) return attached.status();
     request.attached = static_cast<std::uint64_t>(*attached);
     return request;
@@ -323,7 +307,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     static const std::set<std::string> kKeys = {"op", "ad", "s"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
-    Result<std::int64_t> s = RequireInt(root, "s", 1, kMaxCount);
+    Result<std::int64_t> s = IntField(root, "s", 1, kMaxCount);
     if (!s.ok()) return s.status();
     request.s = static_cast<std::uint64_t>(*s);
     return request;
@@ -332,7 +316,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     static const std::set<std::string> kKeys = {"op", "ad", "count"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
-    Result<std::int64_t> count = RequireInt(root, "count", 0, kMaxCount);
+    Result<std::int64_t> count = IntField(root, "count", 0, kMaxCount);
     if (!count.ok()) return count.status();
     request.count = static_cast<std::uint64_t>(*count);
     return request;
@@ -341,7 +325,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     static const std::set<std::string> kKeys = {"op", "ad", "top_l"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
-    Result<std::int64_t> top_l = RequireInt(root, "top_l", 0, 0xFFFFFFFFll);
+    Result<std::int64_t> top_l = IntField(root, "top_l", 0, 0xFFFFFFFFll);
     if (!top_l.ok()) return top_l.status();
     request.top_l = static_cast<std::uint32_t>(*top_l);
     return request;
@@ -384,7 +368,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
     TIRM_RETURN_NOT_OK(require_node());
-    Result<std::int64_t> first = RequireInt(root, "first_set", 0, kMaxCount);
+    Result<std::int64_t> first = IntField(root, "first_set", 0, kMaxCount);
     if (!first.ok()) return first.status();
     request.first_set = static_cast<std::uint64_t>(*first);
     return request;
@@ -545,7 +529,7 @@ Result<RrSampleStore::EnsureResult> ParseEnsureResponse(
                 {"reused", &ensured.reused},
                 {"max_traversal", &ensured.max_traversal}};
   for (const auto& field : fields) {
-    Result<std::int64_t> v = RequireInt(*root, field.key, 0, kMaxCount);
+    Result<std::int64_t> v = IntField(*root, field.key, 0, kMaxCount);
     if (!v.ok()) return v.status();
     *field.out = static_cast<std::uint64_t>(*v);
   }
@@ -575,7 +559,7 @@ Result<ShardGainSummary> ParseSummaryResponse(std::string_view line) {
   Result<JsonValue> root = ParseEnvelope(line);
   if (!root.ok()) return root.status();
   ShardGainSummary summary;
-  Result<std::int64_t> shard = RequireInt(*root, "shard", 0, 63);
+  Result<std::int64_t> shard = IntField(*root, "shard", 0, 63);
   if (!shard.ok()) return shard.status();
   summary.shard = static_cast<int>(*shard);
   const JsonValue* top = root->Find("top");
@@ -600,15 +584,14 @@ Result<ShardGainSummary> ParseSummaryResponse(std::string_view line) {
         {static_cast<NodeId>(*node), static_cast<std::uint32_t>(*coverage)});
   }
   Result<std::int64_t> bound =
-      RequireInt(*root, "unlisted_bound", 0, 0xFFFFFFFFll);
+      IntField(*root, "unlisted_bound", 0, 0xFFFFFFFFll);
   if (!bound.ok()) return bound.status();
   summary.unlisted_bound = static_cast<std::uint32_t>(*bound);
-  Result<std::int64_t> covered = RequireInt(*root, "covered_sets", 0,
-                                            kMaxCount);
+  Result<std::int64_t> covered = IntField(*root, "covered_sets", 0, kMaxCount);
   if (!covered.ok()) return covered.status();
   summary.covered_sets = static_cast<std::uint64_t>(*covered);
-  Result<std::int64_t> attached = RequireInt(*root, "attached_sets", 0,
-                                             kMaxCount);
+  Result<std::int64_t> attached =
+      IntField(*root, "attached_sets", 0, kMaxCount);
   if (!attached.ok()) return attached.status();
   summary.attached_sets = static_cast<std::uint64_t>(*attached);
   return summary;
@@ -638,8 +621,7 @@ Result<CoveredWordDelta> ParseDeltaResponse(std::string_view line) {
   Result<JsonValue> root = ParseEnvelope(line);
   if (!root.ok()) return root.status();
   CoveredWordDelta delta;
-  Result<std::int64_t> newly = RequireInt(*root, "newly_covered", 0,
-                                          kMaxCount);
+  Result<std::int64_t> newly = IntField(*root, "newly_covered", 0, kMaxCount);
   if (!newly.ok()) return newly.status();
   delta.newly_covered = static_cast<std::uint64_t>(*newly);
   const JsonValue* words = root->Find("words");
@@ -669,8 +651,7 @@ Result<CoveredWordDelta> ParseDeltaResponse(std::string_view line) {
 Result<std::uint64_t> ParseCoveredResponse(std::string_view line) {
   Result<JsonValue> root = ParseEnvelope(line);
   if (!root.ok()) return root.status();
-  Result<std::int64_t> covered = RequireInt(*root, "covered_sets", 0,
-                                            kMaxCount);
+  Result<std::int64_t> covered = IntField(*root, "covered_sets", 0, kMaxCount);
   if (!covered.ok()) return covered.status();
   return static_cast<std::uint64_t>(*covered);
 }
@@ -679,10 +660,10 @@ Result<ShardMemoryStats> ParseMemoryResponse(std::string_view line) {
   Result<JsonValue> root = ParseEnvelope(line);
   if (!root.ok()) return root.status();
   ShardMemoryStats stats;
-  Result<std::int64_t> arena = RequireInt(*root, "arena_bytes", 0, kMaxCount);
+  Result<std::int64_t> arena = IntField(*root, "arena_bytes", 0, kMaxCount);
   if (!arena.ok()) return arena.status();
   stats.arena_bytes = static_cast<std::size_t>(*arena);
-  Result<std::int64_t> view = RequireInt(*root, "view_bytes", 0, kMaxCount);
+  Result<std::int64_t> view = IntField(*root, "view_bytes", 0, kMaxCount);
   if (!view.ok()) return view.status();
   stats.view_bytes = static_cast<std::size_t>(*view);
   return stats;

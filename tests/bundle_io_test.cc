@@ -2,8 +2,7 @@
 // write/load round-trips, zero-copy vs owned equivalence, bit-identical
 // allocations from bundle-loaded instances, pooled-store sampling on a
 // mapped instance (including concurrent top-up, for the TSan job), and
-// table-driven corruption handling for both the bundle reader and the
-// legacy binary-graph loader.
+// table-driven corruption handling for both bundle loaders.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +14,13 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/allocator_config.h"
 #include "api/allocator_registry.h"
 #include "common/rng.h"
 #include "datasets/dataset.h"
-#include "graph/edge_list_io.h"
 #include "io/bundle_format.h"
 #include "io/bundle_reader.h"
 #include "io/bundle_writer.h"
@@ -363,37 +362,50 @@ class BundleCorruptionTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(base_path_.c_str()); }
 
+  using Loader = Result<BuiltInstance> (*)(const std::string&,
+                                           const BundleLoadOptions&);
+
   /// Applies `mutate` to a copy of the valid bundle, writes it out, and
-  /// returns the loader's status.
+  /// returns `load`'s status.
   Status LoadMutated(const std::function<void(std::vector<char>&)>& mutate,
-                     bool verify = true) {
+                     bool verify = true, Loader load = LoadBundleInstance) {
     std::vector<char> bytes = base_bytes_;
     mutate(bytes);
     const std::string path = TempPath("corrupt_case.tirm");
     WriteFileBytes(path, bytes);
-    Result<BuiltInstance> loaded =
-        LoadBundleInstance(path, {.verify = verify});
+    Result<BuiltInstance> loaded = load(path, {.verify = verify});
     std::remove(path.c_str());
     return loaded.ok() ? Status::OK() : loaded.status();
+  }
+
+  /// Byte position of section `id`'s entry in the section table.
+  static std::size_t EntryPos(const std::vector<char>& bytes,
+                              bundle::SectionId id) {
+    bundle::Header header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    for (std::uint32_t i = 0; i < header.section_count; ++i) {
+      const std::size_t pos = sizeof(header) + i * sizeof(bundle::SectionEntry);
+      bundle::SectionEntry entry;
+      std::memcpy(&entry, bytes.data() + pos, sizeof(entry));
+      if (entry.id == static_cast<std::uint32_t>(id)) return pos;
+    }
+    ADD_FAILURE() << "section " << bundle::SectionName(id) << " not found";
+    return sizeof(header);
+  }
+
+  static bundle::SectionEntry Entry(const std::vector<char>& bytes,
+                                    bundle::SectionId id) {
+    bundle::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + EntryPos(bytes, id), sizeof(entry));
+    return entry;
   }
 
   /// Flips a byte inside section `id`'s payload (not in alignment
   /// padding, which is rightly not checksummed).
   static void FlipPayloadByte(std::vector<char>& bytes, bundle::SectionId id) {
-    bundle::Header header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
-    for (std::uint32_t i = 0; i < header.section_count; ++i) {
-      bundle::SectionEntry entry;
-      std::memcpy(&entry,
-                  bytes.data() + sizeof(header) + i * sizeof(entry),
-                  sizeof(entry));
-      if (entry.id == static_cast<std::uint32_t>(id)) {
-        ASSERT_GT(entry.size, 0u);
-        bytes[static_cast<std::size_t>(entry.offset)] ^= 0x40;
-        return;
-      }
-    }
-    FAIL() << "section not found";
+    const bundle::SectionEntry entry = Entry(bytes, id);
+    ASSERT_GT(entry.size, 0u);
+    bytes[static_cast<std::size_t>(entry.offset)] ^= 0x40;
   }
 
   /// Recomputes the header's table checksum after a deliberate table
@@ -406,6 +418,44 @@ class BundleCorruptionTest : public ::testing::Test {
     header.table_checksum =
         bundle::Checksum(bytes.data() + sizeof(header), table_bytes);
     std::memcpy(bytes.data(), &header, sizeof(header));
+  }
+
+  /// Recomputes section `id`'s payload checksum (and then the table's)
+  /// after a deliberate payload mutation, so the element check under test
+  /// (not the checksum) trips.
+  static void FixSectionChecksum(std::vector<char>& bytes,
+                                 bundle::SectionId id) {
+    const std::size_t pos = EntryPos(bytes, id);
+    bundle::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + pos, sizeof(entry));
+    entry.checksum = bundle::Checksum(
+        bytes.data() + entry.offset, static_cast<std::size_t>(entry.size));
+    std::memcpy(bytes.data() + pos, &entry, sizeof(entry));
+    FixTableChecksum(bytes);
+  }
+
+  /// Element `index` of section `id`, read as a T.
+  template <typename T>
+  static T ReadElement(const std::vector<char>& bytes, bundle::SectionId id,
+                       std::size_t index) {
+    const bundle::SectionEntry entry = Entry(bytes, id);
+    EXPECT_LE((index + 1) * sizeof(T), entry.size);
+    T value;
+    std::memcpy(&value, bytes.data() + entry.offset + index * sizeof(T),
+                sizeof(T));
+    return value;
+  }
+
+  /// Overwrites element `index` of section `id` with `value` and
+  /// re-stamps the checksums.
+  template <typename T>
+  static void WriteElement(std::vector<char>& bytes, bundle::SectionId id,
+                           std::size_t index, T value) {
+    const bundle::SectionEntry entry = Entry(bytes, id);
+    ASSERT_LE((index + 1) * sizeof(T), entry.size);
+    std::memcpy(bytes.data() + entry.offset + index * sizeof(T), &value,
+                sizeof(T));
+    FixSectionChecksum(bytes, id);
   }
 
   std::string base_path_;
@@ -490,6 +540,71 @@ TEST_F(BundleCorruptionTest, TableDrivenCorruptionsAreTypedErrors) {
   }
 }
 
+TEST_F(BundleCorruptionTest, ElementChecksCatchValuesUnderValidChecksums) {
+  // Each case rewrites one element and re-stamps the checksums, so only
+  // verify's element checks stand between the value and the instance.
+  using bundle::SectionId;
+  constexpr NodeId kBadNode = 1u << 30;  // Figure 1 has 6 nodes
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<char>&)> mutate;
+    const char* expect_substring;
+  };
+  const Case cases[] = {
+      {"edge_targets id >= n",
+       [](std::vector<char>& b) {
+         WriteElement(b, SectionId::kEdgeTargets, 0, kBadNode);
+       },
+       "edge target id out of range"},
+      {"out_targets id >= n",
+       [](std::vector<char>& b) {
+         WriteElement(b, SectionId::kOutTargets, 0, kBadNode);
+       },
+       "out target id out of range"},
+      {"in_sources id >= n",
+       [](std::vector<char>& b) {
+         WriteElement(b, SectionId::kInSources, 0, kBadNode);
+       },
+       "in source id out of range"},
+      {"edge probability 7.0",
+       [](std::vector<char>& b) {
+         WriteElement(b, SectionId::kEdgeProbs, 0, 7.0f);
+       },
+       "edge probability value outside [0, 1]"},
+      {"CTP 1.5",
+       [](std::vector<char>& b) { WriteElement(b, SectionId::kCtps, 0, 1.5f); },
+       "CTP value outside [0, 1]"},
+      {"negative CPE",
+       [](std::vector<char>& b) {
+         auto rec = ReadElement<bundle::AdRecord>(b, SectionId::kAdRecords, 0);
+         rec.cpe = -1.0;
+         WriteElement(b, SectionId::kAdRecords, 0, rec);
+       },
+       "corrupt advertiser CPE"},
+      {"gamma slice past gamma_mass",
+       [](std::vector<char>& b) {
+         auto rec = ReadElement<bundle::AdRecord>(b, SectionId::kAdRecords, 0);
+         rec.gamma_offset = Entry(b, SectionId::kGammaMass).size /
+                            sizeof(double);
+         WriteElement(b, SectionId::kAdRecords, 0, rec);
+       },
+       "advertiser gamma slice out of range"},
+  };
+  const std::pair<const char*, Loader> loaders[] = {
+      {"mapped", LoadBundleInstance},
+      {"owned", LoadBundleInstanceOwned}};
+  for (const Case& c : cases) {
+    for (const auto& [loader_name, load] : loaders) {
+      const Status status = LoadMutated(c.mutate, /*verify=*/true, load);
+      EXPECT_EQ(status.code(), StatusCode::kIOError)
+          << c.name << " (" << loader_name << "): " << status.ToString();
+      EXPECT_NE(status.message().find(c.expect_substring), std::string::npos)
+          << c.name << " (" << loader_name << "): got \""
+          << status.message() << "\"";
+    }
+  }
+}
+
 TEST_F(BundleCorruptionTest, StructuralCorruptionCaughtEvenWithoutVerify) {
   // verify=false skips checksums and element scans, but structure —
   // magic, sizes, section bounds, meta counts — is always validated.
@@ -499,6 +614,14 @@ TEST_F(BundleCorruptionTest, StructuralCorruptionCaughtEvenWithoutVerify) {
   const Status magic =
       LoadMutated([](std::vector<char>& b) { b[3] = '?'; }, false);
   EXPECT_FALSE(magic.ok());
+  // The owned loader rebuilds the CSR with FromEdges, which aborts on an
+  // out-of-range endpoint, so it range-checks the graph even unverified.
+  const Status endpoint = LoadMutated(
+      [](std::vector<char>& b) {
+        WriteElement(b, bundle::SectionId::kEdgeTargets, 0, NodeId{1u << 30});
+      },
+      false, LoadBundleInstanceOwned);
+  EXPECT_EQ(endpoint.code(), StatusCode::kIOError) << endpoint.ToString();
 }
 
 TEST_F(BundleCorruptionTest, MissingFileIsATypedError) {
@@ -521,97 +644,6 @@ TEST_F(BundleCorruptionTest, InfoReportsCorruptSectionWithoutFailing) {
   }
   EXPECT_TRUE(saw_corrupt);
   std::remove(path.c_str());
-}
-
-// ----------------------------------- legacy binary graph loader hardening
-
-class BinaryGraphCorruptionTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-    base_path_ = TempPath("graph_base.bin");
-    ASSERT_TRUE(SaveBinary(g, base_path_).ok());
-    base_bytes_ = ReadFileBytes(base_path_);
-  }
-  void TearDown() override { std::remove(base_path_.c_str()); }
-
-  Status LoadMutated(const std::function<void(std::vector<char>&)>& mutate) {
-    std::vector<char> bytes = base_bytes_;
-    mutate(bytes);
-    const std::string path = TempPath("graph_case.bin");
-    WriteFileBytes(path, bytes);
-    Result<Graph> loaded = LoadBinary(path);
-    std::remove(path.c_str());
-    return loaded.ok() ? Status::OK() : loaded.status();
-  }
-
-  std::string base_path_;
-  std::vector<char> base_bytes_;
-};
-
-TEST_F(BinaryGraphCorruptionTest, RoundTripStillWorks) {
-  Result<Graph> loaded = LoadBinary(base_path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_nodes(), 4u);
-  EXPECT_EQ(loaded->num_edges(), 4u);
-}
-
-
-TEST_F(BinaryGraphCorruptionTest, TableDrivenCorruptionsAreTypedErrors) {
-  struct Case {
-    const char* name;
-    std::function<void(std::vector<char>&)> mutate;
-    const char* expect_substring;
-  };
-  const Case cases[] = {
-      {"wrong magic", [](std::vector<char>& b) { b[0] = 'Z'; },
-       "not a tirm binary graph"},
-      {"truncated header",
-       [](std::vector<char>& b) { b.resize(12); }, "truncated header"},
-      // min(): see the "truncated body" case above.
-      {"truncated edges",
-       [](std::vector<char>& b) {
-         b.resize(b.size() - std::min<std::size_t>(b.size(), 4));
-       },
-       "size mismatches"},
-      {"trailing garbage",
-       [](std::vector<char>& b) { b.push_back('x'); }, "size mismatches"},
-      {"huge edge count",
-       [](std::vector<char>& b) {
-         // m lives at offset 16 (after magic + n); declare 2^30 edges so a
-         // naive loader would try a multi-GB allocation.
-         const std::uint64_t m = 1ull << 30;
-         std::memcpy(b.data() + 16, &m, sizeof(m));
-       },
-       "size mismatches"},
-      {"edge count exceeding EdgeId",
-       [](std::vector<char>& b) {
-         const std::uint64_t m = 1ull << 40;
-         std::memcpy(b.data() + 16, &m, sizeof(m));
-       },
-       "exceeds EdgeId"},
-      {"huge node count",
-       [](std::vector<char>& b) {
-         // n lives at offset 8; NodeId-max nodes would make the CSR build
-         // attempt ~68 GB of offset arrays.
-         const std::uint64_t n = 0xFFFFFFFFull;
-         std::memcpy(b.data() + 8, &n, sizeof(n));
-       },
-       "far exceeds edge endpoints"},
-      {"endpoint out of range",
-       [](std::vector<char>& b) {
-         const std::uint32_t bad = 1000;
-         std::memcpy(b.data() + 24, &bad, sizeof(bad));  // first edge src
-       },
-       "out of range"},
-  };
-  for (const Case& c : cases) {
-    const Status status = LoadMutated(c.mutate);
-    EXPECT_FALSE(status.ok()) << c.name;
-    EXPECT_EQ(status.code(), StatusCode::kIOError) << c.name;
-    EXPECT_NE(status.message().find(c.expect_substring), std::string::npos)
-        << c.name << ": got \"" << status.message() << "\"";
-  }
 }
 
 }  // namespace

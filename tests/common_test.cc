@@ -270,16 +270,27 @@ TEST(FlagsTest, ParsesKeyValue) {
   const char* argv[] = {"prog", "--scale=0.5", "--name=abc", "--verbose"};
   Flags flags;
   ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)).ok());
-  EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 1.0), 0.5);
+  Result<double> scale = flags.GetDoubleStrict("scale", 1.0);
+  ASSERT_TRUE(scale.ok());
+  EXPECT_DOUBLE_EQ(*scale, 0.5);
   EXPECT_EQ(flags.GetString("name", ""), "abc");
-  EXPECT_TRUE(flags.GetBool("verbose", false));
+  Result<bool> verbose = flags.GetBoolStrict("verbose", false);
+  ASSERT_TRUE(verbose.ok());
+  EXPECT_TRUE(*verbose);
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
   Flags flags;
-  EXPECT_EQ(flags.GetInt("missing", 17), 17);
-  EXPECT_DOUBLE_EQ(flags.GetDouble("missing", 2.5), 2.5);
-  EXPECT_FALSE(flags.GetBool("missing", false));
+  Result<std::int64_t> n = flags.GetIntStrict("missing", 17);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 17);
+  Result<double> x = flags.GetDoubleStrict("missing", 2.5);
+  ASSERT_TRUE(x.ok());
+  EXPECT_DOUBLE_EQ(*x, 2.5);
+  Result<bool> b = flags.GetBoolStrict("missing", false);
+  ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(*b);
+  EXPECT_EQ(flags.GetString("missing", "dflt"), "dflt");
 }
 
 TEST(FlagsTest, RejectsMalformed) {
@@ -291,8 +302,10 @@ TEST(FlagsTest, RejectsMalformed) {
 TEST(FlagsTest, EnvFallback) {
   ::setenv("TIRM_TEST_FALLBACK_KNOB", "99", 1);
   Flags flags;
-  EXPECT_EQ(flags.GetInt("test_fallback_knob", 1), 99);
+  Result<std::int64_t> knob = flags.GetIntStrict("test_fallback_knob", 1);
   ::unsetenv("TIRM_TEST_FALLBACK_KNOB");
+  ASSERT_TRUE(knob.ok());
+  EXPECT_EQ(*knob, 99);
 }
 
 TEST(FlagsTest, CommandLineBeatsEnv) {
@@ -300,8 +313,10 @@ TEST(FlagsTest, CommandLineBeatsEnv) {
   const char* argv[] = {"prog", "--prio=2"};
   Flags flags;
   ASSERT_TRUE(flags.Parse(2, const_cast<char**>(argv)).ok());
-  EXPECT_EQ(flags.GetInt("prio", 0), 2);
+  Result<std::int64_t> prio = flags.GetIntStrict("prio", 0);
   ::unsetenv("TIRM_PRIO");
+  ASSERT_TRUE(prio.ok());
+  EXPECT_EQ(*prio, 2);
 }
 
 TEST(FlagsTest, EnvNameMapping) {
@@ -324,23 +339,11 @@ TEST(FlagsTest, StrictGettersAcceptWellFormedValues) {
   EXPECT_TRUE(*verbose);
 }
 
-TEST(FlagsTest, StrictGettersUseDefaultWhenAbsent) {
-  Flags flags;
-  Result<double> eps = flags.GetDoubleStrict("missing", 0.5);
-  ASSERT_TRUE(eps.ok());
-  EXPECT_DOUBLE_EQ(*eps, 0.5);
-  Result<std::int64_t> n = flags.GetIntStrict("missing", 7);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 7);
-}
-
 TEST(FlagsTest, StrictGettersRejectMalformedValues) {
   const char* argv[] = {"prog", "--threads=abc", "--eps=0.1x", "--flag=maybe"};
   Flags flags;
   ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)).ok());
-  // The lenient getters silently default (legacy behavior)...
-  EXPECT_EQ(flags.GetInt("threads", 3), 3);
-  // ...the strict ones name the offending flag.
+  // The error names the offending flag.
   Result<std::int64_t> threads = flags.GetIntStrict("threads", 3);
   ASSERT_FALSE(threads.ok());
   EXPECT_NE(threads.status().message().find("--threads"), std::string::npos);

@@ -1,28 +1,20 @@
-// Tests for the substrate extensions: weakly-connected components,
-// instance-bundle serialization, and heterogeneous per-user attention
-// bounds flowing through every algorithm.
+// Tests for the substrate extensions: weakly-connected components and
+// heterogeneous per-user attention bounds flowing through every algorithm.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "alloc/allocation.h"
 #include "alloc/myopic.h"
 #include "alloc/tirm.h"
 #include "common/rng.h"
-#include "datasets/dataset.h"
 #include "graph/components.h"
 #include "graph/generators.h"
-#include "topic/instance_io.h"
 
 namespace tirm {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return std::string(::testing::TempDir()) + "/" + name;
-}
 
 // --------------------------------------------------------------- components
 
@@ -72,100 +64,6 @@ TEST(ComponentsTest, ForwardReachability) {
   EXPECT_EQ(CountForwardReachable(g, 0), 5u);
   EXPECT_EQ(CountForwardReachable(g, 3), 2u);
   EXPECT_EQ(CountForwardReachable(g, 4), 1u);
-}
-
-// ------------------------------------------------------------- instance IO
-
-class InstanceIoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Rng rng(11);
-    built_ = BuildDataset(FlixsterLike(0.005), rng);
-  }
-  BuiltInstance built_;
-};
-
-TEST_F(InstanceIoTest, RoundTripPerTopic) {
-  const std::string path = TempPath("bundle_pertopic.bin");
-  ASSERT_TRUE(SaveInstanceBundle(*built_.graph, *built_.edge_probs,
-                                 *built_.ctps, built_.advertisers, path)
-                  .ok());
-  auto loaded = LoadInstanceBundle(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const InstanceBundle& b = *loaded;
-  EXPECT_EQ(b.graph->num_nodes(), built_.graph->num_nodes());
-  EXPECT_EQ(b.graph->num_edges(), built_.graph->num_edges());
-  EXPECT_EQ(b.edge_probs->num_topics(), built_.edge_probs->num_topics());
-  EXPECT_EQ(b.edge_probs->mode(), EdgeProbabilities::Mode::kPerTopic);
-  // Byte-identical probabilities and CTPs.
-  for (EdgeId e = 0; e < b.graph->num_edges(); e += 17) {
-    for (TopicId z = 0; z < b.edge_probs->num_topics(); ++z) {
-      EXPECT_FLOAT_EQ(b.edge_probs->Prob(e, z), built_.edge_probs->Prob(e, z));
-    }
-  }
-  for (NodeId u = 0; u < b.graph->num_nodes(); u += 13) {
-    for (AdId i = 0; i < static_cast<AdId>(b.advertisers.size()); ++i) {
-      EXPECT_FLOAT_EQ(b.ctps->Delta(u, i), built_.ctps->Delta(u, i));
-    }
-  }
-  ASSERT_EQ(b.advertisers.size(), built_.advertisers.size());
-  for (std::size_t i = 0; i < b.advertisers.size(); ++i) {
-    EXPECT_DOUBLE_EQ(b.advertisers[i].budget, built_.advertisers[i].budget);
-    EXPECT_DOUBLE_EQ(b.advertisers[i].cpe, built_.advertisers[i].cpe);
-    EXPECT_NEAR(b.advertisers[i].gamma.L1Distance(built_.advertisers[i].gamma),
-                0.0, 1e-12);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(InstanceIoTest, RoundTripShared) {
-  Rng rng(12);
-  BuiltInstance wc = BuildDataset(DblpLike(0.002), rng);
-  const std::string path = TempPath("bundle_shared.bin");
-  ASSERT_TRUE(SaveInstanceBundle(*wc.graph, *wc.edge_probs, *wc.ctps,
-                                 wc.advertisers, path)
-                  .ok());
-  auto loaded = LoadInstanceBundle(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->edge_probs->mode(), EdgeProbabilities::Mode::kShared);
-  for (EdgeId e = 0; e < loaded->graph->num_edges(); e += 23) {
-    EXPECT_FLOAT_EQ(loaded->edge_probs->Prob(e, 0), wc.edge_probs->Prob(e, 0));
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(InstanceIoTest, LoadedInstanceValidatesAndRuns) {
-  const std::string path = TempPath("bundle_runs.bin");
-  ASSERT_TRUE(SaveInstanceBundle(*built_.graph, *built_.edge_probs,
-                                 *built_.ctps, built_.advertisers, path)
-                  .ok());
-  auto loaded = LoadInstanceBundle(path);
-  ASSERT_TRUE(loaded.ok());
-  ProblemInstance inst = loaded->MakeInstance(1, 0.0);
-  ASSERT_TRUE(inst.Validate().ok()) << inst.Validate().ToString();
-  TirmOptions o;
-  o.theta.epsilon = 0.3;
-  o.theta.theta_cap = 1 << 15;
-  Rng rng(13);
-  TirmResult r = RunTirm(inst, o, rng);
-  EXPECT_TRUE(ValidateAllocation(inst, r.allocation).ok());
-  std::remove(path.c_str());
-}
-
-TEST(InstanceIoErrorsTest, MissingFile) {
-  auto loaded = LoadInstanceBundle("/nonexistent/bundle.bin");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
-}
-
-TEST(InstanceIoErrorsTest, GarbageFile) {
-  const std::string path = TempPath("garbage_bundle.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("garbage", f);
-  std::fclose(f);
-  auto loaded = LoadInstanceBundle(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------- heterogeneous attention bounds

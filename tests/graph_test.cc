@@ -189,32 +189,6 @@ TEST(EdgeListIoTest, MalformedLineReturnsError) {
   std::remove(path.c_str());
 }
 
-TEST(EdgeListIoTest, BinaryRoundTrip) {
-  Rng rng(5);
-  Graph g = ErdosRenyiGraph(30, 100, rng);
-  const std::string path = TempPath("graph.bin");
-  ASSERT_TRUE(SaveBinary(g, path).ok());
-  auto loaded = LoadBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_nodes(), g.num_nodes());
-  EXPECT_EQ(loaded->num_edges(), g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(loaded->edge_source(e), g.edge_source(e));
-    EXPECT_EQ(loaded->edge_target(e), g.edge_target(e));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(EdgeListIoTest, BinaryRejectsGarbage) {
-  const std::string path = TempPath("garbage.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a graph", f);
-  std::fclose(f);
-  auto loaded = LoadBinary(path);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
 // ------------------------------------------------------------- Generators
 
 TEST(GeneratorsTest, ErdosRenyiExactEdgeCount) {
