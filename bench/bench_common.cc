@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <sstream>
 #include <string>
 
 #include "common/threading.h"
@@ -36,21 +39,30 @@ const char* const kAllAlgorithms[4] = {"myopic", "myopic+", "greedy-irie",
 
 namespace {
 
-// Strict flag readers: a malformed or out-of-range value aborts naming the
-// flag, instead of silently running the bench with a default (or, for
-// unsigned fields, with a negative value wrapped around).
+// Strict flag readers: a malformed or out-of-range value exits 1 with a
+// typed error naming the flag, instead of silently running the bench with
+// a default (or, for unsigned fields, with a negative value wrapped
+// around).
 constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
+
+[[noreturn]] void ExitBadFlag(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::exit(1);
+}
 
 std::int64_t IntFlag(const Flags& flags, const char* key, std::int64_t def,
                      std::int64_t lo, std::int64_t hi = kNoMax) {
   const Result<std::int64_t> v = flags.GetIntStrict(key, def);
-  TIRM_CHECK(v.ok()) << v.status().ToString();
-  const std::string range =
-      hi == kNoMax ? ">= " + std::to_string(lo)
-                   : "in [" + std::to_string(lo) + ", " + std::to_string(hi) +
-                         "]";
-  TIRM_CHECK(v.value() >= lo && v.value() <= hi)
-      << "flag --" << key << " must be " << range << ", got " << v.value();
+  if (!v.ok()) ExitBadFlag(v.status());
+  if (v.value() < lo || v.value() > hi) {
+    const std::string range =
+        hi == kNoMax ? ">= " + std::to_string(lo)
+                     : "in [" + std::to_string(lo) + ", " +
+                           std::to_string(hi) + "]";
+    ExitBadFlag(Status::InvalidArgument("flag --" + std::string(key) +
+                                        " must be " + range + ", got " +
+                                        std::to_string(v.value())));
+  }
   return v.value();
 }
 
@@ -58,10 +70,13 @@ std::int64_t IntFlag(const Flags& flags, const char* key, std::int64_t def,
 double DoubleFlag(const Flags& flags, const char* key, double def, double lo,
                   double hi) {
   const Result<double> v = flags.GetDoubleStrict(key, def);
-  TIRM_CHECK(v.ok()) << v.status().ToString();
-  TIRM_CHECK(v.value() > lo && v.value() < hi && std::isfinite(v.value()))
-      << "flag --" << key << " must be in (" << lo << ", " << hi << "), got "
-      << v.value();
+  if (!v.ok()) ExitBadFlag(v.status());
+  if (!(v.value() > lo && v.value() < hi && std::isfinite(v.value()))) {
+    std::ostringstream message;
+    message << "flag --" << key << " must be in (" << lo << ", " << hi
+            << "), got " << v.value();
+    ExitBadFlag(Status::InvalidArgument(message.str()));
+  }
   return v.value();
 }
 

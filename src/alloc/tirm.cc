@@ -1,7 +1,6 @@
 #include "alloc/tirm.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -23,17 +22,18 @@ namespace tirm {
 namespace {
 
 // Coverage bookkeeping behind TIRM's greedy loop: mutable views over the
-// ad's pooled RR sets (rrset/sample_store.h). Two implementations:
+// ad's pooled RR sets (rrset/sample_store.h). Three implementations:
 //  * RemovalBackend — the paper's Algorithm 2 semantics (covered RR sets
 //    are removed; seeds treated as deterministically active);
 //  * WeightedBackend — the CTP-aware extension (sets carry survival
-//    weights Π(1-δ); exact TIC-CTP marginals).
+//    weights Π(1-δ); exact TIC-CTP marginals);
+//  * ShardedBackend — RemovalBackend's semantics over K shard clients
+//    (the GreeDIMM shape; see below).
 class CoverageBackend {
  public:
   virtual ~CoverageBackend() = default;
-  /// Exposes pooled sets [NumSets(), count) to this run's view.
+  /// Exposes the first `count` pooled sets to this run's view.
   virtual void AttachUpTo(std::uint32_t count) = 0;
-  virtual std::size_t NumSets() const = 0;
   /// Current marginal-coverage mass of `v` (sets for removal mode,
   /// survival mass for weighted mode).
   virtual double CoverageOf(NodeId v) const = 0;
@@ -64,7 +64,6 @@ class RemovalBackend : public CoverageBackend {
     collection_.AttachUpTo(count);
     if (heap_ != nullptr) heap_->Rebuild();
   }
-  std::size_t NumSets() const override { return collection_.NumSets(); }
   double CoverageOf(NodeId v) const override {
     return collection_.CoverageOf(v);
   }
@@ -106,7 +105,6 @@ class WeightedBackend : public CoverageBackend {
     collection_.AttachUpTo(count);
     if (heap_ != nullptr) heap_->Rebuild();
   }
-  std::size_t NumSets() const override { return collection_.NumSets(); }
   double CoverageOf(NodeId v) const override {
     return collection_.CoverageOf(v);
   }
@@ -144,29 +142,21 @@ class WeightedBackend : public CoverageBackend {
 // the global heap with a tree-reduced top-L summary protocol whose every
 // per-round sum is an exact integer, so the node it returns is the one the
 // single-store CoverageHeap would pop — bit-identical selections at any K.
-// Commits fan to every shard and replay the returned packed covered-word
-// deltas into a coordinator-global covered bitmap.
+// Commits fan to every shard and sum the counts of newly covered sets the
+// shards return, which is all the covered mass the loop reads.
 class ShardedBackend : public CoverageBackend {
  public:
-  ShardedBackend(std::vector<RrShardClient*> clients, AdId ad, NodeId num_nodes,
-                 std::uint64_t chunk_sets)
-      : clients_(std::move(clients)),
-        ad_(ad),
-        num_nodes_(num_nodes),
-        chunk_sets_(chunk_sets) {
+  ShardedBackend(std::vector<RrShardClient*> clients, AdId ad, NodeId num_nodes)
+      : clients_(std::move(clients)), ad_(ad), num_nodes_(num_nodes) {
     TIRM_CHECK(!clients_.empty());
   }
 
   void AttachUpTo(std::uint32_t count) override {
-    attached_ = count;
-    const std::size_t words = CoverageWordsFor(count);
-    if (words > covered_words_.size()) covered_words_.resize(words, 0);
     for (RrShardClient* client : clients_) {
       const Status attached = client->Attach(ad_, count);
       TIRM_CHECK(attached.ok()) << attached.ToString();
     }
   }
-  std::size_t NumSets() const override { return attached_; }
   double CoverageOf(NodeId v) const override {
     const NodeId nodes[1] = {v};
     std::uint64_t total = 0;
@@ -251,9 +241,9 @@ class ShardedBackend : public CoverageBackend {
     return static_cast<double>(covered_count_);
   }
   std::size_t MemoryBytes() const override {
-    // Coordinator-side global covered bitmap only; shard-side view bytes
-    // are accounted by the per-shard MemoryStats fan in RunTirm.
-    return covered_words_.capacity() * sizeof(std::uint64_t);
+    // The coordinator holds no view; shard-side view bytes are accounted
+    // by the per-shard MemoryStats fan in RunTirm.
+    return 0;
   }
   void SnapshotCoverage(std::vector<double>& out) const override {
     out.assign(num_nodes_, 0.0);
@@ -268,33 +258,15 @@ class ShardedBackend : public CoverageBackend {
   }
 
  private:
-  // Fans the commit to every shard and replays the returned packed word
-  // deltas (local set-id space) into the global covered bitmap.
+  // Fans the commit to every shard and sums their newly covered counts.
   double FanCommit(NodeId v, bool on_range, std::uint32_t first_set) {
     std::uint64_t newly = 0;
-    const int num_shards = static_cast<int>(clients_.size());
-    for (int k = 0; k < num_shards; ++k) {
-      Result<CoveredWordDelta> delta =
-          on_range ? clients_[static_cast<std::size_t>(k)]->CommitOnRange(
-                         ad_, v, first_set)
-                   : clients_[static_cast<std::size_t>(k)]->Commit(ad_, v);
-      TIRM_CHECK(delta.ok()) << delta.status().ToString();
-      for (const auto& [word, bits] : delta.value().words) {
-        std::uint64_t rest = bits;
-        while (rest != 0) {
-          const int bit = std::countr_zero(rest);
-          rest &= rest - 1;
-          const std::uint64_t local_id =
-              std::uint64_t{word} * kCoverageWordBits +
-              static_cast<std::uint64_t>(bit);
-          const std::uint64_t global_id =
-              ShardLocalToGlobalSetId(local_id, chunk_sets_, num_shards, k);
-          TIRM_DCHECK(global_id < attached_);
-          covered_words_[global_id / kCoverageWordBits] |=
-              std::uint64_t{1} << (global_id % kCoverageWordBits);
-        }
-      }
-      newly += delta.value().newly_covered;
+    for (RrShardClient* client : clients_) {
+      Result<std::uint64_t> count =
+          on_range ? client->CommitOnRange(ad_, v, first_set)
+                   : client->Commit(ad_, v);
+      TIRM_CHECK(count.ok()) << count.status().ToString();
+      newly += count.value();
     }
     covered_count_ += newly;
     return static_cast<double>(newly);
@@ -303,10 +275,7 @@ class ShardedBackend : public CoverageBackend {
   std::vector<RrShardClient*> clients_;
   AdId ad_;
   NodeId num_nodes_;
-  std::uint64_t chunk_sets_;
-  std::uint64_t attached_ = 0;
   std::uint64_t covered_count_ = 0;
-  std::vector<std::uint64_t> covered_words_;
 };
 
 // Per-ad mutable state of the TIRM main loop. Samples live in the store's
@@ -521,8 +490,7 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
     ensure_sets(j, *st, st->theta, /*already_attached=*/0);
 
     if (sharded) {
-      st->backend = std::make_unique<ShardedBackend>(clients, j, n,
-                                                     run_config.chunk_sets);
+      st->backend = std::make_unique<ShardedBackend>(clients, j, n);
     } else if (options.ctp_aware_coverage) {
       st->backend = std::make_unique<WeightedBackend>(&st->entry->sets());
     } else {
@@ -774,8 +742,7 @@ TirmResult RunTirm(const ProblemInstance& instance, const TirmOptions& options,
   }
   if (sharded) {
     // Shard-side accounting (pooled arenas + per-shard views) comes from
-    // one MemoryStats fan; the per-ad loop above only saw the
-    // coordinator-global covered bitmaps.
+    // one MemoryStats fan; the per-ad loop above saw no shard bytes.
     for (RrShardClient* client : clients) {
       Result<ShardMemoryStats> stats = client->MemoryStats();
       TIRM_CHECK(stats.ok()) << stats.status().ToString();

@@ -38,6 +38,34 @@ Status ValidateIds(std::span<const NodeId> ids, NodeId bound,
   return Status::OK();
 }
 
+/// One CSR side against the edge arrays: slot i of node u must name an
+/// edge e with own[e] == u and other[e] == neighbors[i], and every edge id
+/// must fill exactly one slot. `own`/`other` are edge_source/edge_target
+/// for the out side and the reverse for the in side.
+Status ValidateSide(std::span<const std::uint64_t> offsets,
+                    std::span<const NodeId> neighbors,
+                    std::span<const EdgeId> edge_ids,
+                    std::span<const NodeId> own,
+                    std::span<const NodeId> other, const char* which) {
+  std::vector<std::uint8_t> seen(edge_ids.size(), 0);
+  for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
+    for (std::uint64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const EdgeId e = edge_ids[i];
+      if (e >= edge_ids.size()) {
+        return CorruptCsr(std::string(which) + " edge id out of range");
+      }
+      if (seen[e]++ != 0) {
+        return CorruptCsr(std::string(which) + " edge id repeated");
+      }
+      if (own[e] != u || other[e] != neighbors[i]) {
+        return CorruptCsr(std::string(which) +
+                          " adjacency disagrees with the edge arrays");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Graph Graph::FromEdges(NodeId num_nodes,
@@ -118,12 +146,12 @@ Result<Graph> Graph::FromParts(NodeId num_nodes, const Parts& parts,
     TIRM_RETURN_NOT_OK(ValidateIds(parts.in_sources, num_nodes, "in source"));
     TIRM_RETURN_NOT_OK(ValidateIds(parts.edge_source, num_nodes, "edge source"));
     TIRM_RETURN_NOT_OK(ValidateIds(parts.edge_target, num_nodes, "edge target"));
-    for (const EdgeId e : parts.out_edge_ids) {
-      if (e >= m) return CorruptCsr("out edge id out of range");
-    }
-    for (const EdgeId e : parts.in_edge_ids) {
-      if (e >= m) return CorruptCsr("in edge id out of range");
-    }
+    TIRM_RETURN_NOT_OK(ValidateSide(parts.out_offsets, parts.out_targets,
+                                    parts.out_edge_ids, parts.edge_source,
+                                    parts.edge_target, "out"));
+    TIRM_RETURN_NOT_OK(ValidateSide(parts.in_offsets, parts.in_sources,
+                                    parts.in_edge_ids, parts.edge_target,
+                                    parts.edge_source, "in"));
   }
 
   Graph g;

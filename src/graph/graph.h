@@ -64,8 +64,10 @@ class Graph {
   /// storage (e.g. a MappedFile) must outlive the graph. Always validates
   /// structure (array sizes, offset monotonicity and totals) in O(n);
   /// with `validate_elements` additionally range-checks every node/edge id
-  /// in O(m). Returns InvalidArgument instead of aborting on corrupt
-  /// input — this is the trust boundary for file-loaded graphs.
+  /// and checks that each CSR side lists every edge of the edge arrays
+  /// once, under its endpoints, in O(m). Returns InvalidArgument instead
+  /// of aborting on corrupt input — this is the trust boundary for
+  /// file-loaded graphs.
   static Result<Graph> FromParts(NodeId num_nodes, const Parts& parts,
                                  bool validate_elements);
 

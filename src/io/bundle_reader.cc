@@ -409,71 +409,4 @@ Result<BuiltInstance> LoadBundleInstance(
                           /*validate_elements=*/options.verify);
 }
 
-Result<BuiltInstance> LoadBundleInstanceOwned(
-    const std::string& path, const BundleLoadOptions& options) {
-  Result<MappedFile> mapped = MappedFile::Open(path);
-  if (!mapped.ok()) return mapped.status();
-  Result<ParsedBundle> parsed =
-      Parse(mapped->bytes(), path, options.verify);
-  if (!parsed.ok()) return parsed.status();
-
-  // The zero-copy path's graph checks, element ranges included even with
-  // options.verify off: FromEdges below CHECK-aborts on a bad endpoint.
-  const auto& meta = parsed->meta;
-  Result<Graph> checked =
-      Graph::FromParts(static_cast<NodeId>(meta.num_nodes),
-                       parsed->graph_parts, /*validate_elements=*/true);
-  if (!checked.ok()) return Corrupt(path, checked.status().message());
-  // Rebuild the graph from the canonical edge arrays — FromEdges on an
-  // already-canonical edge list reproduces the exact CSR arrays — and
-  // deep-copy every other section into owned storage.
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(static_cast<std::size_t>(meta.num_edges));
-  for (std::size_t e = 0; e < meta.num_edges; ++e) {
-    edges.emplace_back(parsed->graph_parts.edge_source[e],
-                       parsed->graph_parts.edge_target[e]);
-  }
-
-  BuiltInstance built;
-  built.name = parsed->name.empty() ? "bundle:" + path : parsed->name;
-  built.graph = std::make_unique<Graph>(Graph::FromEdges(
-      static_cast<NodeId>(meta.num_nodes), std::move(edges)));
-  Result<EdgeProbabilities> edge_probs = EdgeProbabilities::FromDense(
-      meta.prob_mode == 1 ? EdgeProbabilities::Mode::kPerTopic
-                          : EdgeProbabilities::Mode::kShared,
-      static_cast<int>(meta.num_topics),
-      static_cast<std::size_t>(meta.num_edges),
-      std::vector<float>(parsed->edge_probs.begin(),
-                         parsed->edge_probs.end()));
-  if (!edge_probs.ok()) return edge_probs.status();
-  built.edge_probs =
-      std::make_unique<EdgeProbabilities>(edge_probs.MoveValue());
-  // FromTable CHECK-aborts on out-of-range values; validate with a typed
-  // error first so a corrupt file can never crash the loader, even with
-  // options.verify off.
-  TIRM_RETURN_NOT_OK(ValidateProbabilityRange(parsed->ctps, "CTP", path));
-  built.ctps = std::make_unique<ClickProbabilities>(ClickProbabilities::FromTable(
-      static_cast<NodeId>(meta.num_nodes),
-      static_cast<int>(meta.ctp_num_ads),
-      std::vector<float>(parsed->ctps.begin(), parsed->ctps.end())));
-  built.advertisers.reserve(parsed->ad_records.size());
-  for (const AdRecord& rec : parsed->ad_records) {
-    Advertiser a;
-    a.budget = rec.budget;
-    a.cpe = rec.cpe;
-    const auto slice = parsed->gamma_mass.subspan(
-        static_cast<std::size_t>(rec.gamma_offset),
-        static_cast<std::size_t>(rec.gamma_count));
-    Result<TopicDistribution> gamma = TopicDistribution::FromNormalized(
-        std::vector<double>(slice.begin(), slice.end()));
-    if (!gamma.ok()) {
-      return Corrupt(path,
-                     "advertiser gamma invalid: " + gamma.status().message());
-    }
-    a.gamma = gamma.MoveValue();
-    built.advertisers.push_back(std::move(a));
-  }
-  return built;
-}
-
 }  // namespace tirm

@@ -12,10 +12,11 @@
 // unsupported version, truncation, out-of-bounds or misaligned sections,
 // duplicate/missing sections, and inconsistent counts all return Status
 // errors — never a crash, never a partially constructed object. With
-// options.verify (default) every section checksum is verified and every
+// options.verify (default) every section checksum is verified, every
 // element is range-checked (node ids, probabilities in [0,1], normalized
-// gammas); verify=false trusts a previously verified file and skips the
-// full-file read, which is the fastest possible cold start.
+// gammas), and both CSR sides must name exactly the edge arrays' edges;
+// verify=false trusts a previously verified file and skips the full-file
+// read, which is the fastest possible cold start.
 
 #ifndef TIRM_IO_BUNDLE_READER_H_
 #define TIRM_IO_BUNDLE_READER_H_
@@ -79,12 +80,6 @@ struct BundleInfo {
 [[nodiscard]] Result<BuiltInstance> LoadBundleInstance(
     std::shared_ptr<const MappedFile> mapping,
     const BundleLoadOptions& options = {});
-
-/// Deep-copy variant: same validation, but every array is copied into
-/// owned storage and no mapping is retained. For callers that must outlive
-/// the file (or want mutation); the zero-copy path is the fast one.
-[[nodiscard]] Result<BuiltInstance> LoadBundleInstanceOwned(
-    const std::string& path, const BundleLoadOptions& options = {});
 
 }  // namespace tirm
 

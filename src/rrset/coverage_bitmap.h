@@ -46,17 +46,6 @@ inline constexpr std::size_t CoverageWordsFor(std::uint64_t sets) {
                                   kCoverageWordBits);
 }
 
-/// Packed covered-bitmap delta of one seed commit on one shard: the words
-/// the commit changed in the shard's covered bitmap (shard-LOCAL set-id
-/// space, ascending word index, each word holding only the newly set
-/// bits) plus their popcount. The coordinator replays deltas into its
-/// global covered view, which keeps the reduction's covered-mass
-/// bookkeeping exact without shipping whole bitmaps.
-struct CoveredWordDelta {
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> words;
-  std::uint64_t newly_covered = 0;
-};
-
 /// Kept only so bench_suite/bench_suite.cc, which prints this name in its
 /// report header, builds unchanged: coverage has one code path on every
 /// platform, with no SIMD tier to report.

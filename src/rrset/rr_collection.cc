@@ -15,7 +15,7 @@ void RrCollection::AttachUpTo(std::uint32_t count) {
   TIRM_CHECK_GE(count, attached_);
   if (count == attached_) return;
   transpose_ = pool_->EnsureTranspose(count);
-  covered_words_.resize(CoverageWordsFor(count), 0);
+  covered_bits_.resize(CoverageWordsFor(count), 0);
   attached_ = count;
 }
 
@@ -26,7 +26,7 @@ std::uint32_t RrCollection::CommitSeed(NodeId v) {
 std::uint32_t RrCollection::CoverageOf(NodeId v) const {
   TIRM_DCHECK(v < num_nodes_);
   if (attached_ == 0) return 0;
-  const std::uint64_t* cov = covered_words_.data();
+  const std::uint64_t* cov = covered_bits_.data();
   // Counts v's covered sets and subtracts: one load and one bit per id.
   std::size_t sets = 0;
   std::uint64_t covered = 0;
@@ -46,7 +46,7 @@ std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
                                               std::uint32_t first_set) {
   TIRM_CHECK_LT(v, num_nodes_);
   if (first_set >= attached_) return 0;
-  std::uint64_t* cov = covered_words_.data();
+  std::uint64_t* cov = covered_bits_.data();
   std::uint32_t newly = 0;
   transpose_.ForEachRun(v, first_set, attached_,
                         [&](std::span<const std::uint32_t> ids) {
@@ -62,28 +62,6 @@ std::uint32_t RrCollection::CommitSeedOnRange(NodeId v,
   return newly;
 }
 
-CoveredWordDelta RrCollection::UncoveredWords(NodeId v,
-                                              std::uint32_t first_set) const {
-  TIRM_CHECK_LT(v, num_nodes_);
-  CoveredWordDelta delta;
-  if (first_set >= attached_) return delta;
-  // Ids arrive ascending, so the words they touch do too.
-  transpose_.ForEachRun(
-      v, first_set, attached_, [&](std::span<const std::uint32_t> ids) {
-        for (const std::uint32_t id : ids) {
-          if (IsCovered(id)) continue;
-          const auto w = static_cast<std::uint32_t>(id / kCoverageWordBits);
-          if (delta.words.empty() || delta.words.back().first != w) {
-            delta.words.emplace_back(w, 0);
-          }
-          delta.words.back().second |= std::uint64_t{1}
-                                       << (id % kCoverageWordBits);
-          ++delta.newly_covered;
-        }
-      });
-  return delta;
-}
-
 void RrCollection::AccumulateCoverage(
     std::vector<std::uint32_t>& counts) const {
   counts.resize(num_nodes_);
@@ -91,7 +69,7 @@ void RrCollection::AccumulateCoverage(
 }
 
 std::size_t RrCollection::MemoryBytes() const {
-  return covered_words_.capacity() * sizeof(std::uint64_t);
+  return covered_bits_.capacity() * sizeof(std::uint64_t);
 }
 
 void CoverageHeap::Rebuild() {

@@ -69,15 +69,9 @@ class RrCollection {
   /// attached sets to already-committed seeds in selection order.
   std::uint32_t CommitSeedOnRange(NodeId v, std::uint32_t first_set);
 
-  /// The covered-bitmap words CommitSeedOnRange(v, first_set) would change,
-  /// without changing them: the uncovered attached sets with id >=
-  /// `first_set` containing v, as bits of their covered words, in
-  /// ascending word order, zero words skipped.
-  CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const;
-
   bool IsCovered(std::uint32_t id) const {
     TIRM_DCHECK(id < attached_);
-    return (covered_words_[id / kCoverageWordBits] >>
+    return (covered_bits_[id / kCoverageWordBits] >>
             (id % kCoverageWordBits)) &
            1u;
   }
@@ -122,7 +116,7 @@ class RrCollection {
   // listed segment may run past attached_ (another view extended the
   // index), so every walk stops at attached_.
   CoverageTranspose transpose_;
-  std::vector<std::uint64_t> covered_words_;  // one bit per attached set
+  std::vector<std::uint64_t> covered_bits_;  // one bit per attached set
 };
 
 /// Lazy max-heap over node coverages (CELF-style). Valid while coverage

@@ -29,17 +29,6 @@ std::uint64_t ShardPrefixCount(std::uint64_t watermark,
   return count;
 }
 
-std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
-                                      std::uint64_t chunk_sets,
-                                      int num_shards, int shard) {
-  TIRM_DCHECK(num_shards >= 1 && shard >= 0 && shard < num_shards);
-  const std::uint64_t local_chunk = local_id / chunk_sets;
-  const std::uint64_t global_chunk =
-      local_chunk * static_cast<std::uint64_t>(num_shards) +
-      static_cast<std::uint64_t>(shard);
-  return global_chunk * chunk_sets + local_id % chunk_sets;
-}
-
 // ------------------------------------------------------------------ RrSetPool
 
 RrSetPool::RrSetPool(NodeId num_nodes) : num_nodes_(num_nodes) {}

@@ -85,14 +85,6 @@ std::uint64_t ShardPrefixCount(std::uint64_t watermark,
                                std::uint64_t chunk_sets, int num_shards,
                                int shard);
 
-/// Maps a shard-local set id back to its global id (the inverse numbering
-/// of ShardPrefixCount): local id l in shard k lives in that shard's local
-/// chunk l / chunk_sets, which is global chunk (l / chunk_sets) *
-/// num_shards + k.
-std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
-                                      std::uint64_t chunk_sets,
-                                      int num_shards, int shard);
-
 /// Append-only storage of RR sets, and the one module that decides who may
 /// read it while it grows. Each adopted part stays as ParallelRrBuilder
 /// made it — its flattened members and its own offsets — and a set is

@@ -18,8 +18,6 @@ ReducedGainSummary LiftSummary(const ShardGainSummary& part) {
   TIRM_CHECK(part.shard >= 0 && part.shard < 64);
   ReducedGainSummary out;
   out.unlisted_bound = part.unlisted_bound;
-  out.covered_sets = part.covered_sets;
-  out.attached_sets = part.attached_sets;
   out.candidates.reserve(part.top.size());
   const std::uint64_t mask = std::uint64_t{1} << part.shard;
   for (const ShardGainCandidate& c : part.top) {
@@ -41,8 +39,6 @@ ReducedGainSummary MergeReduced(const ReducedGainSummary& a,
               (std::uint64_t{1} << 63));
   ReducedGainSummary out;
   out.unlisted_bound = a.unlisted_bound + b.unlisted_bound;
-  out.covered_sets = a.covered_sets + b.covered_sets;
-  out.attached_sets = a.attached_sets + b.attached_sets;
   out.candidates.reserve(a.candidates.size() + b.candidates.size());
   std::size_t i = 0;
   std::size_t j = 0;
@@ -105,14 +101,6 @@ LocalShardClient::LocalShardClient(RrSampleStore* store,
 }
 
 LocalShardClient::~LocalShardClient() = default;
-
-int LocalShardClient::shard_index() const {
-  return store_->options().shard_index;
-}
-
-int LocalShardClient::num_shards() const {
-  return store_->options().num_shards;
-}
 
 Status LocalShardClient::BeginRun(const ShardRunConfig& run) {
   const RrSampleStore::Options& opts = store_->options();
@@ -209,8 +197,6 @@ Result<ShardGainSummary> LocalShardClient::Summarize(AdId ad,
   AdSlot& slot = slots_[static_cast<std::size_t>(ad)];
   ShardGainSummary out;
   out.shard = shard_index();
-  out.covered_sets = slot.view->NumCovered();
-  out.attached_sets = slot.view->NumSets();
   if (slot.heap == nullptr || top_l == 0) return out;
   const auto eligible = [this, &slot](NodeId u) {
     return retired_[u] == 0 && slot.in_seed_set[u] == 0;
@@ -262,20 +248,17 @@ Result<std::vector<std::uint32_t>> LocalShardClient::DenseCoverage(AdId ad) {
   return counts;
 }
 
-Result<CoveredWordDelta> LocalShardClient::Commit(AdId ad, NodeId v) {
+Result<std::uint64_t> LocalShardClient::Commit(AdId ad, NodeId v) {
   TIRM_RETURN_NOT_OK(EnsureAd(ad));
   AdSlot& slot = slots_[static_cast<std::size_t>(ad)];
   if (v >= slot.view->num_nodes()) {
     return Status::InvalidArgument("commit for unknown node");
   }
-  CoveredWordDelta delta = slot.view->UncoveredWords(v, 0);
-  const std::uint32_t newly = slot.view->CommitSeed(v);
-  TIRM_CHECK_EQ(static_cast<std::uint64_t>(newly), delta.newly_covered);
   slot.in_seed_set[v] = 1;
-  return delta;
+  return std::uint64_t{slot.view->CommitSeed(v)};
 }
 
-Result<CoveredWordDelta> LocalShardClient::CommitOnRange(
+Result<std::uint64_t> LocalShardClient::CommitOnRange(
     AdId ad, NodeId v, std::uint64_t global_first_set) {
   TIRM_RETURN_NOT_OK(EnsureAd(ad));
   AdSlot& slot = slots_[static_cast<std::size_t>(ad)];
@@ -284,12 +267,8 @@ Result<CoveredWordDelta> LocalShardClient::CommitOnRange(
   }
   const std::uint64_t local_first = ShardPrefixCount(
       global_first_set, run_.chunk_sets, num_shards(), shard_index());
-  CoveredWordDelta delta = slot.view->UncoveredWords(
-      v, static_cast<std::uint32_t>(local_first));
-  const std::uint32_t newly = slot.view->CommitSeedOnRange(
-      v, static_cast<std::uint32_t>(local_first));
-  TIRM_CHECK_EQ(static_cast<std::uint64_t>(newly), delta.newly_covered);
-  return delta;
+  return std::uint64_t{slot.view->CommitSeedOnRange(
+      v, static_cast<std::uint32_t>(local_first))};
 }
 
 Status LocalShardClient::Retire(NodeId v) {
@@ -301,12 +280,6 @@ Status LocalShardClient::Retire(NodeId v) {
   }
   retired_[v] = 1;
   return Status::OK();
-}
-
-Result<std::uint64_t> LocalShardClient::CoveredSets(AdId ad) {
-  TIRM_RETURN_NOT_OK(EnsureAd(ad));
-  return static_cast<std::uint64_t>(
-      slots_[static_cast<std::size_t>(ad)].view->NumCovered());
 }
 
 Result<ShardMemoryStats> LocalShardClient::MemoryStats() {

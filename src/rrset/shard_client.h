@@ -13,9 +13,10 @@
 //                   the single-store one bit for bit)
 //   Summarize     — top-L marginal-gain summary for the tree reduction
 //   CoverageCounts/DenseCoverage — exact local marginals on demand
-//   Commit/CommitOnRange — apply a selected seed; returns the packed
-//                   covered-word delta the coordinator replays globally
+//   Commit/CommitOnRange — apply a selected seed; returns how many local
+//                   sets it newly covered, which the coordinator sums
 //   Retire        — a node's global attention budget is exhausted
+//   MemoryStats   — the shard's pool and view bytes
 //
 // Eligibility is commit-derived: a shard considers node u eligible for ad j
 // unless the coordinator committed u for j (Commit) or retired u globally
@@ -100,8 +101,6 @@ struct ShardGainSummary {
   /// the last popped value, or 0 when the shard's heap ran dry (no
   /// unlisted node covers anything on this shard).
   std::uint32_t unlisted_bound = 0;
-  std::uint64_t covered_sets = 0;   ///< shard-local covered-set count
-  std::uint64_t attached_sets = 0;  ///< shard-local attached prefix
 };
 
 /// Tree-reduced merge of up to 64 shard summaries. Candidates are the
@@ -118,8 +117,6 @@ struct ReducedGainSummary {
   };
   std::vector<Candidate> candidates;  ///< ascending node id
   std::uint64_t unlisted_bound = 0;
-  std::uint64_t covered_sets = 0;   ///< Σ shard covered counts
-  std::uint64_t attached_sets = 0;  ///< Σ shard attached prefixes
 };
 
 /// Pairwise binary-tree reduction of shard summaries. All merges are
@@ -133,9 +130,6 @@ ReducedGainSummary TreeReduceGainSummaries(
 class RrShardClient {
  public:
   virtual ~RrShardClient();
-
-  virtual int shard_index() const = 0;
-  virtual int num_shards() const = 0;
 
   /// Resets per-run state (views, eligibility) and binds the run's store
   /// parameters. Must be called before any other op of a run.
@@ -174,20 +168,17 @@ class RrShardClient {
       AdId ad) = 0;
 
   /// Commits seed `v` for `ad` (marks covered sets, makes v ineligible
-  /// for this ad) and returns the packed local covered-word delta.
-  [[nodiscard]] virtual Result<CoveredWordDelta> Commit(AdId ad, NodeId v) = 0;
+  /// for this ad) and returns how many local sets it newly covered.
+  [[nodiscard]] virtual Result<std::uint64_t> Commit(AdId ad, NodeId v) = 0;
 
   /// Commit restricted to global set ids >= `global_first_set`
   /// (UpdateEstimates attribution of freshly attached sets).
-  [[nodiscard]] virtual Result<CoveredWordDelta> CommitOnRange(
+  [[nodiscard]] virtual Result<std::uint64_t> CommitOnRange(
       AdId ad, NodeId v, std::uint64_t global_first_set) = 0;
 
   /// Marks `v` ineligible for EVERY ad (its global attention budget is
   /// exhausted). Permanent for the run.
   [[nodiscard]] virtual Status Retire(NodeId v) = 0;
-
-  /// Local covered-set count for `ad` (reduction cross-checks).
-  [[nodiscard]] virtual Result<std::uint64_t> CoveredSets(AdId ad) = 0;
 
   /// Shard-side memory accounting for this run's ads.
   [[nodiscard]] virtual Result<ShardMemoryStats> MemoryStats() = 0;
@@ -205,8 +196,6 @@ class LocalShardClient final : public RrShardClient {
                    int num_threads);
   ~LocalShardClient() override;
 
-  int shard_index() const override;
-  int num_shards() const override;
   [[nodiscard]] Status BeginRun(const ShardRunConfig& run) override;
   [[nodiscard]] Result<RrSampleStore::EnsureResult> EnsureSets(
       AdId ad, std::uint64_t global_min_sets,
@@ -220,11 +209,10 @@ class LocalShardClient final : public RrShardClient {
       AdId ad, std::span<const NodeId> nodes) override;
   [[nodiscard]] Result<std::vector<std::uint32_t>> DenseCoverage(
       AdId ad) override;
-  [[nodiscard]] Result<CoveredWordDelta> Commit(AdId ad, NodeId v) override;
-  [[nodiscard]] Result<CoveredWordDelta> CommitOnRange(
+  [[nodiscard]] Result<std::uint64_t> Commit(AdId ad, NodeId v) override;
+  [[nodiscard]] Result<std::uint64_t> CommitOnRange(
       AdId ad, NodeId v, std::uint64_t global_first_set) override;
   [[nodiscard]] Status Retire(NodeId v) override;
-  [[nodiscard]] Result<std::uint64_t> CoveredSets(AdId ad) override;
   [[nodiscard]] Result<ShardMemoryStats> MemoryStats() override;
 
  private:
@@ -235,6 +223,9 @@ class LocalShardClient final : public RrShardClient {
     const KptEstimator* kpt = nullptr;
     std::vector<std::uint8_t> in_seed_set;
   };
+
+  int shard_index() const { return store_->options().shard_index; }
+  int num_shards() const { return store_->options().num_shards; }
 
   /// Lazily acquires the ad's pool entry + coverage view.
   Status EnsureAd(AdId ad);

@@ -40,7 +40,6 @@ class ShardedRrSampleStore {
                        int num_shards);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  std::uint64_t seed() const { return base_.seed; }
   const RrSampleStore::Options& base_options() const { return base_; }
 
   RrSampleStore& shard(int k) {

@@ -2,7 +2,6 @@
 
 #include <limits>
 #include <set>
-#include <utility>
 
 #include "common/json.h"
 #include "serve/json_fields.h"
@@ -54,15 +53,6 @@ Result<JsonValue> ParseEnvelope(std::string_view line) {
     return Status(StatusCodeFromName(code), message);
   }
   return parsed;
-}
-
-std::string FormatAdOp(const char* op, AdId ad) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("op", op);
-  w.Field("ad", ad);
-  w.EndObject();
-  return w.MoveStr();
 }
 
 }  // namespace
@@ -178,7 +168,14 @@ std::string FormatCountsRequest(AdId ad, std::span<const NodeId> nodes) {
   return w.MoveStr();
 }
 
-std::string FormatDenseRequest(AdId ad) { return FormatAdOp("dense", ad); }
+std::string FormatDenseRequest(AdId ad) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Field("op", "dense");
+  w.Field("ad", ad);
+  w.EndObject();
+  return w.MoveStr();
+}
 
 std::string FormatCommitRequest(AdId ad, NodeId node) {
   JsonWriter w;
@@ -210,8 +207,6 @@ std::string FormatRetireRequest(NodeId node) {
   w.EndObject();
   return w.MoveStr();
 }
-
-std::string FormatCoveredRequest(AdId ad) { return FormatAdOp("covered", ad); }
 
 std::string FormatMemoryRequest() {
   JsonWriter w;
@@ -349,7 +344,7 @@ Result<ShardOpRequest> ParseShardRequest(std::string_view line) {
     }
     return request;
   }
-  if (request.op == "dense" || request.op == "covered") {
+  if (request.op == "dense") {
     static const std::set<std::string> kKeys = {"op", "ad"};
     TIRM_RETURN_NOT_OK(CheckKnownKeys(root, kKeys, where));
     TIRM_RETURN_NOT_OK(require_ad());
@@ -457,8 +452,6 @@ std::string FormatSummaryResponse(const ShardGainSummary& summary) {
   }
   w.EndArray();
   w.Field("unlisted_bound", std::uint64_t{summary.unlisted_bound});
-  w.Field("covered_sets", summary.covered_sets);
-  w.Field("attached_sets", summary.attached_sets);
   w.EndObject();
   return w.MoveStr();
 }
@@ -475,29 +468,11 @@ std::string FormatCountsResponse(const std::vector<std::uint32_t>& counts) {
   return w.MoveStr();
 }
 
-std::string FormatDeltaResponse(const CoveredWordDelta& delta) {
+std::string FormatCommitResponse(std::uint64_t newly_covered) {
   JsonWriter w;
   w.BeginObject();
   w.Field("ok", true);
-  w.Field("newly_covered", delta.newly_covered);
-  w.Key("words");
-  w.BeginArray();
-  for (const auto& [word, bits] : delta.words) {
-    w.BeginArray();
-    w.Uint(word);
-    w.String(EncodeHexU64(bits));  // full 64-bit pattern: hex, not double
-    w.EndArray();
-  }
-  w.EndArray();
-  w.EndObject();
-  return w.MoveStr();
-}
-
-std::string FormatCoveredResponse(std::uint64_t covered_sets) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Field("ok", true);
-  w.Field("covered_sets", covered_sets);
+  w.Field("newly_covered", newly_covered);
   w.EndObject();
   return w.MoveStr();
 }
@@ -587,13 +562,6 @@ Result<ShardGainSummary> ParseSummaryResponse(std::string_view line) {
       IntField(*root, "unlisted_bound", 0, 0xFFFFFFFFll);
   if (!bound.ok()) return bound.status();
   summary.unlisted_bound = static_cast<std::uint32_t>(*bound);
-  Result<std::int64_t> covered = IntField(*root, "covered_sets", 0, kMaxCount);
-  if (!covered.ok()) return covered.status();
-  summary.covered_sets = static_cast<std::uint64_t>(*covered);
-  Result<std::int64_t> attached =
-      IntField(*root, "attached_sets", 0, kMaxCount);
-  if (!attached.ok()) return attached.status();
-  summary.attached_sets = static_cast<std::uint64_t>(*attached);
   return summary;
 }
 
@@ -617,43 +585,12 @@ Result<std::vector<std::uint32_t>> ParseCountsResponse(std::string_view line) {
   return out;
 }
 
-Result<CoveredWordDelta> ParseDeltaResponse(std::string_view line) {
+Result<std::uint64_t> ParseCommitResponse(std::string_view line) {
   Result<JsonValue> root = ParseEnvelope(line);
   if (!root.ok()) return root.status();
-  CoveredWordDelta delta;
   Result<std::int64_t> newly = IntField(*root, "newly_covered", 0, kMaxCount);
   if (!newly.ok()) return newly.status();
-  delta.newly_covered = static_cast<std::uint64_t>(*newly);
-  const JsonValue* words = root->Find("words");
-  if (words == nullptr || !words->is_array()) {
-    return Status::InvalidArgument("delta response needs a \"words\" array");
-  }
-  delta.words.reserve(words->size());
-  for (std::size_t i = 0; i < words->size(); ++i) {
-    const JsonValue& pair = (*words)[i];
-    if (!pair.is_array() || pair.size() != 2) {
-      return Status::InvalidArgument("delta \"words\" entries are [idx,bits]");
-    }
-    Result<std::int64_t> word = pair[0].AsInt();
-    if (!word.ok()) return FieldError("words", word.status());
-    if (*word < 0 || *word > 0xFFFFFFFFll) {
-      return Status::InvalidArgument("delta word index out of range");
-    }
-    Result<std::string> hex = pair[1].AsString();
-    if (!hex.ok()) return FieldError("words", hex.status());
-    Result<std::uint64_t> bits = DecodeHexU64(*hex);
-    if (!bits.ok()) return FieldError("words", bits.status());
-    delta.words.emplace_back(static_cast<std::uint32_t>(*word), *bits);
-  }
-  return delta;
-}
-
-Result<std::uint64_t> ParseCoveredResponse(std::string_view line) {
-  Result<JsonValue> root = ParseEnvelope(line);
-  if (!root.ok()) return root.status();
-  Result<std::int64_t> covered = IntField(*root, "covered_sets", 0, kMaxCount);
-  if (!covered.ok()) return covered.status();
-  return static_cast<std::uint64_t>(*covered);
+  return static_cast<std::uint64_t>(*newly);
 }
 
 Result<ShardMemoryStats> ParseMemoryResponse(std::string_view line) {

@@ -22,16 +22,16 @@
 //   {"op":"commit","ad":0,"node":4}
 //   {"op":"commit_range","ad":0,"node":4,"first_set":8192}
 //   {"op":"retire","node":4}
-//   {"op":"covered","ad":0}
 //   {"op":"memory"}
 //
 // Response lines (worker -> router): {"ok":true,...} with the op's payload
-// or {"ok":false,"error":{"code":...,"message":...}}.
+// or {"ok":false,"error":{"code":...,"message":...}}. A commit answers
+// with its count alone: {"ok":true,"newly_covered":12}.
 //
-// Precision note: uint64 values that can exceed 2^53 — the store seed and
-// the packed covered-word bit patterns — travel as "0x..." hex STRINGS,
-// not JSON numbers, so no reader can round them through a double. Counts
-// (θ watermarks, coverages) are far below 2^53 and stay plain integers.
+// Precision note: the store seed is the one uint64 that can exceed 2^53,
+// so it travels as a "0x..." hex STRING, not a JSON number, and no reader
+// can round it through a double. Counts (θ watermarks, coverages) are far
+// below 2^53 and stay plain integers.
 
 #ifndef TIRM_SERVE_SHARD_PROTOCOL_H_
 #define TIRM_SERVE_SHARD_PROTOCOL_H_
@@ -44,7 +44,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "rrset/coverage_bitmap.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
 
@@ -90,7 +89,6 @@ std::string FormatCommitRequest(AdId ad, NodeId node);
 std::string FormatCommitRangeRequest(AdId ad, NodeId node,
                                      std::uint64_t first_set);
 std::string FormatRetireRequest(NodeId node);
-std::string FormatCoveredRequest(AdId ad);
 std::string FormatMemoryRequest();
 
 [[nodiscard]] Result<ShardOpRequest> ParseShardRequest(std::string_view line);
@@ -104,8 +102,7 @@ std::string FormatEnsureResponse(const RrSampleStore::EnsureResult& ensured);
 std::string FormatKptResponse(double kpt, bool cache_hit);
 std::string FormatSummaryResponse(const ShardGainSummary& summary);
 std::string FormatCountsResponse(const std::vector<std::uint32_t>& counts);
-std::string FormatDeltaResponse(const CoveredWordDelta& delta);
-std::string FormatCoveredResponse(std::uint64_t covered_sets);
+std::string FormatCommitResponse(std::uint64_t newly_covered);
 std::string FormatMemoryResponse(const ShardMemoryStats& stats);
 
 /// Parses a response envelope: an in-band {"ok":false,...} becomes that
@@ -122,9 +119,7 @@ struct KptResponse {
     std::string_view line);
 [[nodiscard]] Result<std::vector<std::uint32_t>> ParseCountsResponse(
     std::string_view line);
-[[nodiscard]] Result<CoveredWordDelta> ParseDeltaResponse(
-    std::string_view line);
-[[nodiscard]] Result<std::uint64_t> ParseCoveredResponse(
+[[nodiscard]] Result<std::uint64_t> ParseCommitResponse(
     std::string_view line);
 [[nodiscard]] Result<ShardMemoryStats> ParseMemoryResponse(
     std::string_view line);

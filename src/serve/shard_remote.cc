@@ -183,30 +183,24 @@ Result<std::vector<std::uint32_t>> RemoteShardClient::DenseCoverage(AdId ad) {
   return ParseCountsResponse(*line);
 }
 
-Result<CoveredWordDelta> RemoteShardClient::Commit(AdId ad, NodeId v) {
+Result<std::uint64_t> RemoteShardClient::Commit(AdId ad, NodeId v) {
   Result<std::string> line = transport_->RoundTrip(FormatCommitRequest(ad, v));
   if (!line.ok()) return line.status();
-  return ParseDeltaResponse(*line);
+  return ParseCommitResponse(*line);
 }
 
-Result<CoveredWordDelta> RemoteShardClient::CommitOnRange(
+Result<std::uint64_t> RemoteShardClient::CommitOnRange(
     AdId ad, NodeId v, std::uint64_t global_first_set) {
   Result<std::string> line = transport_->RoundTrip(
       FormatCommitRangeRequest(ad, v, global_first_set));
   if (!line.ok()) return line.status();
-  return ParseDeltaResponse(*line);
+  return ParseCommitResponse(*line);
 }
 
 Status RemoteShardClient::Retire(NodeId v) {
   Result<std::string> line = transport_->RoundTrip(FormatRetireRequest(v));
   if (!line.ok()) return line.status();
   return ParseStatusResponse(*line);
-}
-
-Result<std::uint64_t> RemoteShardClient::CoveredSets(AdId ad) {
-  Result<std::string> line = transport_->RoundTrip(FormatCoveredRequest(ad));
-  if (!line.ok()) return line.status();
-  return ParseCoveredResponse(*line);
 }
 
 Result<ShardMemoryStats> RemoteShardClient::MemoryStats() {

@@ -80,8 +80,6 @@ class RemoteShardClient final : public RrShardClient {
                     int num_shards);
   ~RemoteShardClient() override;
 
-  int shard_index() const override { return shard_index_; }
-  int num_shards() const override { return num_shards_; }
   [[nodiscard]] Status BeginRun(const ShardRunConfig& run) override;
   [[nodiscard]] Result<RrSampleStore::EnsureResult> EnsureSets(
       AdId ad, std::uint64_t global_min_sets,
@@ -95,11 +93,10 @@ class RemoteShardClient final : public RrShardClient {
       AdId ad, std::span<const NodeId> nodes) override;
   [[nodiscard]] Result<std::vector<std::uint32_t>> DenseCoverage(
       AdId ad) override;
-  [[nodiscard]] Result<CoveredWordDelta> Commit(AdId ad, NodeId v) override;
-  [[nodiscard]] Result<CoveredWordDelta> CommitOnRange(
+  [[nodiscard]] Result<std::uint64_t> Commit(AdId ad, NodeId v) override;
+  [[nodiscard]] Result<std::uint64_t> CommitOnRange(
       AdId ad, NodeId v, std::uint64_t global_first_set) override;
   [[nodiscard]] Status Retire(NodeId v) override;
-  [[nodiscard]] Result<std::uint64_t> CoveredSets(AdId ad) override;
   [[nodiscard]] Result<ShardMemoryStats> MemoryStats() override;
 
  private:

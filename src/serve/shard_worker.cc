@@ -109,24 +109,19 @@ Result<std::string> ShardWorkerSession::Dispatch(std::string_view line) {
     return FormatCountsResponse(*counts);
   }
   if (request.op == "commit") {
-    Result<CoveredWordDelta> delta = client_->Commit(request.ad, request.node);
-    if (!delta.ok()) return delta.status();
-    return FormatDeltaResponse(*delta);
+    Result<std::uint64_t> newly = client_->Commit(request.ad, request.node);
+    if (!newly.ok()) return newly.status();
+    return FormatCommitResponse(*newly);
   }
   if (request.op == "commit_range") {
-    Result<CoveredWordDelta> delta =
+    Result<std::uint64_t> newly =
         client_->CommitOnRange(request.ad, request.node, request.first_set);
-    if (!delta.ok()) return delta.status();
-    return FormatDeltaResponse(*delta);
+    if (!newly.ok()) return newly.status();
+    return FormatCommitResponse(*newly);
   }
   if (request.op == "retire") {
     TIRM_RETURN_NOT_OK(client_->Retire(request.node));
     return FormatOkResponse();
-  }
-  if (request.op == "covered") {
-    Result<std::uint64_t> covered = client_->CoveredSets(request.ad);
-    if (!covered.ok()) return covered.status();
-    return FormatCoveredResponse(*covered);
   }
   if (request.op == "memory") {
     Result<ShardMemoryStats> stats = client_->MemoryStats();

@@ -79,17 +79,6 @@ Result<EdgeProbabilities> EdgeProbabilities::FromBorrowed(
   return ep;
 }
 
-Result<EdgeProbabilities> EdgeProbabilities::FromDense(
-    Mode mode, int num_topics, std::size_t num_edges,
-    std::vector<float> probs) {
-  Result<EdgeProbabilities> borrowed =
-      FromBorrowed(mode, num_topics, num_edges, probs);
-  if (!borrowed.ok()) return borrowed.status();
-  EdgeProbabilities ep = borrowed.MoveValue();
-  ep.probs_ = ArrayRef<float>::Owned(std::move(probs));
-  return ep;
-}
-
 void EdgeProbabilities::SetProb(EdgeId e, TopicId z, float p) {
   TIRM_CHECK(mode_ == Mode::kPerTopic);
   TIRM_CHECK(e < num_edges_);

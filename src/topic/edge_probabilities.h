@@ -66,13 +66,6 @@ class EdgeProbabilities {
                                                 std::size_t num_edges,
                                                 std::span<const float> probs);
 
-  /// Owned counterpart of FromBorrowed: takes the full matrix by value
-  /// (same shape rules). Used when deep-copying a bundle out of its
-  /// mapping.
-  static Result<EdgeProbabilities> FromDense(Mode mode, int num_topics,
-                                             std::size_t num_edges,
-                                             std::vector<float> probs);
-
   Mode mode() const { return mode_; }
   int num_topics() const { return num_topics_; }
   std::size_t num_edges() const { return num_edges_; }

@@ -36,15 +36,6 @@ Result<TopicDistribution> TopicDistribution::BorrowNormalized(
   return d;
 }
 
-Result<TopicDistribution> TopicDistribution::FromNormalized(
-    std::vector<double> mass) {
-  Result<TopicDistribution> borrowed = BorrowNormalized(mass);
-  if (!borrowed.ok()) return borrowed.status();
-  TopicDistribution d;
-  d.mass_ = ArrayRef<double>::Owned(std::move(mass));
-  return d;
-}
-
 TopicDistribution TopicDistribution::Concentrated(int num_topics, TopicId topic,
                                                   double peak) {
   TIRM_CHECK_GT(num_topics, 0);

@@ -38,11 +38,6 @@ class TopicDistribution {
   static Result<TopicDistribution> BorrowNormalized(
       std::span<const double> mass);
 
-  /// Owned counterpart of BorrowNormalized: adopts an already-normalized
-  /// mass array WITHOUT re-normalizing (bundle round-trips must reproduce
-  /// the stored bytes exactly). Same validation rules.
-  static Result<TopicDistribution> FromNormalized(std::vector<double> mass);
-
   /// Point mass `peak` on `topic`, remainder spread evenly over the others.
   /// The paper's quality experiments use peak = 0.91 with K = 10
   /// (0.01 on each other topic).

@@ -1,8 +1,8 @@
 // Tests for the mmap-backed ".tirm" bundle data plane (src/io/):
-// write/load round-trips, zero-copy vs owned equivalence, bit-identical
-// allocations from bundle-loaded instances, pooled-store sampling on a
-// mapped instance (including concurrent top-up, for the TSan job), and
-// table-driven corruption handling for both bundle loaders.
+// write/load round-trips, bit-identical allocations from bundle-loaded
+// instances, pooled-store sampling on a mapped instance (including
+// concurrent top-up, for the TSan job), and table-driven corruption
+// handling, element checks included.
 
 #include <gtest/gtest.h>
 
@@ -123,28 +123,6 @@ TEST(BundleRoundTripTest, PerTopicDatasetSurvivesExactly) {
   EXPECT_EQ(loaded->edge_probs->MemoryBytes(), 0u);
   EXPECT_EQ(loaded->ctps->MemoryBytes(), 0u);
   std::remove(path.c_str());
-}
-
-TEST(BundleRoundTripTest, OwnedLoadEqualsMappedLoad) {
-  const BuiltInstance original = BuildFlixsterTiny();
-  const std::string path = TempPath("flixster_owned.tirm");
-  ASSERT_TRUE(WriteBundle(original, path).ok());
-
-  Result<BuiltInstance> mapped = LoadBundleInstance(path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  Result<BuiltInstance> owned = LoadBundleInstanceOwned(path);
-  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
-
-  EXPECT_TRUE(owned->graph->owns_storage());
-  EXPECT_TRUE(owned->edge_probs->owns_storage());
-  EXPECT_TRUE(owned->ctps->owns_storage());
-  EXPECT_TRUE(owned->advertisers[0].gamma.owns_storage());
-  EXPECT_EQ(owned->backing, nullptr);
-  ExpectInstancesEqual(*mapped, *owned);
-
-  // The owned copy survives the file disappearing.
-  std::remove(path.c_str());
-  EXPECT_GT(owned->graph->MemoryBytes(), 0u);
 }
 
 TEST(BundleRoundTripTest, SharedMappingServesManyInstances) {
@@ -362,18 +340,15 @@ class BundleCorruptionTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(base_path_.c_str()); }
 
-  using Loader = Result<BuiltInstance> (*)(const std::string&,
-                                           const BundleLoadOptions&);
-
   /// Applies `mutate` to a copy of the valid bundle, writes it out, and
-  /// returns `load`'s status.
+  /// returns the load's status.
   Status LoadMutated(const std::function<void(std::vector<char>&)>& mutate,
-                     bool verify = true, Loader load = LoadBundleInstance) {
+                     bool verify = true) {
     std::vector<char> bytes = base_bytes_;
     mutate(bytes);
     const std::string path = TempPath("corrupt_case.tirm");
     WriteFileBytes(path, bytes);
-    Result<BuiltInstance> loaded = load(path, {.verify = verify});
+    Result<BuiltInstance> loaded = LoadBundleInstance(path, {.verify = verify});
     std::remove(path.c_str());
     return loaded.ok() ? Status::OK() : loaded.status();
   }
@@ -544,7 +519,8 @@ TEST_F(BundleCorruptionTest, ElementChecksCatchValuesUnderValidChecksums) {
   // Each case rewrites one element and re-stamps the checksums, so only
   // verify's element checks stand between the value and the instance.
   using bundle::SectionId;
-  constexpr NodeId kBadNode = 1u << 30;  // Figure 1 has 6 nodes
+  constexpr NodeId kNumNodes = 6;  // Figure 1
+  constexpr NodeId kBadNode = 1u << 30;
   struct Case {
     const char* name;
     std::function<void(std::vector<char>&)> mutate;
@@ -566,6 +542,21 @@ TEST_F(BundleCorruptionTest, ElementChecksCatchValuesUnderValidChecksums) {
          WriteElement(b, SectionId::kInSources, 0, kBadNode);
        },
        "in source id out of range"},
+      // In range, but no longer the edge arrays' endpoint of that slot.
+      {"out_targets[0] names another node",
+       [](std::vector<char>& b) {
+         const auto v = ReadElement<NodeId>(b, SectionId::kOutTargets, 0);
+         WriteElement(b, SectionId::kOutTargets, 0,
+                      NodeId{(v + 1) % kNumNodes});
+       },
+       "out adjacency disagrees with the edge arrays"},
+      {"in_sources[0] names another node",
+       [](std::vector<char>& b) {
+         const auto v = ReadElement<NodeId>(b, SectionId::kInSources, 0);
+         WriteElement(b, SectionId::kInSources, 0,
+                      NodeId{(v + 1) % kNumNodes});
+       },
+       "in adjacency disagrees with the edge arrays"},
       {"edge probability 7.0",
        [](std::vector<char>& b) {
          WriteElement(b, SectionId::kEdgeProbs, 0, 7.0f);
@@ -590,18 +581,12 @@ TEST_F(BundleCorruptionTest, ElementChecksCatchValuesUnderValidChecksums) {
        },
        "advertiser gamma slice out of range"},
   };
-  const std::pair<const char*, Loader> loaders[] = {
-      {"mapped", LoadBundleInstance},
-      {"owned", LoadBundleInstanceOwned}};
   for (const Case& c : cases) {
-    for (const auto& [loader_name, load] : loaders) {
-      const Status status = LoadMutated(c.mutate, /*verify=*/true, load);
-      EXPECT_EQ(status.code(), StatusCode::kIOError)
-          << c.name << " (" << loader_name << "): " << status.ToString();
-      EXPECT_NE(status.message().find(c.expect_substring), std::string::npos)
-          << c.name << " (" << loader_name << "): got \""
-          << status.message() << "\"";
-    }
+    const Status status = LoadMutated(c.mutate, /*verify=*/true);
+    EXPECT_EQ(status.code(), StatusCode::kIOError)
+        << c.name << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.expect_substring), std::string::npos)
+        << c.name << ": got \"" << status.message() << "\"";
   }
 }
 
@@ -614,14 +599,6 @@ TEST_F(BundleCorruptionTest, StructuralCorruptionCaughtEvenWithoutVerify) {
   const Status magic =
       LoadMutated([](std::vector<char>& b) { b[3] = '?'; }, false);
   EXPECT_FALSE(magic.ok());
-  // The owned loader rebuilds the CSR with FromEdges, which aborts on an
-  // out-of-range endpoint, so it range-checks the graph even unverified.
-  const Status endpoint = LoadMutated(
-      [](std::vector<char>& b) {
-        WriteElement(b, bundle::SectionId::kEdgeTargets, 0, NodeId{1u << 30});
-      },
-      false, LoadBundleInstanceOwned);
-  EXPECT_EQ(endpoint.code(), StatusCode::kIOError) << endpoint.ToString();
 }
 
 TEST_F(BundleCorruptionTest, MissingFileIsATypedError) {

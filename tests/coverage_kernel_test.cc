@@ -7,8 +7,9 @@
 //    tests/coverage_oracle.h (unweighted exact integers, weighted
 //    bit-identical doubles), including staged attaches and
 //    CommitSeedOnRange attribution;
-//  * UncoveredWords parity with the oracle, and a view attached below the
-//    index's built count (the index stops mid-segment for it);
+//  * CommitSeedOnRange parity with the oracle from mid-word first sets,
+//    and a view attached below the index's built count (the index stops
+//    mid-segment for it);
 //  * CoverageHeap tie-break regression (equal coverages pop lowest id,
 //    matching ArgMaxCoverage and the oracle);
 //  * transpose laziness + byte accounting, transpose extensions against a
@@ -142,11 +143,11 @@ TEST(CoverageKernelTest, RandomizedWeightedParityIsBitIdentical) {
   }
 }
 
-// UncoveredWords against the oracle's scatter of a node's uncovered ids,
-// over staged attaches (segments of uneven lengths) and first_set values
-// that fall mid-word and mid-segment. Each delta must be ascending with no
-// zero word, and its count must be what the following commit covers.
-TEST(CoverageKernelTest, UncoveredWordsMatchOracleIds) {
+// CommitSeedOnRange against the oracle over staged attaches (segments of
+// uneven lengths) and first_set values that fall mid-word and
+// mid-segment: each commit covers the oracle's count, and after each
+// batch every coverage and covered bit agrees.
+TEST(CoverageKernelTest, CommitOnRangeMatchesOracleFromMidWord) {
   Rng rng(1412);
   const NodeId n = 80;
   std::unique_ptr<RrSetPool> pool = RandomPool(n, 400, 4, rng);
@@ -158,23 +159,18 @@ TEST(CoverageKernelTest, UncoveredWordsMatchOracleIds) {
     oracle.AttachUpTo(stage);
     bitmap.AttachUpTo(stage);
     for (const std::uint32_t first_set : {0u, attached, attached + 37u}) {
-      for (int k = 0; k < 6; ++k) {
+      for (int k = 0; k < 3; ++k) {
         const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
-        const CoveredWordDelta want = oracle.UncoveredWords(v, first_set);
-        const CoveredWordDelta got = bitmap.UncoveredWords(v, first_set);
-        ASSERT_EQ(got.words, want.words) << "node " << v << " from "
-                                         << first_set;
-        ASSERT_EQ(got.newly_covered, want.newly_covered);
-        for (std::size_t i = 0; i < got.words.size(); ++i) {
-          EXPECT_NE(got.words[i].second, 0u);
-          if (i > 0) {
-            EXPECT_LT(got.words[i - 1].first, got.words[i].first);
-          }
-        }
-        // Commit every other probe, so later probes see covered sets.
-        if (k % 2 == 0) continue;
-        EXPECT_EQ(bitmap.CommitSeedOnRange(v, first_set), got.newly_covered);
-        oracle.CommitSeedOnRange(v, first_set);
+        ASSERT_EQ(bitmap.CommitSeedOnRange(v, first_set),
+                  oracle.CommitSeedOnRange(v, first_set))
+            << "node " << v << " from " << first_set;
+      }
+      EXPECT_EQ(bitmap.NumCovered(), oracle.NumCovered());
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(bitmap.CoverageOf(v), oracle.CoverageOf(v)) << "node " << v;
+      }
+      for (std::uint32_t id = 0; id < stage; ++id) {
+        ASSERT_EQ(bitmap.IsCovered(id), oracle.IsCovered(id)) << "set " << id;
       }
     }
     attached = stage;
@@ -202,12 +198,9 @@ TEST(CoverageKernelTest, ViewBelowBuiltCountMatchesOracle) {
   for (int k = 0; k < 20; ++k) {
     const NodeId v = static_cast<NodeId>(rng.NextUInt64() % n);
     const std::uint32_t first_set = k % 2 == 0 ? 0u : 50u;
-    const CoveredWordDelta want = oracle.UncoveredWords(v, first_set);
-    const CoveredWordDelta got = b.UncoveredWords(v, first_set);
-    ASSERT_EQ(got.words, want.words) << "node " << v;
-    ASSERT_EQ(got.newly_covered, want.newly_covered);
     ASSERT_EQ(b.CommitSeedOnRange(v, first_set),
-              oracle.CommitSeedOnRange(v, first_set));
+              oracle.CommitSeedOnRange(v, first_set))
+        << "node " << v;
   }
   EXPECT_EQ(b.NumCovered(), oracle.NumCovered());
   for (NodeId v = 0; v < n; ++v) {

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -86,24 +85,6 @@ class CoverageOracle {
       for (const NodeId member : pool_->SetMembers(id)) --coverage_[member];
     }
     return newly_covered;
-  }
-
-  /// The covered words CommitSeedOnRange(v, first_set) would change, from
-  /// a scatter of v's uncovered list ids >= first_set into dense words.
-  CoveredWordDelta UncoveredWords(NodeId v, std::uint32_t first_set) const {
-    std::vector<std::uint64_t> dense(CoverageWordsFor(attached_), 0);
-    for (const std::uint32_t id : lists_[v]) {
-      if (id < first_set || covered_[id]) continue;
-      dense[id / kCoverageWordBits] |= std::uint64_t{1}
-                                       << (id % kCoverageWordBits);
-    }
-    CoveredWordDelta delta;
-    for (std::size_t w = 0; w < dense.size(); ++w) {
-      if (dense[w] == 0) continue;
-      delta.words.emplace_back(static_cast<std::uint32_t>(w), dense[w]);
-      delta.newly_covered += static_cast<std::uint64_t>(std::popcount(dense[w]));
-    }
-    return delta;
   }
 
   /// First node of maximum positive coverage; kInvalidNode if none.

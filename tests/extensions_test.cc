@@ -1,5 +1,5 @@
-// Tests for the substrate extensions: weakly-connected components and
-// heterogeneous per-user attention bounds flowing through every algorithm.
+// Tests for the substrate extensions: heterogeneous per-user attention
+// bounds flowing through every algorithm.
 
 #include <gtest/gtest.h>
 
@@ -10,61 +10,10 @@
 #include "alloc/myopic.h"
 #include "alloc/tirm.h"
 #include "common/rng.h"
-#include "graph/components.h"
 #include "graph/generators.h"
 
 namespace tirm {
 namespace {
-
-// --------------------------------------------------------------- components
-
-TEST(ComponentsTest, SingleComponentOnCycle) {
-  ComponentInfo info = WeaklyConnectedComponents(CycleGraph(8));
-  EXPECT_EQ(info.num_components, 1u);
-  EXPECT_EQ(info.largest_size, 8u);
-  EXPECT_DOUBLE_EQ(info.largest_fraction, 1.0);
-}
-
-TEST(ComponentsTest, DisconnectedPieces) {
-  // Two paths: 0->1->2 and 3->4, plus isolated node 5.
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}});
-  ComponentInfo info = WeaklyConnectedComponents(g);
-  EXPECT_EQ(info.num_components, 3u);
-  EXPECT_EQ(info.largest_size, 3u);
-  EXPECT_EQ(info.component[0], info.component[2]);
-  EXPECT_EQ(info.component[3], info.component[4]);
-  EXPECT_NE(info.component[0], info.component[3]);
-  EXPECT_NE(info.component[5], info.component[0]);
-}
-
-TEST(ComponentsTest, DirectionIgnored) {
-  // Arcs 0->1 and 2->1: weakly one component despite no directed path 0~2.
-  Graph g = Graph::FromEdges(3, {{0, 1}, {2, 1}});
-  ComponentInfo info = WeaklyConnectedComponents(g);
-  EXPECT_EQ(info.num_components, 1u);
-}
-
-TEST(ComponentsTest, EmptyGraph) {
-  ComponentInfo info = WeaklyConnectedComponents(Graph());
-  EXPECT_EQ(info.num_components, 0u);
-  EXPECT_EQ(info.largest_size, 0u);
-}
-
-TEST(ComponentsTest, RMatHasDominantComponent) {
-  Rng rng(3);
-  Graph g = RMatGraph(10, 8000, rng);
-  ComponentInfo info = WeaklyConnectedComponents(g);
-  // Social-graph stand-ins should be dominated by one giant component
-  // among non-isolated nodes.
-  EXPECT_GT(info.largest_fraction, 0.5);
-}
-
-TEST(ComponentsTest, ForwardReachability) {
-  Graph g = PathGraph(5);
-  EXPECT_EQ(CountForwardReachable(g, 0), 5u);
-  EXPECT_EQ(CountForwardReachable(g, 3), 2u);
-  EXPECT_EQ(CountForwardReachable(g, 4), 1u);
-}
 
 // ------------------------------------------- heterogeneous attention bounds
 

@@ -280,7 +280,7 @@ TEST(RrCollectionTest, CoverageCounts) {
   EXPECT_EQ(c.CoverageOf(4), 0u);
 }
 
-TEST(RrCollectionTest, CommitSeedRemovesCoveredSets) {
+TEST(RrCollectionTest, CommitSeedRemovesTheSetsItCovers) {
   PooledView<RrCollection> p(5, {{0, 1}, {1, 2}, {3}});
   RrCollection& c = p.view;
   EXPECT_EQ(c.CommitSeed(1), 2u);

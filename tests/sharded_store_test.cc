@@ -1,11 +1,13 @@
 // ShardedRrSampleStore + the distributed TIRM plane. Covers the chunk-
-// interleave math (ShardPrefixCount / ShardLocalToGlobalSetId), bit-exact
-// pool partitioning (the union of the K shard pools IS the single-store
-// pool; K = 1 degenerates to a plain store), the tree reduction of
-// marginal-gain summaries, golden sharded-vs-single allocations for all
-// five allocators at K in {1, 2, 4}, the NDJSON shard protocol driven end
-// to end through RemoteShardClient + ShardWorkerSession over an in-process
-// transport, and a concurrent per-shard top-up test (run under TSan in CI).
+// interleave math (ShardPrefixCount, and its inverse numbering below),
+// bit-exact pool partitioning (the union of the K shard pools IS the
+// single-store pool; K = 1 degenerates to a plain store), the tree
+// reduction of marginal-gain summaries, golden sharded-vs-single
+// allocations for all five allocators at K in {1, 2, 4}, the NDJSON shard
+// protocol driven end to end through RemoteShardClient +
+// ShardWorkerSession over an in-process transport, the commit responses
+// of the wire, and a concurrent per-shard top-up test (run under TSan in
+// CI).
 
 #include <gtest/gtest.h>
 
@@ -17,12 +19,14 @@
 
 #include "alloc/tirm.h"
 #include "api/ad_alloc_engine.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/generators.h"
 #include "rrset/sample_store.h"
 #include "rrset/shard_client.h"
 #include "rrset/sharded_store.h"
+#include "serve/shard_protocol.h"
 #include "serve/shard_remote.h"
 #include "serve/shard_worker.h"
 #include "topic/instance.h"
@@ -49,6 +53,19 @@ std::vector<std::vector<NodeId>> Materialize(const RrSetPool& pool,
 }
 
 // ------------------------------------------------------ interleave math
+
+/// Maps a shard-local set id back to its global id (the inverse numbering
+/// of ShardPrefixCount): local id l in shard k lives in that shard's local
+/// chunk l / chunk_sets, which is global chunk (l / chunk_sets) *
+/// num_shards + k.
+std::uint64_t ShardLocalToGlobalSetId(std::uint64_t local_id,
+                                      std::uint64_t chunk_sets,
+                                      int num_shards, int shard) {
+  const std::uint64_t global_chunk =
+      local_id / chunk_sets * static_cast<std::uint64_t>(num_shards) +
+      static_cast<std::uint64_t>(shard);
+  return global_chunk * chunk_sets + local_id % chunk_sets;
+}
 
 TEST(ShardMathTest, PrefixCountsPartitionEveryWatermark) {
   for (const int num_shards : {1, 2, 3, 4, 7}) {
@@ -207,21 +224,9 @@ TEST_F(ShardedStoreTest, ConcurrentShardTopUpsStayBitExact) {
 
 TEST(TreeReduceTest, MergesPartialSumsMasksAndBounds) {
   std::vector<ShardGainSummary> parts(3);
-  parts[0] = {.shard = 0,
-              .top = {{5, 10}, {3, 7}},
-              .unlisted_bound = 7,
-              .covered_sets = 2,
-              .attached_sets = 100};
-  parts[1] = {.shard = 1,
-              .top = {{3, 9}, {8, 4}},
-              .unlisted_bound = 4,
-              .covered_sets = 3,
-              .attached_sets = 100};
-  parts[2] = {.shard = 2,
-              .top = {{5, 1}},
-              .unlisted_bound = 0,
-              .covered_sets = 0,
-              .attached_sets = 50};
+  parts[0] = {.shard = 0, .top = {{5, 10}, {3, 7}}, .unlisted_bound = 7};
+  parts[1] = {.shard = 1, .top = {{3, 9}, {8, 4}}, .unlisted_bound = 4};
+  parts[2] = {.shard = 2, .top = {{5, 1}}, .unlisted_bound = 0};
   const ReducedGainSummary reduced = TreeReduceGainSummaries(parts);
 
   ASSERT_EQ(reduced.candidates.size(), 3u);  // nodes {3, 5, 8}, ascending
@@ -235,8 +240,6 @@ TEST(TreeReduceTest, MergesPartialSumsMasksAndBounds) {
   EXPECT_EQ(reduced.candidates[2].partial, 4u);
   EXPECT_EQ(reduced.candidates[2].shard_mask, 0b010u);
   EXPECT_EQ(reduced.unlisted_bound, 11u);
-  EXPECT_EQ(reduced.covered_sets, 5u);
-  EXPECT_EQ(reduced.attached_sets, 250u);
 }
 
 TEST(TreeReduceTest, ReductionIsOrderIndependent) {
@@ -246,9 +249,7 @@ TEST(TreeReduceTest, ReductionIsOrderIndependent) {
         .shard = k,
         .top = {{static_cast<NodeId>(k), 5u + static_cast<std::uint32_t>(k)},
                 {9, 2}},
-        .unlisted_bound = 2,
-        .covered_sets = static_cast<std::uint64_t>(k),
-        .attached_sets = 10};
+        .unlisted_bound = 2};
   }
   const ReducedGainSummary forward = TreeReduceGainSummaries(parts);
   std::vector<ShardGainSummary> reversed(parts.rbegin(), parts.rend());
@@ -261,7 +262,6 @@ TEST(TreeReduceTest, ReductionIsOrderIndependent) {
               backward.candidates[i].shard_mask);
   }
   EXPECT_EQ(forward.unlisted_bound, backward.unlisted_bound);
-  EXPECT_EQ(forward.covered_sets, backward.covered_sets);
 }
 
 // ------------------------------------------- golden: sharded == single
@@ -423,6 +423,92 @@ TEST(ShardProtocolTest, RemoteClientsOverInProcessTransportMatchSingle) {
   Rng again_rng(kSeed);
   const TirmResult again = RunTirm(inst, options, again_rng);
   EXPECT_EQ(again.allocation.seeds, single.allocation.seeds);
+}
+
+// The trimmed wire, line by line: a worker answers every commit and
+// commit_range with its count alone, the count a LocalShardClient over an
+// identical store returns, and `covered` is no op at all.
+TEST(ShardProtocolTest, WorkerCommitsAnswerWithTheLocalCountOnly) {
+  Rng build_rng(77);
+  const BuiltInstance built = BuildDataset(FlixsterLike(0.005), build_rng);
+  const ProblemInstance inst = built.MakeInstance(1, 0.0);
+  const NodeId n = inst.graph().num_nodes();
+
+  serve::ShardWorkerContext context(&inst, /*shard_index=*/0,
+                                    /*num_shards=*/1, /*num_threads=*/1);
+  serve::ShardWorkerSession session(&context);
+  RrSampleStore store(&inst.graph(), {.seed = 7});
+  LocalShardClient local(&store, &inst, /*num_threads=*/1);
+  ShardRunConfig run;
+  run.num_ads = inst.num_ads();
+  run.store_seed = 7;
+  ASSERT_TRUE(local.BeginRun(run).ok());
+
+  const auto ok = [&session](const std::string& line) {
+    const std::string response = session.HandleLine(line);
+    EXPECT_TRUE(serve::ParseStatusResponse(response).ok()) << response;
+  };
+  // Sends a commit line and returns its count, after checking the
+  // response carries exactly {ok, newly_covered}.
+  const auto commit = [&session](const std::string& line) -> std::uint64_t {
+    const std::string response = session.HandleLine(line);
+    Result<JsonValue> parsed = ParseJson(response);
+    EXPECT_TRUE(parsed.ok()) << response;
+    if (!parsed.ok()) return 0;
+    std::vector<std::string> keys;
+    for (const JsonValue::Member& member : parsed->members()) {
+      keys.push_back(member.first);
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{"ok", "newly_covered"}))
+        << response;
+    Result<std::uint64_t> count = serve::ParseCommitResponse(response);
+    EXPECT_TRUE(count.ok()) << response;
+    return count.ok() ? *count : 0;
+  };
+
+  ok(R"({"op":"begin","num_ads":1,"store_seed":"0x7","chunk_sets":4096,)"
+     R"("kpt_ell":1.0,"kpt_max_samples":131072,"shard_index":0,)"
+     R"("num_shards":1})");
+  ok(R"({"op":"ensure","ad":0,"min_sets":4096,"attached":0})");
+  ok(R"({"op":"attach","ad":0,"count":4096})");
+  ASSERT_TRUE(local.EnsureSets(0, 4096, 0).ok());
+  ASSERT_TRUE(local.Attach(0, 4096).ok());
+  std::uint64_t total = 0;
+  std::vector<NodeId> seeds;
+  for (NodeId v = 0; v < n; v += 9) {
+    Result<std::uint64_t> want = local.Commit(0, v);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(commit(R"({"op":"commit","ad":0,"node":)" + std::to_string(v) +
+                     "}"),
+              *want)
+        << "node " << v;
+    total += *want;
+    seeds.push_back(v);
+  }
+  EXPECT_GT(total, 0u);
+
+  // Grow both views, then attribute the new sets from a mid-chunk first
+  // set, the way UpdateEstimates does.
+  ok(R"({"op":"ensure","ad":0,"min_sets":8192,"attached":4096})");
+  ok(R"({"op":"attach","ad":0,"count":8192})");
+  ASSERT_TRUE(local.EnsureSets(0, 8192, 4096).ok());
+  ASSERT_TRUE(local.Attach(0, 8192).ok());
+  total = 0;
+  for (const NodeId v : seeds) {
+    Result<std::uint64_t> want = local.CommitOnRange(0, v, 5000);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(commit(R"({"op":"commit_range","ad":0,"node":)" +
+                     std::to_string(v) + R"(,"first_set":5000})"),
+              *want)
+        << "node " << v;
+    total += *want;
+  }
+  EXPECT_GT(total, 0u);
+
+  const Status covered = serve::ParseStatusResponse(
+      session.HandleLine(R"({"op":"covered","ad":0})"));
+  EXPECT_EQ(covered.code(), StatusCode::kInvalidArgument)
+      << covered.ToString();
 }
 
 // A worker answering with the wrong shard identity is rejected at
